@@ -11,9 +11,9 @@ recovery times, goodput under faults), and every cell must keep request
 accounting balanced: the chaos adapter raises (recording a typed error
 row) on any cell where completed + rejected + failed != arrivals.
 
-Fault schedules are seeded and the step latencies are the analytic timeline
-numbers (``use_simulator=False``), so a warm-cache run is bit-identical to
-the cold run that populated the store.  Each invocation appends wall-clock,
+Fault schedules are seeded and the step latencies are the simulated
+latencies persisted on each artifact, so a warm-cache run is bit-identical
+to the cold run that populated the store.  Each invocation appends wall-clock,
 session/store stats, and the result rows to
 ``results/BENCH_chaos_sweep.json``.
 """
@@ -54,7 +54,6 @@ SPEC = SweepSpec(
         "num_requests": NUM_REQUESTS,
         "fault_window": FAULT_WINDOW,
         "slowdown_fraction": 0.25,
-        "use_simulator": False,  # identical on cold and warm cache runs
     },
     columns=(
         "crash_rate", "retry_policy", "crashes", "retries", "failed",

@@ -10,9 +10,9 @@ compiles exactly once for the whole sweep no matter how many engines,
 fleet sizes, or routers serve it.
 
 Like the serving sweep, the session is backed by the benchmarks'
-persistent artifact store and step latencies are the analytic timeline
-numbers (``use_simulator=False``), which keeps a warm run bit-identical to
-the cold run that populated the store.  Each invocation appends wall-clock,
+persistent artifact store and step latencies are the simulated latencies
+persisted on each artifact, which keeps a warm run bit-identical to the
+cold run that populated the store.  Each invocation appends wall-clock,
 session/store stats, and the result rows to
 ``results/BENCH_cluster_sweep.json``.
 """
@@ -43,7 +43,6 @@ SPEC = SweepSpec(
         "scenario": SCENARIO,
         "policy": POLICY,
         "num_requests": NUM_REQUESTS,
-        "use_simulator": False,  # identical on cold and warm cache runs
     },
     include=(
         {

@@ -33,7 +33,6 @@ SPEC = SweepSpec(
     fixed={
         "num_layers": BENCH_CONFIG.num_layers,
         "seq_len": BENCH_CONFIG.seq_len,
-        "use_simulator": BENCH_CONFIG.use_simulator,
         "max_preload_ahead": BENCH_CONFIG.max_preload_ahead,
         "max_order_candidates": BENCH_CONFIG.max_order_candidates,
     },

@@ -53,7 +53,6 @@ def _traced_run(store_root: str) -> tuple[Tracer, object, object]:
         num_requests=NUM_REQUESTS,
         seed=SEED,
         session=session,
-        use_simulator=False,
         tracer=tracer,
     )
     return tracer, result, (session, store)
@@ -112,7 +111,6 @@ def test_obs_trace_determinism_and_overhead(benchmark):
             num_requests=NUM_REQUESTS,
             seed=SEED,
             session=sweep_session,
-            use_simulator=False,
             tracer=tracer,
         )
 

@@ -9,10 +9,8 @@ batch-bucket) step plan compiles exactly once for the whole sweep, however
 many rate points reuse it.
 
 The session is backed by the benchmarks' persistent artifact store and the
-step latencies are the analytic timeline numbers (``use_simulator=False``):
-store-resolved artifacts carry no execution plan, so the analytic path is
-what keeps a warm run bit-identical to the cold run that populated the
-store.  Each invocation appends wall-clock, session stats, store stats, and
+step latencies are the simulated latencies persisted on each artifact, so a
+warm run is bit-identical to the cold run that populated the store.  Each invocation appends wall-clock, session stats, store stats, and
 the result rows to ``results/BENCH_serving_sweep.json``; on a warm run the
 store serves every bucketed step plan and the session performs zero fresh
 compiles.
@@ -38,7 +36,6 @@ SPEC = SweepSpec(
     fixed={
         "scenario": SCENARIO,
         "num_requests": NUM_REQUESTS,
-        "use_simulator": False,  # identical on cold and warm cache runs
     },
     columns=(
         "scenario", "policy", "rate_scale", "throughput_rps",

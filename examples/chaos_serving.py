@@ -64,7 +64,6 @@ def _run(scenario: str, args: argparse.Namespace, **overrides):
         num_requests=args.num_requests,
         seed=args.seed,
         session=make_serving_session(store=make_store()),
-        use_simulator=False,
         **overrides,
     )
 

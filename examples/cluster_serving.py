@@ -62,10 +62,6 @@ def main() -> None:
         num_requests=args.num_requests,
         seed=args.seed,
         session=session,
-        # Store-resolved artifacts carry metrics but no execution plan, so a
-        # warm run must time steps off the analytic timeline — pinning it
-        # here keeps cold and warm invocations bit-identical.
-        use_simulator=False,
     )
 
     # ---- fleet size x router policy --------------------------------------

@@ -18,7 +18,6 @@ from repro.api import Session
 from repro.arch import single_chip
 from repro.compiler import WorkloadSpec
 from repro.eval import format_table
-from repro.sim import simulate_system
 from repro.units import GB
 
 SESSION = Session()
@@ -31,15 +30,8 @@ def evaluate(num_cores: int) -> list[dict]:
     rows = []
     for policy in ("basic", "static", "elk-full", "ideal"):
         artifact = SESSION.compile(workload, system, policy)
-        plan = artifact.result.plan if artifact.result is not None else None
-        if plan is not None:
-            sim = simulate_system(
-                plan,
-                system,
-                artifact.frontend.per_chip_graph.total_flops,
-                artifact.frontend.full_graph_flops,
-                artifact.frontend.interchip_bytes_per_step,
-            )
+        sim = artifact.simulation  # None for the plan-less Ideal roofline
+        if sim is not None:
             latency, tflops = sim.total_time, sim.achieved_tflops
         else:
             latency, tflops = artifact.latency, artifact.achieved_tflops

@@ -6,9 +6,10 @@ compiles two decoder layers of Llama2-13B (batch 32, sequence 2048) for the
 paper's IPU-POD4-like system with every registered design (Basic, Static,
 Elk-Dyn, Elk-Full, Ideal) in one ``compile_many`` batch — the frontend result
 and per-operator profiles are built once and shared by all five policies.
-It then prints per-token latency and hardware utilization, shows the first
-few instructions of the generated device program, and demonstrates that
-compile artifacts round-trip through JSON.
+It then prints the simulated per-token latency and hardware utilization
+recorded on each artifact, shows the first few instructions of the
+generated device program, and demonstrates that compile artifacts
+round-trip through JSON.
 
 Run with::
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 from repro import CompileArtifact, CompileRequest, POLICIES, Session, WorkloadSpec, ipu_pod4
 from repro.codegen import generate_device_program
 from repro.eval import format_table
-from repro.sim import simulate_system
 
 
 def main() -> None:
@@ -34,32 +34,18 @@ def main() -> None:
     )
 
     rows = []
-    plans = {}
     for artifact in artifacts:
-        plan = artifact.result.plan if artifact.result is not None else None
-        if plan is not None:
-            sim = simulate_system(
-                plan,
-                system,
-                artifact.frontend.per_chip_graph.total_flops,
-                artifact.frontend.full_graph_flops,
-                artifact.frontend.interchip_bytes_per_step,
-            )
-            latency_ms = sim.total_time * 1e3
-            hbm = sim.chip_result.hbm_utilization
-            noc = sim.chip_result.noc_utilization
-            tflops = sim.achieved_tflops
-            plans[artifact.policy] = plan
-        else:
-            latency_ms = artifact.latency * 1e3
-            hbm, noc, tflops = artifact.hbm_utilization, 0.0, artifact.achieved_tflops
+        # Plan-bearing artifacts carry the event-driven simulation of their
+        # plan; the Ideal roofline has no plan and reports analytic numbers.
+        sim = artifact.simulation
+        metrics = sim if sim is not None else artifact
         rows.append(
             {
                 "policy": artifact.policy,
-                "latency_ms": latency_ms,
-                "hbm_util": hbm,
-                "noc_util": noc,
-                "achieved_tflops": tflops,
+                "latency_ms": (sim.total_time if sim else artifact.latency) * 1e3,
+                "hbm_util": metrics.hbm_utilization,
+                "noc_util": metrics.noc_utilization,
+                "achieved_tflops": metrics.achieved_tflops,
                 "compile_s": artifact.compile_seconds,
             }
         )
@@ -72,7 +58,8 @@ def main() -> None:
         f"{stats.profile_builds} profile build(s) shared by {stats.compiles} compiles"
     )
 
-    elk_plan = plans["elk-full"]
+    elk_artifact = next(a for a in artifacts if a.policy == "elk-full")
+    elk_plan = elk_artifact.result.plan
     print(f"\nElk-Full plan: {len(elk_plan)} operators, "
           f"avg preload number {elk_plan.summary()['avg_preload_number']:.2f}, "
           f"reorder edit distance {elk_plan.reorder_edit_distance:.2f}")
@@ -83,7 +70,6 @@ def main() -> None:
         print("  " + instruction.render())
 
     # Artifacts serialize to JSON, so sweep results persist across runs.
-    elk_artifact = next(a for a in artifacts if a.policy == "elk-full")
     restored = CompileArtifact.from_json(elk_artifact.to_json())
     print(f"\nArtifact JSON round-trip: {restored.policy} "
           f"latency {restored.latency * 1e3:.3f} ms "

@@ -2,11 +2,11 @@
 
 A :class:`CompileArtifact` is the service-level record of one compilation:
 the metrics every report consumes (latency, utilizations, breakdown, compile
-time) plus enough identity (workload, system, policy) to key a cache or a
-result table.  Unlike :class:`~repro.compiler.pipeline.CompileResult` it is
-JSON-(de)serializable, so sweep results persist across runs; the in-memory
-references to the full result, frontend, and system ride along for callers
-that need the plan or the simulator but are dropped on serialization.
+time, the plan's simulation) plus enough identity (workload, system, policy)
+to key a cache or a result table.  Unlike
+:class:`~repro.compiler.pipeline.CompileResult` it is JSON-(de)serializable,
+so results persist across runs; the in-memory references to the full result,
+frontend, and system ride along but are dropped on serialization.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.sim.multichip import simulate_system
 
 if TYPE_CHECKING:
     from repro.arch.chip import SystemConfig
@@ -24,7 +25,23 @@ if TYPE_CHECKING:
     from repro.compiler.pipeline import CompileResult
 
 #: Bumped whenever the serialized artifact layout changes incompatibly.
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
+
+
+@dataclass
+class SimulatedMetrics:
+    """The :func:`~repro.sim.multichip.simulate_system` result of a plan.
+
+    ``total_time`` is the simulated per-step latency in seconds; the other
+    fields mean what they do on :class:`CompileArtifact`.
+    """
+
+    total_time: float
+    hbm_utilization: float
+    noc_utilization: float
+    noc_preload_fraction: float
+    achieved_tflops: float
+    breakdown: dict[str, float]
 
 
 @dataclass
@@ -50,6 +67,8 @@ class CompileArtifact:
             shared-artifact (frontend / profile) builds it triggered.
         plan_summary: Headline plan statistics (``None`` for rooflines).
         search_stats: Search-space statistics as a dict (Elk policies only).
+        simulation: Event-driven simulation of the plan (``None`` for
+            plan-less artifacts such as the ``ideal`` roofline).
         schema_version: Serialization schema version.
         result: In-memory :class:`CompileResult` (not serialized).
         frontend: In-memory :class:`FrontendResult` (not serialized).
@@ -73,6 +92,7 @@ class CompileArtifact:
     compile_seconds: float
     plan_summary: dict[str, object] | None = None
     search_stats: dict[str, int] | None = None
+    simulation: SimulatedMetrics | None = None
     schema_version: int = ARTIFACT_SCHEMA_VERSION
     result: "CompileResult | None" = field(default=None, repr=False, compare=False)
     frontend: "FrontendResult | None" = field(default=None, repr=False, compare=False)
@@ -87,20 +107,41 @@ class CompileArtifact:
         cls,
         result: "CompileResult",
         *,
-        frontend: "FrontendResult | None" = None,
-        system: "SystemConfig | None" = None,
+        frontend: "FrontendResult",
+        system: "SystemConfig",
         compile_seconds: float | None = None,
     ) -> "CompileArtifact":
         """Package a :class:`CompileResult` as an artifact.
 
+        A plan-bearing result is simulated here, once, and the simulation
+        persists with the rest of the artifact.
+
         Args:
             result: The pipeline's compile result.
-            frontend: Frontend result to keep referenced (for the simulator).
-            system: System configuration to keep referenced.
+            frontend: Frontend result the plan was compiled from.
+            system: System configuration the plan was compiled for.
             compile_seconds: Override for the compile time (e.g. to include
                 shared frontend/profile builds); defaults to the result's own.
         """
         workload = result.workload
+        simulation = None
+        if result.plan is not None:
+            sim = simulate_system(
+                result.plan,
+                system,
+                frontend.per_chip_graph.total_flops,
+                frontend.full_graph_flops,
+                frontend.interchip_bytes_per_step,
+            )
+            chip = sim.chip_result
+            simulation = SimulatedMetrics(
+                sim.total_time,
+                chip.hbm_utilization,
+                chip.noc_utilization,
+                chip.noc_preload_fraction,
+                sim.achieved_tflops,
+                sim.breakdown(),
+            )
         return cls(
             model=workload.model_name,
             batch_size=workload.batch_size,
@@ -121,6 +162,7 @@ class CompileArtifact:
             ),
             plan_summary=dict(result.plan.summary()) if result.plan is not None else None,
             search_stats=asdict(result.search_stats) if result.search_stats else None,
+            simulation=simulation,
             result=result,
             frontend=frontend,
             system=system,
@@ -154,6 +196,8 @@ class CompileArtifact:
             data["plan_summary"] = dict(self.plan_summary)
         if self.search_stats is not None:
             data["search_stats"] = dict(self.search_stats)
+        if self.simulation is not None:
+            data["simulation"] = asdict(self.simulation)
         return data
 
     @classmethod
@@ -172,7 +216,10 @@ class CompileArtifact:
                 f"unknown artifact fields {sorted(unknown)}; corrupt file?"
             )
         try:
-            return cls(**{key: data[key] for key in data})
+            artifact = cls(**data)
+            if artifact.simulation is not None:
+                artifact.simulation = SimulatedMetrics(**artifact.simulation)
+            return artifact
         except TypeError as error:
             raise ConfigurationError(
                 f"incomplete artifact record: {error}"

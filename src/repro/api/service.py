@@ -56,6 +56,7 @@ from repro.compiler.frontend import (
 from repro.compiler.pipeline import ModelCompiler
 from repro.cost.model import AnalyticCostModel, CostModel
 from repro.errors import CompileFailedError, ConfigurationError
+from repro.obs.trace import maybe_span
 from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.profiles import OperatorProfile, build_operator_profiles
@@ -238,9 +239,9 @@ class Session:
     cache between its in-memory dict and a real compile: results land on
     disk as they are compiled and later sessions — including other
     *processes* — resolve equal requests from the store instead of
-    recompiling.  Store-resolved artifacts carry metrics, stats, and
-    timings but no in-memory plan/frontend references (they were
-    deserialized, not compiled).
+    recompiling.  Store-resolved artifacts carry metrics, the simulated
+    plan latency, stats, and timings but no in-memory plan/frontend
+    references (they were deserialized, not compiled).
 
     Args:
         elk_options: Default Elk knobs for requests that bring none.
@@ -368,16 +369,9 @@ class Session:
             if cached is not None:
                 self.stats.frontend_hits += 1
                 return cached
-        tracer = self.tracer
-        if tracer is not None:
-            with tracer.span(
-                "frontend",
-                category="compile",
-                model=workload.model_name,
-                system=system.name,
-            ):
-                built = build_frontend_result(workload, system)
-        else:
+        with maybe_span(
+            self.tracer, "frontend", model=workload.model_name, system=system.name
+        ):
             built = build_frontend_result(workload, system)
         with self._lock:
             winner = self._frontends.setdefault(key, built)
@@ -401,27 +395,16 @@ class Session:
                 self.stats.profile_hits += 1
                 return cached
         frontend = self.frontend(workload, system)
-        tracer = self.tracer
-        if tracer is not None:
-            with tracer.span(
-                "partition-enumeration",
-                category="compile",
-                model=workload.model_name,
-            ) as attrs:
-                built = build_operator_profiles(
-                    frontend.per_chip_graph,
-                    system.chip,
-                    self.cost_model(system.chip),
-                    limits,
-                )
-                attrs["num_profiles"] = len(built)
-        else:
+        with maybe_span(
+            self.tracer, "partition-enumeration", model=workload.model_name
+        ) as attrs:
             built = build_operator_profiles(
                 frontend.per_chip_graph,
                 system.chip,
                 self.cost_model(system.chip),
                 limits,
             )
+            attrs["num_profiles"] = len(built)
         with self._lock:
             winner = self._profiles.setdefault(key, built)
             if winner is built:
@@ -457,13 +440,11 @@ class Session:
                 return cached
         if self.store is None:
             return None
-        tracer = self.tracer
-        if tracer is not None:
-            with tracer.span("store.get", category="store", track="store") as attrs:
-                stored = self.store.get(artifact_digest(key))
-                attrs["hit"] = stored is not None
-        else:
+        with maybe_span(
+            self.tracer, "store.get", category="store", track="store"
+        ) as attrs:
             stored = self.store.get(artifact_digest(key))
+            attrs["hit"] = stored is not None
         if stored is None:
             return None
         with self._lock:
@@ -523,26 +504,20 @@ class Session:
         if cached is not None:
             return cached
         tracer = self.tracer
-        if tracer is not None:
-            with tracer.span(
-                "session.compile",
-                category="compile",
-                model=request.workload_spec.model_name,
-                policy=request.policy,
-            ):
-                started = time.perf_counter()
-                compiler = self.compiler(request)
-                result = compiler.compile(request.policy)
-                elapsed = time.perf_counter() - started
-                if result.plan is not None:
-                    # Pure lowering pass, profiled for the per-stage picture;
-                    # the program itself is not part of the artifact.
-                    generate_device_program(result.plan, tracer)
-        else:
+        with maybe_span(
+            tracer,
+            "session.compile",
+            model=request.workload_spec.model_name,
+            policy=request.policy,
+        ):
             started = time.perf_counter()
             compiler = self.compiler(request)
             result = compiler.compile(request.policy)
             elapsed = time.perf_counter() - started
+            if tracer is not None and result.plan is not None:
+                # Pure lowering pass, profiled for the per-stage picture;
+                # the program itself is not part of the artifact.
+                generate_device_program(result.plan, tracer)
         artifact = CompileArtifact.from_result(
             result,
             frontend=compiler.frontend,
@@ -555,10 +530,7 @@ class Session:
             if fresh:
                 self.stats.compiles += 1
         if fresh and self.store is not None:
-            if tracer is not None:
-                with tracer.span("store.put", category="store", track="store"):
-                    self.store.put(artifact_digest(key), artifact)
-            else:
+            with maybe_span(tracer, "store.put", category="store", track="store"):
                 self.store.put(artifact_digest(key), artifact)
             with self._lock:
                 self.stats.store_puts += 1
@@ -587,8 +559,8 @@ class Session:
           fresh session each, sharing the parent's option defaults and
           store), which *does* parallelize the GIL-bound compile path.  The
           artifacts ship back serialized, so — like store hits — they carry
-          no in-memory plan/frontend references; requires a picklable
-          ``cost_model_factory``.
+          their simulation but no in-memory plan/frontend references;
+          requires a picklable ``cost_model_factory``.
         """
         backend = _check_backend(backend) if backend is not None else self.backend
         requests = list(requests)

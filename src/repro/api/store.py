@@ -181,7 +181,9 @@ class ArtifactStore:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(artifact.to_dict(), handle, sort_keys=True)
+                # Field order is kept (not sorted) so a store-resolved
+                # artifact's breakdowns iterate like the cold compile's.
+                json.dump(artifact.to_dict(), handle)
                 handle.write("\n")
             os.replace(tmp, path)
         except BaseException:

@@ -321,7 +321,6 @@ def simulate_cluster_scenario(
     rate_scale: float = 1.0,
     session: Session | None = None,
     num_layers: int | None = 1,
-    use_simulator: bool = True,
     num_engines: int | None = None,
     router: str | None = None,
     autoscaler: AutoscalerConfig | None = _UNSET,
@@ -354,15 +353,14 @@ def simulate_cluster_scenario(
         session: Shared compile session; pass one to dedupe bucket compiles
             across fleet sizes, routers, and rate points.
         num_layers: Layer-count override for the compiled step workloads.
-        use_simulator: Time step plans with the event-driven simulator
-            (otherwise the analytic timeline).
         num_engines / router / autoscaler / tenants / disaggregation /
             faults / retry_policy / degradation:
             Fleet-configuration overrides (default: the scenario's own);
             e.g. ``faults=None`` runs a chaos scenario's trace on the happy
             path, and ``faults=random_faults(...)`` injects a seeded
             schedule into any scenario.
-        prewarm: Compile the full bucket grid up front through one
+        prewarm: Compile the reachable bucket grid
+            (:meth:`StepLatencyModel.prewarm`) up front through one
             ``compile_many`` fan-out.
         tracer: Optional :class:`repro.obs.Tracer` observing the whole
             fleet run: compile-stage and store spans (wired onto the session
@@ -382,7 +380,6 @@ def simulate_cluster_scenario(
         policy,
         buckets=scenario.buckets,
         num_layers=num_layers,
-        use_simulator=use_simulator,
         tracer=tracer,
     )
     defaults = (

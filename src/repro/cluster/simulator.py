@@ -69,7 +69,7 @@ from repro.cluster.faults import (
 )
 from repro.cluster.router import EngineView, RouterPolicy, get_router
 from repro.cluster.tenancy import AdmissionController, TenantSpec, as_tenant_map
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationInvariantError
 from repro.serve.batching import (
     PHASE_BOTH,
     PHASE_DECODE,
@@ -319,7 +319,7 @@ class ClusterSimulator:
         tenants: Per-tenant admission quotas and SLOs.
         disaggregation: Split the fleet into dedicated prefill and decode
             pools with a hand-off queue.
-        prewarm: Compile the full bucket grid for every (model, kind)
+        prewarm: Compile the reachable bucket grid for every (model, kind)
             group in the trace before serving, via one
             :meth:`Session.compile_many` fan-out.
         faults: Fault schedule to inject during the run (``None`` = the
@@ -785,7 +785,8 @@ class ClusterSimulator:
                     avg_queue = 0.0
                 touched: dict[int, _Engine] = {}
                 for state in batch_states:
-                    assert isinstance(state, RequestState)
+                    if not isinstance(state, RequestState):
+                        raise SimulationInvariantError(f"bad arrival {state!r}")
                     if not admission.admit(state.spec.tenant, now):
                         rejected.append(state.spec)
                         continue
@@ -899,20 +900,22 @@ class ClusterSimulator:
                 avail["redispatches"] += 1
                 kick(dispatch(state, now), now)
                 autoscale(now)
-            else:
-                assert kind == _HANDOFF
+            elif kind == _HANDOFF:
                 state = payload
                 kick(dispatch(state, now), now)
+            else:
+                raise SimulationInvariantError(f"unknown cluster event kind {kind!r}")
 
-        for engine in engines.values():
-            assert not engine.core.has_work(), (
+        if any(engine.core.has_work() for engine in engines.values()):
+            raise SimulationInvariantError(
                 "cluster simulation ended with unfinished requests"
             )
-        assert len(records) + len(rejected) + len(failed) == len(trace.requests), (
-            "request accounting does not balance: "
-            f"{len(records)} completed + {len(rejected)} rejected + "
-            f"{len(failed)} failed != {len(trace.requests)} arrivals"
-        )
+        if len(records) + len(rejected) + len(failed) != len(trace.requests):
+            raise SimulationInvariantError(
+                "request accounting does not balance: "
+                f"{len(records)} completed + {len(rejected)} rejected + "
+                f"{len(failed)} failed != {len(trace.requests)} arrivals"
+            )
 
         # Injected compile failures that never fired (no cache miss came)
         # must not leak into a later run on the same latency model.

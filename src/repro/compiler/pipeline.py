@@ -28,6 +28,7 @@ from repro.baselines.static import StaticOptions
 from repro.compiler.frontend import FrontendResult, WorkloadSpec, build_frontend_result
 from repro.compiler.registry import available_policies, get_policy
 from repro.cost.model import AnalyticCostModel, CostModel
+from repro.obs.trace import maybe_span
 from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.plan import ExecutionPlan
@@ -143,15 +144,12 @@ class ModelCompiler:
     def frontend(self) -> FrontendResult:
         """Frontend result (per-chip graph + sharding metadata), cached."""
         if self._frontend is None:
-            if self.tracer is not None:
-                with self.tracer.span(
-                    "frontend",
-                    category="compile",
-                    model=self.workload.model_name,
-                    system=self.system.name,
-                ):
-                    self._frontend = build_frontend_result(self.workload, self.system)
-            else:
+            with maybe_span(
+                self.tracer,
+                "frontend",
+                model=self.workload.model_name,
+                system=self.system.name,
+            ):
                 self._frontend = build_frontend_result(self.workload, self.system)
         return self._frontend
 
@@ -160,26 +158,16 @@ class ModelCompiler:
         """Per-operator planning profiles for the per-chip graph, cached."""
         if self._profiles is None:
             frontend = self.frontend  # build outside the enumeration span
-            if self.tracer is not None:
-                with self.tracer.span(
-                    "partition-enumeration",
-                    category="compile",
-                    model=self.workload.model_name,
-                ) as attrs:
-                    self._profiles = build_operator_profiles(
-                        frontend.per_chip_graph,
-                        self.chip,
-                        self.cost_model,
-                        self.elk_options.enumeration,
-                    )
-                    attrs["num_profiles"] = len(self._profiles)
-            else:
+            with maybe_span(
+                self.tracer, "partition-enumeration", model=self.workload.model_name
+            ) as attrs:
                 self._profiles = build_operator_profiles(
                     frontend.per_chip_graph,
                     self.chip,
                     self.cost_model,
                     self.elk_options.enumeration,
                 )
+                attrs["num_profiles"] = len(self._profiles)
         return self._profiles
 
     @property
@@ -211,15 +199,9 @@ class ModelCompiler:
         policy = policy.lower()
         implementation = get_policy(policy)
         started = time.perf_counter()
-        if self.tracer is not None:
-            with self.tracer.span(
-                "schedule",
-                category="compile",
-                policy=policy,
-                model=self.workload.model_name,
-            ):
-                output = implementation.run(self)
-        else:
+        with maybe_span(
+            self.tracer, "schedule", policy=policy, model=self.workload.model_name
+        ):
             output = implementation.run(self)
         elapsed = time.perf_counter() - started
         return self._package(

@@ -121,7 +121,7 @@ class DesignSpaceExplorer:
 
     Args:
         workload: The workload to compile for every design point.
-        config: Experiment configuration (scaling, simulator use).
+        config: Experiment configuration (scaling, search bounds).
         policy: Compiler policy evaluated at each point.
         session: Compile session whose caches are shared across design points
             (and, when passed in, across explorers).
@@ -145,7 +145,7 @@ class DesignSpaceExplorer:
         artifact = self.session.compile(
             make_request(self.workload, system, self.policy, self.config)
         )
-        row = evaluate_artifact(artifact, self.config)
+        row = evaluate_artifact(artifact)
         hbm_util = float(row.get("hbm_utilization", 0.0))
         noc_util = float(row.get("noc_utilization", 0.0))
         if hbm_util >= max(noc_util, 0.6):

@@ -44,6 +44,10 @@ class SimulationError(ElkError):
     """The event-driven simulator reached an inconsistent state."""
 
 
+class SimulationInvariantError(ElkError):
+    """A serving or fleet event loop broke an invariant (a library bug)."""
+
+
 class CodegenError(ElkError):
     """Code generation / device-program construction failed."""
 

@@ -35,7 +35,6 @@ from repro.partition.pareto import frontier_from_plans
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.preload_order import OrderSearchConfig
 from repro.scheduler.timeline import TimelineEvaluator
-from repro.sim.multichip import simulate_system
 from repro.units import GB, KiB, TB
 
 
@@ -47,8 +46,6 @@ class ExperimentConfig:
         num_layers: Transformer layers compiled per model (scaled runs).
         batch_size: Default batch size.
         seq_len: Default sequence length.
-        use_simulator: Evaluate plans with the event-driven simulator (True)
-            or the analytic timeline only (False).
         policies: Designs to compare.
         max_preload_ahead: Cap on the preload number.
         max_order_candidates: Cap on evaluated preload orders for Elk-Full.
@@ -57,7 +54,6 @@ class ExperimentConfig:
     num_layers: int = 2
     batch_size: int = 32
     seq_len: int = 2048
-    use_simulator: bool = True
     policies: tuple[str, ...] = POLICIES
     max_preload_ahead: int | None = 12
     max_order_candidates: int = 24
@@ -94,14 +90,14 @@ def make_request(
 # --------------------------------------------------------------------------- #
 # Core helper: evaluate one compiled artifact into a flat result row.
 # --------------------------------------------------------------------------- #
-def evaluate_artifact(
-    artifact: CompileArtifact, config: ExperimentConfig
-) -> dict[str, object]:
+def evaluate_artifact(artifact: CompileArtifact) -> dict[str, object]:
     """Turn one compile artifact into a flat result row.
 
-    When the artifact carries a plan and ``config.use_simulator`` is set, the
-    metrics come from the event-driven simulator; otherwise the analytic
-    numbers recorded on the artifact are used directly.
+    Plan-bearing artifacts report the event-driven simulation persisted on
+    the artifact (:attr:`CompileArtifact.simulation`) plus the analytic
+    latency as ``analytic_latency_ms``; plan-less ones (the ``ideal``
+    roofline) report the analytic numbers.  A fresh compile, a store hit,
+    and a process-backend artifact give the same row.
     """
     row: dict[str, object] = {
         "model": artifact.model,
@@ -110,9 +106,8 @@ def evaluate_artifact(
         "policy": artifact.policy,
         "compile_seconds": round(artifact.compile_seconds, 3),
     }
-    result = artifact.result
-    plan = result.plan if result is not None else None
-    if plan is None or not config.use_simulator:
+    sim = artifact.simulation
+    if sim is None:
         row.update(
             {
                 "latency_ms": artifact.latency * 1e3,
@@ -124,22 +119,14 @@ def evaluate_artifact(
         )
         return row
 
-    frontend = artifact.frontend
-    sim = simulate_system(
-        plan,
-        artifact.system,
-        frontend.per_chip_graph.total_flops,
-        frontend.full_graph_flops,
-        frontend.interchip_bytes_per_step,
-    )
     row.update(
         {
             "latency_ms": sim.total_time * 1e3,
-            "hbm_utilization": sim.chip_result.hbm_utilization,
-            "noc_utilization": sim.chip_result.noc_utilization,
-            "noc_preload_fraction": sim.chip_result.noc_preload_fraction,
+            "hbm_utilization": sim.hbm_utilization,
+            "noc_utilization": sim.noc_utilization,
+            "noc_preload_fraction": sim.noc_preload_fraction,
             "achieved_tflops": sim.achieved_tflops,
-            **{f"breakdown_{k}_ms": v * 1e3 for k, v in sim.breakdown().items()},
+            **{f"breakdown_{k}_ms": v * 1e3 for k, v in sim.breakdown.items()},
             "analytic_latency_ms": artifact.latency * 1e3,
         }
     )
@@ -158,7 +145,7 @@ def compare_policies(
     for policy in config.policies:
         try:
             artifact = session.compile(make_request(workload, system, policy, config))
-            rows.append(evaluate_artifact(artifact, config))
+            rows.append(evaluate_artifact(artifact))
         except ElkError as error:
             rows.append(
                 {

@@ -7,7 +7,8 @@ bucket that fits.  :class:`BatchBuckets` defines those shapes (batch sizes
 and context lengths), :class:`StepLatencyModel` compiles one plan per
 (model, phase, bucket) through a shared :class:`repro.api.Session` — so a
 rate × policy sweep never recompiles a duplicate (workload, policy, bucket)
-request — and reads the per-step latency off the event-driven simulator.
+request — and reads the per-step latency off the simulation persisted on
+each compiled artifact.
 
 :class:`ContinuousBatcher` is the queueing mechanism: FCFS admission into a
 bounded running set, iteration-boundary scheduling (requests join and leave
@@ -38,7 +39,6 @@ from repro.compiler.frontend import WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.ir.models.registry import DIT_CONFIGS
 from repro.serve.workload import DIFFUSION, RequestSpec
-from repro.sim.multichip import simulate_system
 
 #: Engine phases: a colocated engine runs both phases with chunked prefill;
 #: a disaggregated fleet splits them across dedicated pools.
@@ -110,9 +110,9 @@ class StepLatencyModel:
     Every distinct (model, phase, batch bucket, context bucket) compiles
     exactly once through the shared session — concurrent engines or a
     rate-sweep over the same session all hit the same cached plans — and the
-    latency comes from the event-driven simulator
-    (:func:`repro.sim.multichip.simulate_system`) unless ``use_simulator`` is
-    off, in which case the analytic timeline latency on the artifact is used.
+    latency is the simulated time persisted on the artifact, so fresh,
+    store-resolved, and process-backend artifacts agree (plan-less
+    ``ideal`` artifacts use the analytic latency).
 
     Attributes:
         session: The shared compilation service.
@@ -140,7 +140,6 @@ class StepLatencyModel:
         *,
         buckets: BatchBuckets | None = None,
         num_layers: int | None = 1,
-        use_simulator: bool = True,
         tracer: "Tracer | None" = None,
     ) -> None:
         self.session = session
@@ -148,7 +147,6 @@ class StepLatencyModel:
         self.policy = policy.lower()
         self.buckets = buckets or BatchBuckets()
         self.num_layers = num_layers
-        self.use_simulator = use_simulator
         self.tracer = tracer
         self.stats = {"compiles": 0, "hits": 0, "compile_faults": 0, "fallbacks": 0}
         self._lock = threading.Lock()
@@ -229,13 +227,15 @@ class StepLatencyModel:
         """Compile every bucketed shape of ``groups`` up front; return the count.
 
         ``groups`` are (model, kind) pairs (kind ``"llm"`` or
-        ``"diffusion"``).  The full bucket grid of each group is fanned out
-        through :meth:`Session.compile_many` in one batch — deduplicated
-        against everything the shared session (and its on-disk store, if
-        any) already holds — then the per-step latencies are resolved into
-        this model's cache.  A fleet that prewarms before taking traffic
-        compiles each bucket plan exactly once no matter how many engines
-        share the session.
+        ``"diffusion"``).  Every decode and diffusion bucket, and every
+        prefill bucket within ``prefill_attention_budget`` (the shapes a
+        multi-request pass can use; one over-budget prompt stays lazy), is
+        fanned out through :meth:`Session.compile_many` in one batch —
+        deduplicated against everything the shared session (and its
+        on-disk store, if any) already holds — then the per-step latencies
+        are resolved into this model's cache.  A fleet that prewarms before
+        taking traffic compiles each bucket plan exactly once no matter how
+        many engines share the session.
         """
         shapes: list[tuple[str, str, int, int]] = []
         for model, kind in groups:
@@ -245,11 +245,13 @@ class StepLatencyModel:
                     for batch in self.buckets.batch_sizes
                 )
             else:
+                budget = self.buckets.prefill_attention_budget
                 shapes.extend(
                     (model, phase, batch, context)
                     for phase in ("prefill", "decode")
                     for batch in self.buckets.batch_sizes
                     for context in self.buckets.context_buckets
+                    if phase == "decode" or batch * context**2 <= budget
                 )
         requests = [
             CompileRequest(self._workload(*shape), self.system, self.policy)
@@ -307,17 +309,8 @@ class StepLatencyModel:
         artifact = self.session.compile(
             CompileRequest(workload, self.system, self.policy)
         )
-        latency = artifact.latency
-        plan = artifact.result.plan if artifact.result is not None else None
-        if self.use_simulator and plan is not None and artifact.frontend is not None:
-            frontend = artifact.frontend
-            latency = simulate_system(
-                plan,
-                self.system,
-                frontend.per_chip_graph.total_flops,
-                frontend.full_graph_flops,
-                frontend.interchip_bytes_per_step,
-            ).total_time
+        simulation = artifact.simulation
+        latency = artifact.latency if simulation is None else simulation.total_time
         with self._lock:
             winner = self._latencies.get(key)
             if winner is None:

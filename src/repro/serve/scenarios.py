@@ -272,7 +272,6 @@ def simulate_scenario(
     rate_scale: float = 1.0,
     session: Session | None = None,
     num_layers: int | None = 1,
-    use_simulator: bool = True,
     prewarm: bool = False,
     tracer: "Tracer | None" = None,
 ) -> ServingResult:
@@ -289,9 +288,8 @@ def simulate_scenario(
         session: Shared compile session; pass one to reuse compiled step
             plans across scenarios, policies, and rate points.
         num_layers: Layer-count override for the compiled step workloads.
-        use_simulator: Time step plans with the event-driven simulator
-            (otherwise the analytic timeline).
-        prewarm: Compile the trace's full bucket grid up front through one
+        prewarm: Compile the trace's reachable bucket grid
+            (:meth:`StepLatencyModel.prewarm`) up front through one
             :meth:`Session.compile_many` fan-out (the session's backend)
             before any request is served, instead of compiling buckets
             lazily as traffic first touches them.
@@ -313,7 +311,6 @@ def simulate_scenario(
         policy,
         buckets=scenario.buckets,
         num_layers=num_layers,
-        use_simulator=use_simulator,
         tracer=tracer,
     )
     trace = scenario.trace(num_requests=num_requests, seed=seed, rate_scale=rate_scale)

@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.errors import SimulationInvariantError
 from repro.serve.batching import (
     Batch,
     BatchBuckets,
@@ -142,7 +143,8 @@ class ServingSimulator:
                 if not engine.busy:
                     start_iteration(now)
                 continue
-            assert isinstance(payload, Batch)
+            if not isinstance(payload, Batch):
+                raise SimulationInvariantError(f"bad step-done payload {payload!r}")
             for state in engine.complete_iteration(payload, now):
                 records.append(
                     RequestRecord(
@@ -155,7 +157,8 @@ class ServingSimulator:
                 )
             start_iteration(now)
 
-        assert not engine.has_work(), "simulation ended with unfinished requests"
+        if engine.has_work():
+            raise SimulationInvariantError("simulation ended with unfinished requests")
         return ServingResult(
             trace_name=trace.name,
             policy=self.latency_model.policy,

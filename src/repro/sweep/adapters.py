@@ -22,9 +22,8 @@ Two hooks shape how the runner treats an adapter:
   point runs, so every point then resolves its artifacts from the shared
   caches.
 * :attr:`SweepAdapter.uses_store` opts the adapter out of the on-disk
-  artifact store when its numbers must come from freshly-compiled plans
-  (store-resolved artifacts carry no execution plan, so simulator-driven
-  studies would silently flip to analytic numbers on a warm cache).
+  artifact store (the harness self-test compiles nothing, so it has no use
+  for one).
 """
 
 from __future__ import annotations
@@ -202,7 +201,6 @@ def _experiment_config(config: Mapping[str, object]):
         "num_layers",
         "batch_size",
         "seq_len",
-        "use_simulator",
         "max_preload_ahead",
         "max_order_candidates",
     ):
@@ -240,16 +238,17 @@ class ProbeAdapter(SweepAdapter):
 # --------------------------------------------------------------------------- #
 @register_adapter("compile-grid")
 class CompileGridAdapter(SweepAdapter):
-    """Compile each point's workload and report its analytic metrics.
+    """Compile each point's workload and report its metrics.
 
     The whole grid is prefetched through one ``compile_many`` fan-out (the
     run's thread or process backend), so points only read cached artifacts.
-    Rows carry the analytic metrics recorded on the artifact — never wall
-    times — which keeps same-seed rows bit-identical across backends and
-    across cold/warm stores.
+    Rows carry the metrics persisted on the artifact (simulated for
+    plan-bearing policies, see :func:`~repro.eval.evaluate_artifact`) —
+    never wall times — which keeps same-seed rows bit-identical across
+    backends and across cold/warm stores.
     """
 
-    description = "workload x system x policy compile grid, analytic metrics"
+    description = "workload x system x policy compile grid, simulated metrics"
 
     def build_session(self, store, backend):
         return Session(store=store, backend=backend)
@@ -281,9 +280,7 @@ class CompileGridAdapter(SweepAdapter):
     def run_point(self, config, ctx):
         from repro.eval.experiments import evaluate_artifact
 
-        exp = _experiment_config({**config, "use_simulator": config.get("use_simulator", False)})
-        artifact = ctx.session.compile(self._request(config))
-        row = evaluate_artifact(artifact, exp)
+        row = evaluate_artifact(ctx.session.compile(self._request(config)))
         row.pop("compile_seconds", None)  # wall time would break bit-identity
         return row
 
@@ -296,10 +293,8 @@ class ServingAdapter(SweepAdapter):
     """Run one serving scenario per point through the shared session.
 
     Config keys: ``scenario`` (required), ``policy``, ``num_requests``,
-    ``rate_scale``, ``num_layers``, ``use_simulator`` (default False so a
-    warm store stays bit-identical to the cold run), ``system`` (preset
-    name), ``prewarm`` (route the bucket grid through ``compile_many``
-    before serving).
+    ``rate_scale``, ``num_layers``, ``system`` (preset name), ``prewarm``
+    (route the bucket grid through ``compile_many`` before serving).
     """
 
     description = "rate/policy serving studies via simulate_scenario"
@@ -318,7 +313,6 @@ class ServingAdapter(SweepAdapter):
             rate_scale=float(config.get("rate_scale", 1.0)),
             session=ctx.session,
             num_layers=config.get("num_layers", 1),
-            use_simulator=bool(config.get("use_simulator", False)),
             prewarm=bool(config.get("prewarm", False)),
         )
         ctx.compiled_shapes.update(
@@ -346,7 +340,7 @@ class ClusterAdapter(SweepAdapter):
     ``{"prefill_engines": N, "decode_engines": M}`` mapping, or explicit
     ``null`` to force the colocated baseline; absent keeps the scenario's
     default), ``variant`` (label suffix for comparison rows), ``prewarm``,
-    ``use_simulator``, ``num_layers``, ``system``.
+    ``num_layers``, ``system``.
     """
 
     description = "fleet sweeps (router x engines x disaggregation) via simulate_cluster_scenario"
@@ -376,7 +370,6 @@ class ClusterAdapter(SweepAdapter):
             rate_scale=float(config.get("rate_scale", 1.0)),
             session=ctx.session,
             num_layers=config.get("num_layers", 1),
-            use_simulator=bool(config.get("use_simulator", False)),
             prewarm=bool(config.get("prewarm", False)),
             **kwargs,
         )
@@ -507,13 +500,9 @@ class DseAdapter(SweepAdapter):
     ``hbm_bandwidth_tbps``, ``noc_bandwidth_tbps``, ``cores_per_chip``,
     ``matmul_tflops``) plus the workload (``model``, ``batch_size``,
     ``seq_len``, ``num_layers``, ``max_order_candidates``) and ``policy``.
-    Stays off the on-disk store: design points are judged with the
-    event-driven simulator, and store-resolved artifacts carry no plan to
-    simulate.
     """
 
     description = "architecture design-space points via the DSE explorer"
-    uses_store = False
 
     def build_session(self, store, backend):
         return Session(store=store, backend=backend)

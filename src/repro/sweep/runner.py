@@ -129,9 +129,7 @@ def run_sweep(
             (the usual path); pass one to chain sweeps through shared
             caches.  An explicit session wins over ``store``.
         store: Artifact store backing the adapter-built session.  Ignored
-            when the adapter opts out (``uses_store=False``) — a
-            store-resolved artifact carries no execution plan, so
-            simulator-judged adapters must compile fresh.
+            when the adapter opts out (``uses_store=False``).
         backend: ``compile_many`` backend for the prefetch fan-out (and the
             adapter-built session's default).
         adapter: Adapter instance override (tests inject doubles here);

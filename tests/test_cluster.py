@@ -1,8 +1,8 @@
 """Tests for repro.cluster: routers, tenancy, autoscaling, disaggregation.
 
-The simulator-level tests use the analytic latency model
-(``use_simulator=False``) on the small 32-core system so every test runs in
-well under a second while still exercising real compiled step plans.
+The simulator-level tests run on the small 32-core system so every test
+runs in well under a second while still exercising real compiled step
+plans.
 """
 
 import pytest
@@ -45,7 +45,6 @@ def _latency_model(session, system, **kwargs):
     kwargs.setdefault(
         "buckets", BatchBuckets(batch_sizes=(1, 2, 4), context_buckets=(256,))
     )
-    kwargs.setdefault("use_simulator", False)
     return StepLatencyModel(session, system, "basic", **kwargs)
 
 
@@ -130,7 +129,6 @@ def test_cluster_runs_are_deterministic_per_policy(
             num_requests=24,
             seed=7,
             session=cluster_session,
-            use_simulator=False,
             router=router,
         )
         for _ in range(2)
@@ -153,7 +151,6 @@ def test_fleet_beats_single_engine_p95_ttft_with_deduped_compiles(small_system):
         num_requests=48,
         seed=0,
         session=session,
-        use_simulator=False,
         router="least-loaded",
     )
     solo = simulate_cluster_scenario("cluster-chat-fleet", num_engines=1, **kwargs)
@@ -226,7 +223,6 @@ def test_autoscaled_fleet_scales_up_and_rebalances(small_system, cluster_session
         seed=2,
         rate_scale=4.0,
         session=cluster_session,
-        use_simulator=False,
     )
     adds = [e for e in result.scale_events if e.action == SCALE_ADD]
     assert adds, "overload never triggered a scale-up"
@@ -372,7 +368,6 @@ def test_disaggregated_pools_split_the_work(small_system, cluster_session):
         num_requests=32,
         seed=3,
         session=cluster_session,
-        use_simulator=False,
     )
     roles = {e.role for e in result.engines}
     assert roles == {"prefill", "decode"}
@@ -396,7 +391,6 @@ def test_disaggregation_with_idle_prefill_pool_keeps_ttft(
         seed=11,
         rate_scale=0.05,  # sparse arrivals: every engine is idle on arrival
         session=cluster_session,
-        use_simulator=False,
     )
     disagg = simulate_cluster_scenario("cluster-disaggregated", **kwargs)
     colocated = simulate_cluster_scenario(
@@ -434,7 +428,6 @@ def test_cluster_metrics_summary_includes_queue_wait(small_system, cluster_sessi
         num_requests=16,
         seed=5,
         session=cluster_session,
-        use_simulator=False,
     )
     summary = result.metrics().summary()
     assert summary["queue_p50_ms"] <= summary["queue_p95_ms"]

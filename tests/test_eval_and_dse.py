@@ -25,7 +25,6 @@ FAST_CONFIG = ExperimentConfig(
     seq_len=256,
     policies=("basic", "elk-full", "ideal"),
     max_order_candidates=4,
-    use_simulator=True,
 )
 
 

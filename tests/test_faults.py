@@ -48,7 +48,6 @@ def _latency_model(session, system, **kwargs):
     kwargs.setdefault(
         "buckets", BatchBuckets(batch_sizes=(1, 2, 4), context_buckets=(256,))
     )
-    kwargs.setdefault("use_simulator", False)
     return StepLatencyModel(session, system, "basic", **kwargs)
 
 
@@ -438,7 +437,7 @@ def test_chaos_crash_scenario_is_deterministic():
     def run():
         return simulate_cluster_scenario(
             "cluster-chaos-crashes", policy="basic", num_requests=24, seed=5,
-            session=make_serving_session(), use_simulator=False,
+            session=make_serving_session(),
         )
 
     first, second = run(), run()
@@ -451,7 +450,7 @@ def test_chaos_crash_scenario_is_deterministic():
 def test_chaos_degraded_scenario_sheds_low_priority_first():
     result = simulate_cluster_scenario(
         "cluster-chaos-degraded", policy="basic", num_requests=36, seed=5,
-        session=make_serving_session(), use_simulator=False,
+        session=make_serving_session(),
     )
     assert result.accounting_balanced
     availability = result.availability
@@ -469,7 +468,7 @@ def test_scenario_fault_overrides():
     # healthy run; supplying a custom one replaces the default.
     calm = simulate_cluster_scenario(
         "cluster-chaos-crashes", policy="basic", num_requests=12, seed=5,
-        session=make_serving_session(), use_simulator=False,
+        session=make_serving_session(),
         faults=None, retry_policy=None, degradation=None,
     )
     assert calm.availability.num_crashes == 0

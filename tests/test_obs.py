@@ -141,7 +141,6 @@ def _traced_chaos_run(store_root):
         num_requests=16,
         seed=5,
         session=session,
-        use_simulator=False,
         tracer=tracer,
     )
     return tracer, result
@@ -165,11 +164,10 @@ def test_same_seed_cluster_trace_is_bit_identical(tmp_path):
 def test_tracing_does_not_change_serving_metrics():
     baseline = simulate_scenario(
         "interactive-chat", policy="basic", num_requests=12, seed=3,
-        use_simulator=False,
     )
     traced = simulate_scenario(
         "interactive-chat", policy="basic", num_requests=12, seed=3,
-        use_simulator=False, tracer=Tracer(),
+        tracer=Tracer(),
     )
     assert traced.metrics() == baseline.metrics()
 
@@ -178,7 +176,7 @@ def test_request_lifecycle_spans_cover_every_request():
     tracer = Tracer()
     result = simulate_scenario(
         "interactive-chat", policy="basic", num_requests=8, seed=1,
-        use_simulator=False, tracer=tracer,
+        tracer=tracer,
     )
     by_request: dict[str, set[str]] = {}
     for span in tracer.spans():
@@ -193,7 +191,7 @@ def test_scenario_run_restores_session_tracer():
     session = make_serving_session()
     simulate_scenario(
         "interactive-chat", policy="basic", num_requests=4, seed=0,
-        session=session, use_simulator=False, tracer=Tracer(),
+        session=session, tracer=Tracer(),
     )
     assert session.tracer is None
 
@@ -253,7 +251,6 @@ def test_existing_structs_register_as_sources(tmp_path):
         num_requests=12,
         seed=2,
         session=session,
-        use_simulator=False,
         tracer=tracer,
     )
     registry = MetricsRegistry()

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationInvariantError
 from repro.eval import format_serving_summary, serving_summary_rows
 from repro.eval.reporting import SERVING_SUMMARY_COLUMNS
 from repro.serve import (
@@ -36,6 +36,7 @@ from repro.serve import (
     unregister_scenario,
 )
 from repro.serve.batching import RequestState, make_states
+from repro.serve.engine import EngineCore
 from repro.serve.metrics import RequestRecord
 
 
@@ -380,6 +381,17 @@ def test_single_request_lifecycle(small_system, serve_session):
     assert metrics.output_tokens == 3
 
 
+def test_unfinished_requests_raise_a_typed_invariant_error(
+    small_system, serve_session, monkeypatch
+):
+    # An engine that never starts an iteration strands its queue; the check
+    # is an explicit raise, so it holds under ``python -O`` too.
+    monkeypatch.setattr(EngineCore, "start_iteration", lambda self, now: None)
+    trace = ArrivalTrace("stuck", (_llm(0, 0.0),))
+    with pytest.raises(SimulationInvariantError, match="unfinished requests"):
+        _engine(serve_session, small_system).run(trace)
+
+
 def test_every_request_completes_and_accounting_holds(small_system, serve_session):
     trace = poisson_trace(
         300.0,
@@ -550,9 +562,7 @@ def test_metrics_summary_reports_p95_tails():
 def test_step_latency_model_race_compiles_once(small_system):
     """N threads racing to one uncached shape: one compile, N-1 hits."""
     session = make_serving_session()
-    model = StepLatencyModel(
-        session, small_system, policy="basic", use_simulator=False
-    )
+    model = StepLatencyModel(session, small_system, policy="basic")
     num_threads = 4
     barrier = threading.Barrier(num_threads)
     original_compile = session.compile

@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import (
     ArtifactStore,
+    CompileArtifact,
     CompileRequest,
     Session,
     artifact_digest,
@@ -106,6 +107,25 @@ def test_store_round_trip_across_sessions(small_system, tmp_path):
     assert second.compile(TINY, small_system, "elk-full") is warm
     assert second.stats.result_hits == 1
     assert second.store.stats.hits == 1
+
+
+def test_simulation_record_survives_the_store(small_system, tmp_path):
+    """The persisted simulation round-trips unchanged; ``ideal`` has none."""
+    session = Session(store=str(tmp_path / "cache"))
+    elk = session.compile(TINY, small_system, "elk-full")
+    ideal = session.compile(TINY, small_system, "ideal")
+    assert elk.simulation is not None and ideal.simulation is None
+    assert elk.simulation.total_time > 0
+    for artifact in (elk, ideal):
+        restored = CompileArtifact.from_dict(
+            json.loads(json.dumps(artifact.to_dict()))
+        )
+        assert restored.simulation == artifact.simulation
+    warm = Session(store=str(tmp_path / "cache"))
+    stored = warm.compile(TINY, small_system, "elk-full")
+    assert warm.stats.store_hits == 1
+    assert stored.simulation == elk.simulation
+    assert list(stored.simulation.breakdown) == list(elk.simulation.breakdown)
 
 
 def test_store_hits_count_in_compile_many(small_system, tmp_path):
