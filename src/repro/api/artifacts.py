@@ -247,7 +247,8 @@ def save_artifacts(artifacts: Sequence[CompileArtifact], path: str) -> str:
         "artifacts": [artifact.to_dict() for artifact in artifacts],
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        # Unsorted, like the store: loaded breakdowns keep the compile's order.
+        json.dump(payload, handle, indent=2)
         handle.write("\n")
     return path
 

@@ -56,7 +56,6 @@ from repro.compiler.frontend import (
 from repro.compiler.pipeline import ModelCompiler
 from repro.cost.model import AnalyticCostModel, CostModel
 from repro.errors import CompileFailedError, ConfigurationError
-from repro.obs.trace import maybe_span
 from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.profiles import OperatorProfile, build_operator_profiles
@@ -369,9 +368,16 @@ class Session:
             if cached is not None:
                 self.stats.frontend_hits += 1
                 return cached
-        with maybe_span(
-            self.tracer, "frontend", model=workload.model_name, system=system.name
-        ):
+        tracer = self.tracer
+        if tracer is not None:
+            with tracer.span(
+                "frontend",
+                category="compile",
+                model=workload.model_name,
+                system=system.name,
+            ):
+                built = build_frontend_result(workload, system)
+        else:
             built = build_frontend_result(workload, system)
         with self._lock:
             winner = self._frontends.setdefault(key, built)
@@ -395,16 +401,27 @@ class Session:
                 self.stats.profile_hits += 1
                 return cached
         frontend = self.frontend(workload, system)
-        with maybe_span(
-            self.tracer, "partition-enumeration", model=workload.model_name
-        ) as attrs:
+        tracer = self.tracer
+        if tracer is not None:
+            with tracer.span(
+                "partition-enumeration",
+                category="compile",
+                model=workload.model_name,
+            ) as attrs:
+                built = build_operator_profiles(
+                    frontend.per_chip_graph,
+                    system.chip,
+                    self.cost_model(system.chip),
+                    limits,
+                )
+                attrs["num_profiles"] = len(built)
+        else:
             built = build_operator_profiles(
                 frontend.per_chip_graph,
                 system.chip,
                 self.cost_model(system.chip),
                 limits,
             )
-            attrs["num_profiles"] = len(built)
         with self._lock:
             winner = self._profiles.setdefault(key, built)
             if winner is built:
@@ -440,11 +457,13 @@ class Session:
                 return cached
         if self.store is None:
             return None
-        with maybe_span(
-            self.tracer, "store.get", category="store", track="store"
-        ) as attrs:
+        tracer = self.tracer
+        if tracer is not None:
+            with tracer.span("store.get", category="store", track="store") as attrs:
+                stored = self.store.get(artifact_digest(key))
+                attrs["hit"] = stored is not None
+        else:
             stored = self.store.get(artifact_digest(key))
-            attrs["hit"] = stored is not None
         if stored is None:
             return None
         with self._lock:
@@ -504,20 +523,26 @@ class Session:
         if cached is not None:
             return cached
         tracer = self.tracer
-        with maybe_span(
-            tracer,
-            "session.compile",
-            model=request.workload_spec.model_name,
-            policy=request.policy,
-        ):
+        if tracer is not None:
+            with tracer.span(
+                "session.compile",
+                category="compile",
+                model=request.workload_spec.model_name,
+                policy=request.policy,
+            ):
+                started = time.perf_counter()
+                compiler = self.compiler(request)
+                result = compiler.compile(request.policy)
+                elapsed = time.perf_counter() - started
+                if result.plan is not None:
+                    # Pure lowering pass, profiled for the per-stage picture;
+                    # the program itself is not part of the artifact.
+                    generate_device_program(result.plan, tracer)
+        else:
             started = time.perf_counter()
             compiler = self.compiler(request)
             result = compiler.compile(request.policy)
             elapsed = time.perf_counter() - started
-            if tracer is not None and result.plan is not None:
-                # Pure lowering pass, profiled for the per-stage picture;
-                # the program itself is not part of the artifact.
-                generate_device_program(result.plan, tracer)
         artifact = CompileArtifact.from_result(
             result,
             frontend=compiler.frontend,
@@ -530,7 +555,10 @@ class Session:
             if fresh:
                 self.stats.compiles += 1
         if fresh and self.store is not None:
-            with maybe_span(tracer, "store.put", category="store", track="store"):
+            if tracer is not None:
+                with tracer.span("store.put", category="store", track="store"):
+                    self.store.put(artifact_digest(key), artifact)
+            else:
                 self.store.put(artifact_digest(key), artifact)
             with self._lock:
                 self.stats.store_puts += 1

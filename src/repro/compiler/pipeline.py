@@ -28,7 +28,6 @@ from repro.baselines.static import StaticOptions
 from repro.compiler.frontend import FrontendResult, WorkloadSpec, build_frontend_result
 from repro.compiler.registry import available_policies, get_policy
 from repro.cost.model import AnalyticCostModel, CostModel
-from repro.obs.trace import maybe_span
 from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.plan import ExecutionPlan
@@ -144,12 +143,15 @@ class ModelCompiler:
     def frontend(self) -> FrontendResult:
         """Frontend result (per-chip graph + sharding metadata), cached."""
         if self._frontend is None:
-            with maybe_span(
-                self.tracer,
-                "frontend",
-                model=self.workload.model_name,
-                system=self.system.name,
-            ):
+            if self.tracer is not None:
+                with self.tracer.span(
+                    "frontend",
+                    category="compile",
+                    model=self.workload.model_name,
+                    system=self.system.name,
+                ):
+                    self._frontend = build_frontend_result(self.workload, self.system)
+            else:
                 self._frontend = build_frontend_result(self.workload, self.system)
         return self._frontend
 
@@ -158,16 +160,26 @@ class ModelCompiler:
         """Per-operator planning profiles for the per-chip graph, cached."""
         if self._profiles is None:
             frontend = self.frontend  # build outside the enumeration span
-            with maybe_span(
-                self.tracer, "partition-enumeration", model=self.workload.model_name
-            ) as attrs:
+            if self.tracer is not None:
+                with self.tracer.span(
+                    "partition-enumeration",
+                    category="compile",
+                    model=self.workload.model_name,
+                ) as attrs:
+                    self._profiles = build_operator_profiles(
+                        frontend.per_chip_graph,
+                        self.chip,
+                        self.cost_model,
+                        self.elk_options.enumeration,
+                    )
+                    attrs["num_profiles"] = len(self._profiles)
+            else:
                 self._profiles = build_operator_profiles(
                     frontend.per_chip_graph,
                     self.chip,
                     self.cost_model,
                     self.elk_options.enumeration,
                 )
-                attrs["num_profiles"] = len(self._profiles)
         return self._profiles
 
     @property
@@ -199,9 +211,15 @@ class ModelCompiler:
         policy = policy.lower()
         implementation = get_policy(policy)
         started = time.perf_counter()
-        with maybe_span(
-            self.tracer, "schedule", policy=policy, model=self.workload.model_name
-        ):
+        if self.tracer is not None:
+            with self.tracer.span(
+                "schedule",
+                category="compile",
+                policy=policy,
+                model=self.workload.model_name,
+            ):
+                output = implementation.run(self)
+        else:
             output = implementation.run(self)
         elapsed = time.perf_counter() - started
         return self._package(

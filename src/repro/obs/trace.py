@@ -30,7 +30,7 @@ import time
 from collections.abc import Iterator
 from typing import Any, Callable, Hashable
 
-__all__ = ["Span", "Tracer", "maybe_span"]
+__all__ = ["Span", "Tracer"]
 
 
 def _freeze_attrs(attrs: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -286,16 +286,3 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
-
-
-def maybe_span(
-    tracer: Tracer | None, name: str, **attrs: Any
-) -> contextlib.AbstractContextManager[dict[str, Any]]:
-    """``tracer.span(name, **attrs)``, or a no-op yielding a scratch dict.
-
-    Lets an optionally-traced call site keep one code path: attributes the
-    block sets land on the span when tracing and are dropped otherwise.
-    """
-    if tracer is None:
-        return contextlib.nullcontext({})
-    return tracer.span(name, **attrs)

@@ -92,17 +92,20 @@ class FluidSimulator:
                         f"job {job.job_id!r} depends on unknown job {pred!r}"
                     )
 
-        pending = set(self.jobs)
+        # Insertion-ordered dicts, not sets: the loops below accumulate float
+        # resource counters, and set order would tie their last bits to the
+        # interpreter's string-hash seed.
+        pending = dict.fromkeys(self.jobs)
         completed: set[str] = set()
-        active: set[str] = set()
+        active: dict[str, None] = {}
         now = 0.0
 
         def activate_ready() -> None:
             for job_id in list(pending):
                 job = self.jobs[job_id]
                 if job.predecessors <= completed:
-                    pending.discard(job_id)
-                    active.add(job_id)
+                    del pending[job_id]
+                    active[job_id] = None
                     job.start_time = now
 
         activate_ready()
@@ -183,7 +186,7 @@ class FluidSimulator:
                 job.end_time = now
                 newly_done.append(forced)
             for job_id in newly_done:
-                active.discard(job_id)
+                del active[job_id]
                 completed.add(job_id)
             activate_ready()
 

@@ -14,16 +14,11 @@ touching the runner:
 ...     def run_point(self, config, ctx):
 ...         return {"value": config["x"] * config["seed"]}
 
-Two hooks shape how the runner treats an adapter:
-
-* :meth:`SweepAdapter.prefetch` may return :class:`CompileRequest`\\ s for
-  the whole grid; the runner batches them through ONE
-  ``Session.compile_many`` fan-out (thread or process backend) before any
-  point runs, so every point then resolves its artifacts from the shared
-  caches.
-* :attr:`SweepAdapter.uses_store` opts the adapter out of the on-disk
-  artifact store (the harness self-test compiles nothing, so it has no use
-  for one).
+:meth:`SweepAdapter.prefetch` may return :class:`CompileRequest`\\ s for
+the whole grid; the runner batches them through ONE
+``Session.compile_many`` fan-out (thread or process backend) before any
+point runs, so every point then resolves its artifacts from the shared
+caches.
 """
 
 from __future__ import annotations
@@ -52,8 +47,8 @@ class RunContext:
     """Shared state one sweep run threads through every adapter call.
 
     Attributes:
-        session: The sweep-wide compile session (store-backed when the
-            adapter allows it); every point's compiles dedupe through it.
+        session: The sweep-wide compile session (store-backed when the run
+            has a store); every point's compiles dedupe through it.
         backend: ``compile_many`` backend of the run (thread/process).
         compiled_shapes: Distinct compiled shapes observed across points —
             serving/cluster adapters record ``(policy, *shape)`` tuples so
@@ -72,7 +67,7 @@ class RunContext:
 
     @property
     def store(self) -> ArtifactStore | None:
-        """The run's artifact store (``None`` when the adapter opts out)."""
+        """The run's artifact store (``None`` for a store-less run)."""
         return self.session.store
 
 
@@ -86,8 +81,6 @@ class SweepAdapter(abc.ABC):
 
     name: ClassVar[str] = ""
     description: ClassVar[str] = ""
-    #: Whether the shared session should consult the on-disk artifact store.
-    uses_store: ClassVar[bool] = True
 
     def build_session(self, store: ArtifactStore | None, backend: str) -> Session:
         """The sweep-wide session (default: serving-tuned search bounds)."""
@@ -217,7 +210,6 @@ class ProbeAdapter(SweepAdapter):
     """Deterministic no-compile adapter exercising the harness itself."""
 
     description = "pure-arithmetic rows (x*y + seed); harness/CI self-test"
-    uses_store = False
 
     def build_session(self, store, backend):
         return Session(store=store, backend=backend)

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         help="artifact-store directory (default: REPRO_CACHE_DIR or "
-        "<results-dir>/compile_cache; ignored by store-less adapters)",
+        "<results-dir>/compile_cache)",
     )
     run.add_argument(
         "--no-journal",

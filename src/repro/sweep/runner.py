@@ -38,12 +38,13 @@ class SweepResult:
         errors: The error rows again, for direct inspection.
         wall_seconds: Wall-clock of the whole run (prefetch included).
         session_stats: The shared session's counter snapshot.
-        store_stats: The artifact store's counter snapshot (empty when the
-            adapter runs store-less).
+        store_stats: The artifact store's counter snapshot (empty for a
+            store-less run).
         cold_stats: Summed counters of adapter-created cold sessions (the
             compile-time study), zero-filled otherwise.
         distinct_shapes: Distinct compiled shapes adapters recorded.
-        cache_dir: The store's root directory (``None`` store-less).
+        cache_dir: The store's root directory (``None`` for a store-less
+            run).
     """
 
     spec: SweepSpec
@@ -128,8 +129,7 @@ def run_sweep(
         session: Shared compile session.  Omit to let the adapter build one
             (the usual path); pass one to chain sweeps through shared
             caches.  An explicit session wins over ``store``.
-        store: Artifact store backing the adapter-built session.  Ignored
-            when the adapter opts out (``uses_store=False``).
+        store: Artifact store backing the adapter-built session.
         backend: ``compile_many`` backend for the prefetch fan-out (and the
             adapter-built session's default).
         adapter: Adapter instance override (tests inject doubles here);
@@ -143,7 +143,7 @@ def run_sweep(
     if adapter is None:
         adapter = get_adapter(spec.adapter)
     if session is None:
-        session = adapter.build_session(store if adapter.uses_store else None, backend)
+        session = adapter.build_session(store, backend)
     ctx = RunContext(session=session, backend=backend)
     points = spec.points()
     started = time.perf_counter()

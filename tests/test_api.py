@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.api import CompileArtifact, CompileRequest, Session, load_artifacts
+from repro.eval.experiments import evaluate_artifact
 from repro.baselines.basic import BasicCompiler
 from repro.compiler import (
     POLICIES,
@@ -242,4 +243,8 @@ def test_session_save_and_load_artifacts(small_system, tmp_path):
     assert loaded == [
         dataclasses.replace(a, result=None, frontend=None, system=None)
         for a in session.artifacts()
+    ]
+    # Same rows, columns in the same order, as the freshly compiled ones.
+    assert [list(evaluate_artifact(a).items()) for a in loaded] == [
+        list(evaluate_artifact(a).items()) for a in session.artifacts()
     ]

@@ -72,6 +72,47 @@ def test_resource_utilization_accounting():
     assert resource.utilization(makespan) == pytest.approx(1.0, rel=1e-6)
 
 
+_ORDER_PROBE = """
+from repro.sim import FluidSimulator, Job, Resource
+# Each job is paced to finish at t=1 by its own unit port, so every job
+# hands its whole "bw" demand to the shared counter in the same event.
+resources = {"bw": Resource("bw", 1e30)}
+sim_jobs = [("big", 1e16)] + [(f"small-{i}", 1.0) for i in range(24)]
+for job_id, _ in sim_jobs:
+    resources[job_id] = Resource(job_id, 1.0)
+sim = FluidSimulator(resources)
+for job_id, amount in sim_jobs:
+    sim.add_job(Job(job_id, {"bw": amount, job_id: 1.0}))
+sim.run()
+print(resources["bw"].served.hex())
+"""
+
+
+def test_run_is_independent_of_the_string_hash_seed():
+    """Float accounting must not follow set order, which tracks PYTHONHASHSEED.
+
+    Adding the 1.0-sized demands before or after the 1e16 one changes the
+    served total in the last bits, so hash-ordered iteration shows up as
+    different outputs across seeds.
+    """
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _ORDER_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
+
+
 # --------------------------------------------------------------------------- #
 # Chip-level simulation of compiled plans.
 # --------------------------------------------------------------------------- #

@@ -175,7 +175,6 @@ def test_per_point_fault_isolation():
     @register_adapter("explodes-on-two")
     class Explodes(SweepAdapter):
         description = "test double"
-        uses_store = False
 
         def build_session(self, store, backend):
             from repro.api import Session
