@@ -128,7 +128,6 @@ from repro.cluster import (
     register_router,
     replay_fault_schedule,
     save_fault_schedule,
-    simulate_cluster,
     simulate_cluster_scenario,
 )
 from repro.errors import CompileFailedError, ElkError
@@ -163,7 +162,6 @@ from repro.serve import (
     replay_trace,
     save_trace,
     simulate_scenario,
-    simulate_serving,
 )
 from repro.sim import ChipSimulator, simulate_system
 from repro.sweep import (
@@ -234,7 +232,6 @@ __all__ = [
     "replay_trace",
     "save_trace",
     "simulate_scenario",
-    "simulate_serving",
     "AutoscalerConfig",
     "AvailabilityMetrics",
     "ClusterResult",
@@ -253,7 +250,6 @@ __all__ = [
     "register_router",
     "replay_fault_schedule",
     "save_fault_schedule",
-    "simulate_cluster",
     "simulate_cluster_scenario",
     "MetricsRegistry",
     "Tracer",

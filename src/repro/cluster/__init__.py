@@ -69,7 +69,6 @@ from repro.cluster.simulator import (
     ClusterSimulator,
     DisaggregationConfig,
     EngineRecord,
-    simulate_cluster,
 )
 from repro.cluster.tenancy import AdmissionController, TenantSpec, as_tenant_map
 
@@ -114,7 +113,6 @@ __all__ = [
     "replay_fault_schedule",
     "router_descriptions",
     "save_fault_schedule",
-    "simulate_cluster",
     "simulate_cluster_scenario",
     "unregister_router",
 ]

@@ -1,9 +1,9 @@
-"""Fleet routing: pluggable dispatch policies over engine load snapshots.
+"""Fleet routing: pluggable dispatch policies over engine load signals.
 
 A router decides which engine an arriving (or handed-off) request runs on.
-Policies see only :class:`EngineView` snapshots — engine id plus load
-signals — so they stay pure functions of the dispatch sequence and the
-fleet state, which keeps every seeded cluster run bit-reproducible.
+Policies read engines only through the :class:`EngineView` shape — engine
+id plus load signals — so they stay pure functions of the dispatch sequence
+and the fleet state, which keeps every seeded cluster run bit-reproducible.
 
 Policies register by name, mirroring :mod:`repro.compiler.registry` and
 :mod:`repro.serve.scenarios`:
@@ -33,7 +33,11 @@ from repro.serve.batching import RequestState
 
 @dataclass(frozen=True)
 class EngineView:
-    """Read-only load snapshot of one dispatchable engine.
+    """The load signals a router reads from one dispatchable engine.
+
+    The fleet simulator hands routers its live engines, which expose these
+    same attributes (read them, never mutate the engine); this frozen
+    snapshot documents the shape and serves as a test double.
 
     Attributes:
         engine_id: Stable engine identifier within the fleet.
@@ -75,8 +79,9 @@ class RouterPolicy(abc.ABC):
 
         Args:
             state: The request being dispatched.
-            engines: Non-empty views of the dispatchable (ready,
-                non-draining) engines, sorted by ``engine_id``.
+            engines: The dispatchable (ready, non-draining) engines in
+                :class:`EngineView` shape, non-empty and sorted by
+                ``engine_id``.
             now: Current simulation time.
 
         Returns:

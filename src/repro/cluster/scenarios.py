@@ -5,9 +5,10 @@ plus the fleet configuration: initial size, router policy, optional
 autoscaler, tenant quotas, and prefill/decode disaggregation.  They live in
 the *same* registry as the single-engine scenarios, so tooling that
 enumerates :func:`~repro.serve.scenarios.available_scenarios` sees both
-families; :func:`simulate_cluster_scenario` is the fleet counterpart of
-:func:`~repro.serve.scenarios.simulate_scenario` and accepts per-call
-overrides for sweeps (fleet size, router, disaggregation on/off).
+families; :func:`simulate_cluster_scenario` is the one scenario driver
+(:func:`~repro.serve.scenarios.simulate_scenario` calls it with a pinned
+one-engine fleet) and accepts per-call overrides for sweeps (fleet size,
+router, disaggregation on/off).
 
 Built-ins:
 

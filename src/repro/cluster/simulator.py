@@ -4,9 +4,9 @@
 fleet of :class:`~repro.serve.engine.EngineCore` engines that all share one
 :class:`~repro.serve.batching.StepLatencyModel` — and therefore one compile
 :class:`~repro.api.Session` — so every bucketed step plan compiles exactly
-once fleet-wide no matter how many engines serve it.  The event loop is the
-same heapq discrete-event engine the single-engine simulator uses, extended
-with four event kinds:
+once fleet-wide no matter how many engines serve it.  Its heapq event loop
+is the repo's only one: :class:`~repro.serve.simulator.ServingSimulator`
+runs it with one round-robin engine.  Event kinds:
 
 * **arrival** — admission control (per-tenant token buckets), then the
   router picks an engine;
@@ -67,7 +67,7 @@ from repro.cluster.faults import (
     FaultSchedule,
     RetryPolicy,
 )
-from repro.cluster.router import EngineView, RouterPolicy, get_router
+from repro.cluster.router import RouterPolicy, get_router
 from repro.cluster.tenancy import AdmissionController, TenantSpec, as_tenant_map
 from repro.errors import ConfigurationError, SimulationInvariantError
 from repro.serve.batching import (
@@ -275,9 +275,13 @@ class ClusterResult(ServingResult):
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class _Engine:
-    """Fleet-internal engine bookkeeping (core + lifecycle)."""
+    """Fleet-internal engine bookkeeping (core + lifecycle).
+
+    Routers receive these live objects; the load signals below are the
+    :class:`~repro.cluster.router.EngineView` shape, read on demand.
+    """
 
     core: EngineCore
     role: str
@@ -293,13 +297,25 @@ class _Engine:
     def active(self) -> bool:
         return not self.draining and self.removed_time is None
 
-    def view(self) -> EngineView:
-        return EngineView(
-            engine_id=self.core.engine_id,
-            queue_depth=self.core.queue_depth,
-            running=self.core.running,
-            in_flight_tokens=self.core.in_flight_tokens(),
-        )
+    @property
+    def engine_id(self) -> int:
+        return self.core.engine_id
+
+    @property
+    def queue_depth(self) -> int:
+        return self.core.queue_depth
+
+    @property
+    def running(self) -> int:
+        return self.core.running
+
+    @property
+    def in_flight_tokens(self) -> int:
+        return self.core.in_flight_tokens()
+
+    @property
+    def load(self) -> int:
+        return self.core.queue_depth + self.core.running
 
 
 class ClusterSimulator:
@@ -396,8 +412,8 @@ class ClusterSimulator:
             )
             self.latency_model.prewarm(groups)
 
-        engines: dict[int, _Engine] = {}
-        engine_ids = itertools.count()
+        # Engine ids are list positions: engines join in id order and stay.
+        engines: list[_Engine] = []
         sequence = itertools.count()
         heap: list[tuple[float, int, int, object]] = []
         admission = AdmissionController(self.tenants)
@@ -432,12 +448,11 @@ class ClusterSimulator:
         tracer = self.tracer
 
         def add_engine(role: str, added: float, ready: float) -> _Engine:
-            engine_id = next(engine_ids)
             engine = _Engine(
                 core=EngineCore(
                     self.latency_model,
                     self.buckets,
-                    engine_id=engine_id,
+                    engine_id=len(engines),
                     phase=_ROLE_PHASES[role],
                     tracer=tracer,
                 ),
@@ -445,7 +460,7 @@ class ClusterSimulator:
                 added_time=added,
                 ready_time=ready,
             )
-            engines[engine_id] = engine
+            engines.append(engine)
             return engine
 
         def note_scale(event: ScaleEvent) -> None:
@@ -479,18 +494,9 @@ class ClusterSimulator:
             heapq.heappush(heap, (fault.time, next(sequence), _FAULT, fault))
 
         def active_fleet() -> list[_Engine]:
-            return [e for e in engines.values() if e.active]
+            return [e for e in engines if e.active]
 
-        def dispatchable(role_needed: str | None, now: float) -> list[_Engine]:
-            return [
-                engine
-                for engine_id, engine in sorted(engines.items())
-                if engine.active
-                and engine.ready_time <= now
-                and (role_needed is None or engine.role == role_needed)
-            ]
-
-        def role_for(state: RequestState) -> str | None:
+        def role_for(state: RequestState) -> str:
             if self.disaggregation is None:
                 return ROLE_COLOCATED
             if state.spec.kind != DIFFUSION and state.prefill_pending:
@@ -499,35 +505,26 @@ class ClusterSimulator:
 
         def kick(engine: _Engine, now: float) -> None:
             """Start the engine's next iteration, or finalize a drain."""
-            if engine.removed_time is not None or engine.core.busy:
-                return
-            if engine.ready_time > now:
+            core = engine.core
+            if core.busy or engine.removed_time is not None or engine.ready_time > now:
                 return
             # A straggler window stretches every iteration *started* inside
             # it; an iteration already in flight when the fault fires
             # finishes at its original latency.
-            engine.core.latency_scale = (
-                engine.slow_factor if now < engine.slow_until else 1.0
-            )
-            started = engine.core.start_iteration(now)
+            core.latency_scale = engine.slow_factor if now < engine.slow_until else 1.0
+            started = core.start_iteration(now)
             if started is not None:
                 batch, latency = started
                 heapq.heappush(
-                    heap,
-                    (
-                        now + latency,
-                        next(sequence),
-                        _STEP_DONE,
-                        (engine.core.engine_id, batch),
-                    ),
+                    heap, (now + latency, next(sequence), _STEP_DONE, (engine, batch))
                 )
-            elif engine.draining and not engine.core.has_work():
+            elif engine.draining and not core.has_work():
                 engine.removed_time = now
                 note_scale(
                     ScaleEvent(
                         time=now,
                         action=SCALE_REMOVE,
-                        engine_id=engine.core.engine_id,
+                        engine_id=engine.engine_id,
                         fleet_size=len(active_fleet()),
                         reason="drained empty",
                     )
@@ -536,33 +533,30 @@ class ClusterSimulator:
         def dispatch(state: RequestState, now: float) -> _Engine:
             """Route one request to an engine's wait queue (no kick)."""
             role_needed = role_for(state)
-            candidates = dispatchable(role_needed, now)
+            candidates = [
+                e
+                for e in engines
+                if e.role == role_needed and e.ready_time <= now and e.active
+            ]
             if not candidates:
                 # Every engine of the pool is still warming: park the
                 # request on the earliest-ready active engine.  It cannot
                 # happen with a ready initial fleet and drain-guarded
                 # scale-downs, but stay deterministic if it does.
-                pool = [
-                    e
-                    for e in active_fleet()
-                    if role_needed is None or e.role == role_needed
-                ]
+                pool = [e for e in active_fleet() if e.role == role_needed]
                 if not pool:
                     raise ConfigurationError(
                         f"no active engine can serve role {role_needed!r}"
                     )
-                chosen = min(pool, key=lambda e: (e.ready_time, e.core.engine_id))
+                chosen = min(pool, key=lambda e: (e.ready_time, e.engine_id))
             else:
-                choice = self.router.choose(
-                    state, [engine.view() for engine in candidates], now
-                )
-                valid = {engine.core.engine_id for engine in candidates}
-                if choice not in valid:
+                choice = self.router.choose(state, candidates, now)
+                chosen = next((e for e in candidates if e.engine_id == choice), None)
+                if chosen is None:
                     raise ConfigurationError(
                         f"router {self.router.name!r} chose engine {choice}, "
-                        f"not one of {sorted(valid)}"
+                        f"not one of {[e.engine_id for e in candidates]}"
                     )
-                chosen = engines[choice]
             chosen.core.enqueue(state, now)
             return chosen
 
@@ -580,7 +574,7 @@ class ClusterSimulator:
             touched: dict[int, _Engine] = {}
             for state in states:
                 engine = dispatch(state, now)
-                touched[engine.core.engine_id] = engine
+                touched[engine.engine_id] = engine
                 avail["redispatches"] += 1
             return touched
 
@@ -602,7 +596,7 @@ class ClusterSimulator:
 
         def apply_crash(fault, now: float) -> None:
             nonlocal budget_left
-            pool = [e for _, e in sorted(engines.items()) if e.active]
+            pool = active_fleet()
             # Never kill the last engine able to serve a role — the fleet
             # (like a real one behind a health-checked load balancer) keeps
             # a minimum of one replica per role.
@@ -621,7 +615,7 @@ class ClusterSimulator:
                 ScaleEvent(
                     time=now,
                     action=SCALE_CRASH,
-                    engine_id=victim.core.engine_id,
+                    engine_id=victim.engine_id,
                     fleet_size=len(active_fleet()),
                     reason="injected fault",
                 )
@@ -664,7 +658,7 @@ class ClusterSimulator:
                 kick(engine, now)
 
         def apply_slowdown(fault, now: float) -> None:
-            pool = [e for _, e in sorted(engines.items()) if e.active]
+            pool = active_fleet()
             if not pool:
                 return
             victim = pool[fault.target % len(pool)]
@@ -677,7 +671,7 @@ class ClusterSimulator:
                     sim_time=now,
                     category="cluster",
                     track="cluster",
-                    engine=victim.core.engine_id,
+                    engine=victim.engine_id,
                     factor=fault.factor,
                     duration=fault.duration,
                 )
@@ -688,8 +682,6 @@ class ClusterSimulator:
                 avail["store_corruptions"] += 1
 
         def autoscale(now: float) -> None:
-            if autoscaler is None:
-                return
             active = active_fleet()
             total_waiting = sum(
                 engine.core.queue_depth
@@ -709,19 +701,13 @@ class ClusterSimulator:
                     ROLE_COLOCATED, now, now + config.warmup_delay
                 )
                 heapq.heappush(
-                    heap,
-                    (
-                        engine.ready_time,
-                        next(sequence),
-                        _ENGINE_READY,
-                        engine.core.engine_id,
-                    ),
+                    heap, (engine.ready_time, next(sequence), _ENGINE_READY, engine)
                 )
                 note_scale(
                     ScaleEvent(
                         time=now,
                         action=SCALE_ADD,
-                        engine_id=engine.core.engine_id,
+                        engine_id=engine.engine_id,
                         fleet_size=len(active_fleet()),
                         reason=reason,
                     )
@@ -736,7 +722,7 @@ class ClusterSimulator:
                 ready,
                 key=lambda e: (
                     e.core.queue_depth + e.core.running,
-                    -e.core.engine_id,
+                    -e.engine_id,
                 ),
             )
             victim.draining = True
@@ -744,7 +730,7 @@ class ClusterSimulator:
                 ScaleEvent(
                     time=now,
                     action=SCALE_DRAIN,
-                    engine_id=victim.core.engine_id,
+                    engine_id=victim.engine_id,
                     fleet_size=len(active_fleet()),
                     reason=reason,
                 )
@@ -764,13 +750,46 @@ class ClusterSimulator:
             if kind != _FAULT:
                 # Faults alone don't extend the makespan: a crash injected
                 # after the last completion destroys nothing and should not
-                # stretch utilization or goodput denominators.
-                end_time = max(end_time, now)
-            if kind == _ARRIVAL:
+                # stretch utilization or goodput denominators.  The heap
+                # pops in time order, so the latest such event wins.
+                end_time = now
+            if kind == _STEP_DONE:  # the common event first
+                engine, batch = payload
+                if engine.crashed:
+                    # Stale completion: the crash destroyed this iteration's
+                    # work and already re-dispatched (or failed) its
+                    # requests.
+                    continue
+                for state in engine.core.complete_iteration(batch, now):
+                    if state.finished:
+                        record = RequestRecord(
+                            spec=state.spec,
+                            arrival_time=state.spec.arrival_time,
+                            started_time=state.started_time,
+                            first_token_time=state.first_token_time,
+                            completion_time=state.completion_time,
+                        )
+                        records.append(record)
+                        note_resolved(state, now)
+                        if autoscaler is not None:
+                            record_slo = slo_for_record(record)
+                            autoscaler.observe(
+                                record_slo.met_by(record)
+                                if record_slo is not None
+                                else True
+                            )
+                    else:
+                        # Prefill finished: hand off to the decode pool.
+                        delay = self.disaggregation.handoff_delay
+                        heapq.heappush(
+                            heap, (now + delay, next(sequence), _HANDOFF, state)
+                        )
+                kick(engine, now)
+            elif kind == _ARRIVAL:
                 # Drain every arrival with this exact timestamp before
                 # kicking engines, so simultaneous requests (offline
                 # batches, burst heads) can share the iterations they
-                # trigger — same policy as the single-engine simulator.
+                # trigger.
                 batch_states = [payload]
                 while heap and heap[0][0] == now and heap[0][2] == _ARRIVAL:
                     batch_states.append(heapq.heappop(heap)[3])
@@ -809,44 +828,9 @@ class ClusterSimulator:
                             )
                         continue
                     engine = dispatch(state, now)
-                    touched[engine.core.engine_id] = engine
+                    touched[engine.engine_id] = engine
                 for engine in touched.values():
                     kick(engine, now)
-                autoscale(now)
-            elif kind == _STEP_DONE:
-                engine_id, batch = payload
-                engine = engines[engine_id]
-                if engine.crashed:
-                    # Stale completion: the crash destroyed this iteration's
-                    # work and already re-dispatched (or failed) its
-                    # requests.
-                    continue
-                for state in engine.core.complete_iteration(batch, now):
-                    if state.finished:
-                        record = RequestRecord(
-                            spec=state.spec,
-                            arrival_time=state.spec.arrival_time,
-                            started_time=state.started_time,
-                            first_token_time=state.first_token_time,
-                            completion_time=state.completion_time,
-                        )
-                        records.append(record)
-                        note_resolved(state, now)
-                        if autoscaler is not None:
-                            record_slo = slo_for_record(record)
-                            autoscaler.observe(
-                                record_slo.met_by(record)
-                                if record_slo is not None
-                                else True
-                            )
-                    else:
-                        # Prefill finished: hand off to the decode pool.
-                        delay = self.disaggregation.handoff_delay
-                        heapq.heappush(
-                            heap, (now + delay, next(sequence), _HANDOFF, state)
-                        )
-                kick(engine, now)
-                autoscale(now)
             elif kind == _ENGINE_READY:
                 # A scaled-up engine just warmed.  Queued requests are not
                 # yet admitted into any batch, so the front door rebalances
@@ -854,17 +838,16 @@ class ClusterSimulator:
                 # a backlog that triggered the scale-up would stay pinned
                 # to the engines it queued on and the new engine would idle.
                 pending: list[RequestState] = []
-                for _, other in sorted(engines.items()):
+                for other in engines:
                     if other.active and other.ready_time <= now:
                         pending.extend(other.core.batcher.drain_waiting())
                 pending.sort(key=lambda s: (s.spec.arrival_time, s.spec.request_id))
-                touched = {payload: engines[payload]}
+                touched = {payload.engine_id: payload}
                 for state in pending:
                     chosen = dispatch(state, now)
-                    touched[chosen.core.engine_id] = chosen
+                    touched[chosen.engine_id] = chosen
                 for engine in touched.values():
                     kick(engine, now)
-                autoscale(now)
             elif kind == _FAULT:
                 fault = payload
                 if fault.kind == FAULT_ENGINE_CRASH:
@@ -892,21 +875,20 @@ class ClusterSimulator:
                             track="cluster",
                             target=fault.target,
                         )
-                autoscale(now)
             elif kind == _RETRY:
                 # A crash-lost request returns from its backoff delay and
                 # is routed like a fresh arrival (with its progress reset).
-                state = payload
                 avail["redispatches"] += 1
-                kick(dispatch(state, now), now)
-                autoscale(now)
+                kick(dispatch(payload, now), now)
             elif kind == _HANDOFF:
-                state = payload
-                kick(dispatch(state, now), now)
+                kick(dispatch(payload, now), now)
+                continue  # hand-offs move work within the fleet: no autoscale
             else:
                 raise SimulationInvariantError(f"unknown cluster event kind {kind!r}")
+            if autoscaler is not None:
+                autoscale(now)
 
-        if any(engine.core.has_work() for engine in engines.values()):
+        if any(engine.core.has_work() for engine in engines):
             raise SimulationInvariantError(
                 "cluster simulation ended with unfinished requests"
             )
@@ -948,13 +930,13 @@ class ClusterSimulator:
         )
 
         engine_records = []
-        for engine_id, engine in sorted(engines.items()):
+        for engine in engines:
             lifespan = (
                 engine.removed_time if engine.removed_time is not None else end_time
             ) - engine.ready_time
             engine_records.append(
                 EngineRecord(
-                    engine_id=engine_id,
+                    engine_id=engine.engine_id,
                     role=engine.role,
                     busy_time=engine.core.busy_time,
                     num_iterations=engine.core.iterations,
@@ -991,13 +973,3 @@ class ClusterSimulator:
             ),
         )
 
-
-def simulate_cluster(
-    trace: ArrivalTrace,
-    latency_model: StepLatencyModel,
-    *,
-    slo: SLOSpec | None = None,
-    **cluster_kwargs,
-) -> ClusterResult:
-    """One-call convenience: run ``trace`` on a fresh fleet."""
-    return ClusterSimulator(latency_model, **cluster_kwargs).run(trace, slo=slo)

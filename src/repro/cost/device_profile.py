@@ -17,6 +17,7 @@ against the *machine itself*.
 from __future__ import annotations
 
 import hashlib
+import zlib
 from dataclasses import dataclass
 from math import prod
 
@@ -147,7 +148,8 @@ class DeviceProfile:
         """Generate randomly shaped tiles of one operator type (for fitting)."""
         import numpy as np
 
-        rng = np.random.default_rng(seed + hash(op_type) % (2**16))
+        # crc32, not hash(): str hashing is salted per process (PYTHONHASHSEED).
+        rng = np.random.default_rng(seed + zlib.crc32(op_type.encode()))
         workloads: list[TileWorkload] = []
         for _ in range(count):
             if op_type in ("matmul", "batch_matmul"):

@@ -16,9 +16,9 @@ profiling but live in separate fields that the deterministic exporters
 (:mod:`repro.obs.export`) quantize out.
 
 Tracing is strictly opt-in.  Every instrumented call site takes
-``tracer=None`` and guards with ``if tracer is not None`` — the no-op fast
-path is one attribute load and branch, benchmarked in
-``benchmarks/bench_obs_trace.py``.
+``tracer=None`` and guards with ``if tracer is not None`` (or, around a
+wall-clocked block, :func:`maybe_span`) — the no-op fast path is one
+attribute load and branch, benchmarked in ``benchmarks/bench_obs_trace.py``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import dataclasses
 import threading
 import time
 from collections.abc import Iterator
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, ContextManager, Hashable
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Span", "Tracer", "maybe_span"]
 
 
 def _freeze_attrs(attrs: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -286,3 +286,16 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
+
+
+def maybe_span(
+    tracer: Tracer | None, name: str, **attrs: Any
+) -> ContextManager[dict[str, Any]]:
+    """``tracer.span(name, **attrs)``, or a no-op when ``tracer`` is ``None``.
+
+    Untraced, the block still receives a (throwaway) attribute dict, so one
+    code path serves both cases.
+    """
+    if tracer is None:
+        return contextlib.nullcontext({})
+    return tracer.span(name, **attrs)

@@ -20,6 +20,10 @@ The pieces compose individually: build a trace
 :class:`StepLatencyModel` over your session/system/policy, and run it
 through :class:`ServingSimulator`.  New scenarios register by name via
 :func:`register_scenario`, exactly like compiler policies.
+
+The event loop itself is :class:`repro.cluster.ClusterSimulator`'s:
+:class:`ServingSimulator` and :func:`simulate_scenario` run it with one
+round-robin engine and every fleet feature off.
 """
 
 from repro.serve.batching import (
@@ -51,7 +55,7 @@ from repro.serve.scenarios import (
     simulate_scenario,
     unregister_scenario,
 )
-from repro.serve.simulator import ServingResult, ServingSimulator, simulate_serving
+from repro.serve.simulator import ServingResult, ServingSimulator
 from repro.serve.workload import (
     DEFAULT_TENANT,
     TRACE_GENERATORS,
@@ -93,7 +97,6 @@ __all__ = [
     "unregister_scenario",
     "ServingResult",
     "ServingSimulator",
-    "simulate_serving",
     "DEFAULT_TENANT",
     "TRACE_GENERATORS",
     "TRACE_SCHEMA_VERSION",

@@ -1,12 +1,12 @@
-"""One serving engine's run state, extracted for single- and fleet-scale use.
+"""One serving engine's run state inside the discrete-event loop.
 
 :class:`EngineCore` bundles what it means to *be* a continuously-batched
 engine inside a discrete-event loop: a :class:`ContinuousBatcher`, the shared
 :class:`StepLatencyModel` its iterations are timed by, and the busy/credit
-accounting every caller was previously hand-rolling.  The single-engine
-:class:`~repro.serve.simulator.ServingSimulator` drives one core; the fleet
-simulator in :mod:`repro.cluster` drives many on one heap — same stepping
-semantics, one implementation.
+accounting of one engine.  The fleet simulator in :mod:`repro.cluster` —
+the only event loop — drives one core per engine on one heap; a
+single-engine run (:class:`~repro.serve.simulator.ServingSimulator`) is a
+one-engine fleet.
 """
 
 from __future__ import annotations
@@ -154,5 +154,6 @@ class EngineCore:
         """
         self.busy = False
         released = self.batcher.complete_step(batch, now)
-        self.completed += sum(1 for state in released if state.finished)
+        if released:  # most iterations release nothing
+            self.completed += sum(1 for state in released if state.finished)
         return released

@@ -29,13 +29,12 @@ from typing import TYPE_CHECKING, Callable, ClassVar, TypeVar
 
 from repro.api.service import Session
 from repro.arch.chip import SystemConfig
-from repro.arch.presets import scaled_system
 from repro.errors import ConfigurationError
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.preload_order import OrderSearchConfig
-from repro.serve.batching import BatchBuckets, StepLatencyModel
+from repro.serve.batching import BatchBuckets
 from repro.serve.metrics import SLOSpec
-from repro.serve.simulator import ServingResult, ServingSimulator
+from repro.serve.simulator import ServingResult
 from repro.serve.workload import (
     ArrivalTrace,
     RequestShape,
@@ -275,7 +274,12 @@ def simulate_scenario(
     prewarm: bool = False,
     tracer: "Tracer | None" = None,
 ) -> ServingResult:
-    """Run one registered scenario end to end and return its result.
+    """Run one registered scenario end to end on a single engine.
+
+    This is :func:`repro.cluster.simulate_cluster_scenario` with the fleet
+    pinned to one round-robin engine and every fleet feature (autoscaler,
+    tenants, disaggregation, faults, retries, degradation) off — also for
+    cluster scenarios, whose fleet configuration is ignored here.
 
     Args:
         scenario: Registered scenario name or an instance.
@@ -298,31 +302,26 @@ def simulate_scenario(
             session for the duration of the run), engine iteration spans,
             and request lifecycle events.
     """
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    system = system or scaled_system(num_cores=32, num_chips=1)
-    session = session or make_serving_session()
-    previous_tracer = session.tracer
-    if tracer is not None:
-        session.tracer = tracer
-    latency_model = StepLatencyModel(
-        session,
-        system,
-        policy,
-        buckets=scenario.buckets,
+    # repro.cluster builds on this module, so import it at call time.
+    from repro.cluster.scenarios import simulate_cluster_scenario
+
+    return simulate_cluster_scenario(
+        scenario,
+        system=system,
+        policy=policy,
+        num_requests=num_requests,
+        seed=seed,
+        rate_scale=rate_scale,
+        session=session,
         num_layers=num_layers,
+        num_engines=1,
+        router="round-robin",
+        autoscaler=None,
+        tenants=None,
+        disaggregation=None,
+        faults=None,
+        retry_policy=None,
+        degradation=None,
+        prewarm=prewarm,
         tracer=tracer,
     )
-    trace = scenario.trace(num_requests=num_requests, seed=seed, rate_scale=rate_scale)
-    try:
-        if prewarm:
-            groups = sorted(
-                {(spec.model.lower(), spec.kind) for spec in trace.requests}
-            )
-            latency_model.prewarm(groups)
-        return ServingSimulator(latency_model, tracer=tracer).run(
-            trace, slo=scenario.slo
-        )
-    finally:
-        if tracer is not None:
-            session.tracer = previous_tracer

@@ -1,40 +1,24 @@
-"""The request-level serving simulator: a heapq discrete-event engine.
+"""Single-engine serving: the result type and a one-engine fleet front end.
 
-The engine interleaves two event kinds on one time-ordered heap — request
-arrivals (from the trace) and iteration completions (from the continuous
-batcher) — and advances a single serving engine through them:
+A run replays a seeded arrival trace through one continuously-batched
+engine: arrivals join the FCFS wait queue, each finished iteration advances
+its batch by one output unit, and the batcher re-forms the batch at
+iteration boundaries.  Iteration latencies come from
+:class:`~repro.serve.batching.StepLatencyModel`, i.e. from execution plans
+compiled once per bucket through a shared :class:`repro.api.Session`.
 
-1. An arriving request joins the FCFS wait queue; if the engine is idle it
-   starts an iteration immediately.
-2. When an iteration completes, every request in its batch advances one
-   output unit, finished requests leave, and the batcher forms the next
-   batch from the running and newly admitted requests (continuous batching:
-   composition changes at iteration boundaries only).
-3. Iteration latencies come from :class:`~repro.serve.batching.StepLatencyModel`,
-   i.e. from execution plans compiled once per bucket through a shared
-   :class:`repro.api.Session` and timed by the event-driven chip/multichip
-   simulator.
-
-Given a seeded trace the whole run is deterministic: heap ties are broken by
-an insertion sequence number and every scheduling decision is a pure function
-of arrival order, so serving metrics are bit-reproducible.
+The event loop itself lives in one place,
+:class:`repro.cluster.ClusterSimulator`; :class:`ServingSimulator` runs it
+with a single round-robin engine and no fleet features.  Given a seeded
+trace every run is deterministic, so serving metrics are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import SimulationInvariantError
-from repro.serve.batching import (
-    Batch,
-    BatchBuckets,
-    StepLatencyModel,
-    make_states,
-)
-from repro.serve.engine import EngineCore
+from repro.serve.batching import BatchBuckets, StepLatencyModel
 from repro.serve.metrics import (
     RequestRecord,
     ServingMetrics,
@@ -45,9 +29,6 @@ from repro.serve.workload import ArrivalTrace
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
-
-_ARRIVAL = 0
-_STEP_DONE = 1
 
 
 @dataclass(frozen=True)
@@ -90,7 +71,7 @@ class ServingResult:
 
 
 class ServingSimulator:
-    """Discrete-event simulation of one continuously-batched serving engine.
+    """One continuously-batched serving engine: a one-engine fleet.
 
     Args:
         latency_model: Bucketed step latencies (carries the shared session,
@@ -112,69 +93,18 @@ class ServingSimulator:
         self.tracer = tracer
 
     def run(self, trace: ArrivalTrace, slo: SLOSpec | None = None) -> ServingResult:
-        """Serve every request of ``trace``; return the completed-run result."""
-        engine = EngineCore(self.latency_model, self.buckets, tracer=self.tracer)
-        sequence = itertools.count()
-        heap: list[tuple[float, int, int, object]] = []
-        for state in make_states(trace):
-            heapq.heappush(
-                heap, (state.spec.arrival_time, next(sequence), _ARRIVAL, state)
-            )
+        """Serve every request of ``trace``; return the completed-run result.
 
-        records: list[RequestRecord] = []
+        The result is a :class:`~repro.cluster.ClusterResult` (a
+        :class:`ServingResult`) of the one-engine fleet.
+        """
+        # repro.cluster builds on repro.serve, so import it at call time.
+        from repro.cluster.simulator import ClusterSimulator
 
-        def start_iteration(now: float) -> None:
-            started = engine.start_iteration(now)
-            if started is not None:
-                batch, latency = started
-                heapq.heappush(
-                    heap, (now + latency, next(sequence), _STEP_DONE, batch)
-                )
-
-        while heap:
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind == _ARRIVAL:
-                engine.enqueue(payload)
-                # Drain every arrival with this exact timestamp before
-                # scheduling, so simultaneous requests (offline batches,
-                # burst heads) can share the iteration they trigger.
-                while heap and heap[0][0] == now and heap[0][2] == _ARRIVAL:
-                    engine.enqueue(heapq.heappop(heap)[3])
-                if not engine.busy:
-                    start_iteration(now)
-                continue
-            if not isinstance(payload, Batch):
-                raise SimulationInvariantError(f"bad step-done payload {payload!r}")
-            for state in engine.complete_iteration(payload, now):
-                records.append(
-                    RequestRecord(
-                        spec=state.spec,
-                        arrival_time=state.spec.arrival_time,
-                        started_time=state.started_time,
-                        first_token_time=state.first_token_time,
-                        completion_time=state.completion_time,
-                    )
-                )
-            start_iteration(now)
-
-        if engine.has_work():
-            raise SimulationInvariantError("simulation ended with unfinished requests")
-        return ServingResult(
-            trace_name=trace.name,
-            policy=self.latency_model.policy,
-            records=tuple(records),
-            busy_time=engine.busy_time,
-            num_iterations=engine.iterations,
-            compiled_shapes=tuple(self.latency_model.compiled_shapes()),
-            slo=slo,
-        )
-
-
-def simulate_serving(
-    trace: ArrivalTrace,
-    latency_model: StepLatencyModel,
-    *,
-    slo: SLOSpec | None = None,
-) -> ServingResult:
-    """One-call convenience: run ``trace`` on a fresh engine."""
-    return ServingSimulator(latency_model).run(trace, slo=slo)
+        return ClusterSimulator(
+            self.latency_model,
+            num_engines=1,
+            router="round-robin",
+            buckets=self.buckets,
+            tracer=self.tracer,
+        ).run(trace, slo=slo)

@@ -55,11 +55,34 @@ def test_traces_from_timeline(tiny_elk_result):
     assert len(hbm.times) == len(hbm.values)
 
 
+_ACCURACY_PROBE = """
+from repro.eval import cost_model_accuracy
+print(repr(cost_model_accuracy(samples_per_op=40, seed=3)))
+"""
+
+
 def test_cost_model_accuracy_rows():
+    """The fitted model's rows are accurate and do not follow PYTHONHASHSEED."""
+    import subprocess
+    import sys
+
+    import repro
+
     rows = cost_model_accuracy(samples_per_op=40, seed=3)
     assert any(row["target"] == "inter_core_transfer" for row in rows)
     for row in rows:
         assert row["r_squared"] > 0.5
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _ACCURACY_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(done.stdout)
+    assert outputs == {repr(rows) + "\n"}, outputs
 
 
 def test_format_table_and_save(tmp_path):

@@ -1,14 +1,22 @@
 """Property-based tests over core invariants of the compiler stack."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import scaled_chip
+from repro.arch import scaled_chip, scaled_system
+from repro.cluster import ClusterSimulator, random_faults
 from repro.cost import AnalyticCostModel
 from repro.ir import FP16, TensorSpec, make_matmul
 from repro.ir.models.config import TransformerConfig
 from repro.ir.models.transformer import build_decode_graph
 from repro.partition import enumerate_execute_plans, enumerate_preload_plans
+from repro.serve import (
+    RequestShape,
+    StepLatencyModel,
+    make_serving_session,
+    poisson_trace,
+)
 
 CHIP = scaled_chip(num_cores=16)
 COST = AnalyticCostModel(CHIP)
@@ -90,3 +98,73 @@ def test_generated_transformers_are_valid(hidden, heads, kv_heads, batch, seq):
     assert graph.total_hbm_load_bytes > 0
     heavy = graph.hbm_heavy_indices()
     assert all(graph[i].hbm_load_bytes > graph.hbm_heavy_threshold() for i in heavy)
+
+
+# --------------------------------------------------------------------------- #
+# The serving event loop: random small traces on random fleets.
+# --------------------------------------------------------------------------- #
+_CHAT = RequestShape(model="tiny-llm", prefill_tokens=(64, 256), decode_tokens=(8, 48))
+_DIT = RequestShape(model="tiny-dit", denoise_steps=8)
+_SERVING_SYSTEM = scaled_system(num_cores=32, num_chips=1)
+
+
+@pytest.fixture(scope="module")
+def serving_session():
+    """One session for every example, so bucket plans compile once."""
+    return make_serving_session()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    num_requests=st.integers(1, 24),
+    rate=st.sampled_from([50.0, 400.0, 2000.0]),
+    trace_seed=st.integers(0, 2**16),
+    mixed=st.booleans(),
+    num_engines=st.integers(1, 3),
+    router=st.sampled_from(["round-robin", "least-loaded", "session-affinity"]),
+    fault_seed=st.none() | st.integers(0, 2**16),
+)
+def test_serving_loop_invariants(
+    serving_session, num_requests, rate, trace_seed, mixed, num_engines, router,
+    fault_seed,
+):
+    """Accounting balances, timestamps are ordered, reruns are identical."""
+    trace = poisson_trace(
+        rate,
+        num_requests,
+        seed=trace_seed,
+        shapes=(_CHAT, _DIT) if mixed else _CHAT,
+    )
+    faults = None
+    if fault_seed is not None:
+        duration = trace.requests[-1].arrival_time + 0.01
+        faults = random_faults(
+            duration,
+            crash_rate=3 / duration,
+            slowdown_rate=2 / duration,
+            compile_failure_rate=1 / duration,
+            seed=fault_seed,
+        )
+
+    def run():
+        # A fresh latency model per run: compile-failure fallbacks depend on
+        # what the model has compiled so far.
+        model = StepLatencyModel(serving_session, _SERVING_SYSTEM, "basic")
+        simulator = ClusterSimulator(
+            model, num_engines=num_engines, router=router, faults=faults
+        )
+        return simulator.run(trace)
+
+    result = run()
+    assert result.num_arrivals == num_requests
+    assert result.accounting_balanced
+    for record in result.records:
+        assert (
+            record.arrival_time
+            <= record.started_time
+            <= record.first_token_time
+            <= record.completion_time
+        )
+    assert all(0.0 <= u <= 1.0 for u in result.engine_utilization().values())
+    assert all(t >= 0.0 for t in result.availability.recovery_times)
+    assert run() == result
