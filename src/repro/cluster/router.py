@@ -5,8 +5,8 @@ Policies read engines only through the :class:`EngineView` shape — engine
 id plus load signals — so they stay pure functions of the dispatch sequence
 and the fleet state, which keeps every seeded cluster run bit-reproducible.
 
-Policies register by name, mirroring :mod:`repro.compiler.registry` and
-:mod:`repro.serve.scenarios`:
+Policies register by name in a :class:`repro.registry.Registry`, like
+compiler policies, scenarios, and sweep adapters:
 
 >>> @register_router("my-policy")
 ... class MyPolicy(RouterPolicy):
@@ -25,9 +25,9 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence, TypeVar
+from typing import ClassVar, Sequence
 
-from repro.errors import ConfigurationError
+from repro.registry import Registry
 from repro.serve.batching import RequestState
 
 
@@ -89,64 +89,13 @@ class RouterPolicy(abc.ABC):
         """
 
 
-_RouterT = TypeVar("_RouterT", bound=type)
+_ROUTERS: Registry[RouterPolicy] = Registry("router", RouterPolicy)
 
-#: Registered router classes, in registration order.
-_REGISTRY: dict[str, type[RouterPolicy]] = {}
-
-
-def register_router(
-    name: str, *, replace: bool = False
-) -> Callable[[_RouterT], _RouterT]:
-    """Class decorator registering a :class:`RouterPolicy` under ``name``."""
-    key = name.lower()
-
-    def decorator(cls: _RouterT) -> _RouterT:
-        if not (isinstance(cls, type) and issubclass(cls, RouterPolicy)):
-            raise ConfigurationError(
-                f"@register_router({name!r}) expects a RouterPolicy "
-                f"subclass, got {cls!r}"
-            )
-        if not replace and key in _REGISTRY:
-            raise ConfigurationError(
-                f"router {key!r} is already registered by "
-                f"{_REGISTRY[key].__qualname__}; pass replace=True to override"
-            )
-        cls.name = key
-        _REGISTRY[key] = cls
-        return cls
-
-    return decorator
-
-
-def unregister_router(name: str) -> None:
-    """Remove a registered router (primarily for test cleanup)."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(f"router {key!r} is not registered")
-    del _REGISTRY[key]
-
-
-def get_router(name: str) -> RouterPolicy:
-    """Instantiate the router registered under ``name``."""
-    key = name.lower()
-    try:
-        cls = _REGISTRY[key]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown router {name!r}; expected one of {available_routers()}"
-        ) from None
-    return cls()
-
-
-def available_routers() -> tuple[str, ...]:
-    """Names of every registered router, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def router_descriptions() -> dict[str, str]:
-    """``{name: description}`` of every registered router."""
-    return {name: cls.description for name, cls in _REGISTRY.items()}
+register_router = _ROUTERS.register
+unregister_router = _ROUTERS.unregister
+get_router = _ROUTERS.get
+available_routers = _ROUTERS.available
+router_descriptions = _ROUTERS.descriptions
 
 
 # --------------------------------------------------------------------------- #

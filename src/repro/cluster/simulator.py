@@ -6,15 +6,22 @@ fleet of :class:`~repro.serve.engine.EngineCore` engines that all share one
 :class:`~repro.api.Session` — so every bucketed step plan compiles exactly
 once fleet-wide no matter how many engines serve it.  Its heapq event loop
 is the repo's only one: :class:`~repro.serve.simulator.ServingSimulator`
-runs it with one round-robin engine.  Event kinds:
+runs it with one round-robin engine.
 
-* **arrival** — admission control (per-tenant token buckets), then the
-  router picks an engine;
+Each :meth:`ClusterSimulator.run` call builds a private run object that
+owns the heap, the engines, and the run's records and counters.  Every heap
+entry is ``(time, seq, handler, payload)``; the loop pops entries in time
+order (ties in push order) and calls the entry's handler:
+
+* **arrival** — every arrival with the same timestamp is drained at once,
+  passed through admission control (per-tenant token buckets) and optional
+  load shedding, then routed to an engine;
 * **step done** — one engine's iteration completes; finished requests are
   recorded, prefill hand-offs are forwarded to the decode pool, and the
   engine starts its next iteration;
 * **engine ready** — a scaled-up engine finishes warming (compiling /
-  loading its bucket plans) and starts taking traffic;
+  loading its bucket plans), and queued requests rebalance onto the grown
+  fleet;
 * **hand-off** — a prefilled request reaches the decode pool (after the
   configured hand-off delay) and is routed like a fresh arrival;
 * **fault** — an injected :class:`~repro.cluster.faults.FaultEvent` fires:
@@ -30,9 +37,10 @@ runs it with one round-robin engine.  Event kinds:
 * **retry** — a request whose work a crash destroyed returns from its
   backoff delay and is routed like a fresh arrival.
 
-The autoscaler is evaluated after every arrival batch, step completion, and
-fault — a crashed engine is capacity pressure like any other, so the fleet
-replaces it subject to cooldown.  Request accounting always balances:
+The autoscaler is evaluated after every event except hand-offs (which move
+work within the fleet) and stale completions of crashed engines — a crashed
+engine is capacity pressure like any other, so the fleet replaces it
+subject to cooldown.  Request accounting always balances:
 ``completed + rejected + failed == arrivals``, with shed and failed
 requests recorded, never silently dropped.  Everything remains a pure
 function of the seeded trace, the fault schedule, and the configuration,
@@ -47,7 +55,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.cluster.autoscaler import (
     SCALE_ADD,
@@ -64,6 +72,7 @@ from repro.cluster.faults import (
     FAULT_ENGINE_SLOWDOWN,
     AvailabilityMetrics,
     DegradationPolicy,
+    FaultEvent,
     FaultSchedule,
     RetryPolicy,
 )
@@ -71,15 +80,12 @@ from repro.cluster.router import RouterPolicy, get_router
 from repro.cluster.tenancy import AdmissionController, TenantSpec, as_tenant_map
 from repro.errors import ConfigurationError, SimulationInvariantError
 from repro.serve.batching import (
-    PHASE_BOTH,
-    PHASE_DECODE,
-    PHASE_PREFILL,
     BatchBuckets,
     RequestState,
     StepLatencyModel,
     make_states,
 )
-from repro.serve.engine import EngineCore
+from repro.serve.engine import ROLE_COLOCATED, ROLE_DECODE, ROLE_PREFILL, EngineCore
 from repro.serve.metrics import RequestRecord, ServingMetrics, SLOSpec, compute_metrics
 from repro.serve.simulator import ServingResult
 from repro.serve.workload import DIFFUSION, ArrivalTrace, RequestSpec
@@ -87,24 +93,6 @@ from repro.serve.workload import DIFFUSION, ArrivalTrace, RequestSpec
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
-
-_ARRIVAL = 0
-_STEP_DONE = 1
-_ENGINE_READY = 2
-_HANDOFF = 3
-_FAULT = 4
-_RETRY = 5
-
-#: Engine roles within a fleet.
-ROLE_COLOCATED = "colocated"
-ROLE_PREFILL = "prefill"
-ROLE_DECODE = "decode"
-
-_ROLE_PHASES = {
-    ROLE_COLOCATED: PHASE_BOTH,
-    ROLE_PREFILL: PHASE_PREFILL,
-    ROLE_DECODE: PHASE_DECODE,
-}
 
 
 @dataclass(frozen=True)
@@ -229,7 +217,6 @@ class ClusterResult(ServingResult):
     def counters(self) -> dict[str, int]:
         """Cache/retry counters for reporting tables.
 
-        The four numbers that previously lived only in debug prints:
         ``store_hits`` (bucket plans this run resolved from the on-disk
         artifact store), ``fallback_serves`` (cache misses served from the
         closest compiled plan after an injected compile failure),
@@ -273,49 +260,6 @@ class ClusterResult(ServingResult):
             tenant: compute_metrics(records, slo=slos.get(tenant) or self.slo)
             for tenant, records in sorted(by_tenant.items())
         }
-
-
-@dataclass(eq=False)
-class _Engine:
-    """Fleet-internal engine bookkeeping (core + lifecycle).
-
-    Routers receive these live objects; the load signals below are the
-    :class:`~repro.cluster.router.EngineView` shape, read on demand.
-    """
-
-    core: EngineCore
-    role: str
-    added_time: float
-    ready_time: float
-    draining: bool = False
-    removed_time: float | None = None
-    crashed: bool = False
-    slow_until: float = 0.0
-    slow_factor: float = 1.0
-
-    @property
-    def active(self) -> bool:
-        return not self.draining and self.removed_time is None
-
-    @property
-    def engine_id(self) -> int:
-        return self.core.engine_id
-
-    @property
-    def queue_depth(self) -> int:
-        return self.core.queue_depth
-
-    @property
-    def running(self) -> int:
-        return self.core.running
-
-    @property
-    def in_flight_tokens(self) -> int:
-        return self.core.in_flight_tokens()
-
-    @property
-    def load(self) -> int:
-        return self.core.queue_depth + self.core.running
 
 
 class ClusterSimulator:
@@ -411,516 +355,477 @@ class ClusterSimulator:
                 {(spec.model.lower(), spec.kind) for spec in trace.requests}
             )
             self.latency_model.prewarm(groups)
+        return _FleetRun(self, trace, slo).run()
 
-        # Engine ids are list positions: engines join in id order and stay.
-        engines: list[_Engine] = []
-        sequence = itertools.count()
-        heap: list[tuple[float, int, int, object]] = []
-        admission = AdmissionController(self.tenants)
-        autoscaler = (
-            Autoscaler(self.autoscaler_config)
-            if self.autoscaler_config is not None
+
+class _FleetRun:
+    """The mutable state and event handlers of one :meth:`ClusterSimulator.run`.
+
+    Heap entries are ``(time, seq, handler, payload)``: ``seq`` is the push
+    order, so simultaneous events run first-pushed first, and the handler
+    is one of the ``_on_*`` methods below, called as ``handler(now,
+    payload)``.  Every handler except :meth:`_on_fault` advances
+    :attr:`end_time`: faults alone don't extend the makespan, so a crash
+    injected after the last completion destroys nothing and stretches no
+    utilization or goodput denominator.
+    """
+
+    def __init__(
+        self, sim: ClusterSimulator, trace: ArrivalTrace, slo: SLOSpec | None
+    ) -> None:
+        self.sim = sim
+        self.trace = trace
+        self.slo = slo
+        self.tracer = sim.tracer
+        self.admission = AdmissionController(sim.tenants)
+        self.autoscaler = (
+            Autoscaler(sim.autoscaler_config)
+            if sim.autoscaler_config is not None
             else None
         )
-        records: list[RequestRecord] = []
-        rejected: list[RequestSpec] = []
-        failed: list[RequestSpec] = []
-        scale_events: list[ScaleEvent] = []
-        end_time = 0.0
-        policy = self.retry_policy
-        avail = {
-            "crashes": 0,
-            "slowdowns": 0,
-            "compile_faults": 0,
-            "store_corruptions": 0,
-            "retries": 0,
-            "redispatches": 0,
-            "shed": 0,
-        }
+        # Engine ids are list positions: engines join in id order and stay.
+        self.engines: list[EngineCore] = []
+        self.heap: list[tuple[float, int, Callable, object]] = []
+        self.sequence = itertools.count()
+        self.records: list[RequestRecord] = []
+        self.rejected: list[RequestSpec] = []
+        self.failed: list[RequestSpec] = []
+        self.scale_events: list[ScaleEvent] = []
+        self.end_time = 0.0
+        # AvailabilityMetrics counters, under the same names.
+        self.num_crashes = 0
+        self.num_slowdowns = 0
+        self.num_compile_faults = 0
+        self.num_store_corruptions = 0
+        self.num_retries = 0
+        self.num_redispatches = 0
+        self.num_shed = 0
         # Per applied crash: (crash time, ids of retried requests still
         # owed a completion or failure).  When a set empties, the crash is
         # recovered and its recovery time is recorded.
-        crash_watches: list[tuple[float, set[int]]] = []
-        recovery_times: list[float] = []
-        budget_left = policy.retry_budget  # None = unbounded
-        fallback_base = self.latency_model.stats.get("fallbacks", 0)
-        store_base = self.latency_model.session.stats.store_hits
-        tracer = self.tracer
-
-        def add_engine(role: str, added: float, ready: float) -> _Engine:
-            engine = _Engine(
-                core=EngineCore(
-                    self.latency_model,
-                    self.buckets,
-                    engine_id=len(engines),
-                    phase=_ROLE_PHASES[role],
-                    tracer=tracer,
-                ),
-                role=role,
-                added_time=added,
-                ready_time=ready,
-            )
-            engines.append(engine)
-            return engine
-
-        def note_scale(event: ScaleEvent) -> None:
-            scale_events.append(event)
-            if tracer is not None:
-                tracer.instant(
-                    f"scale-{event.action}",
-                    sim_time=event.time,
-                    category="cluster",
-                    track="cluster",
-                    engine=event.engine_id,
-                    fleet_size=event.fleet_size,
-                    reason=event.reason,
-                )
+        self.crash_watches: list[tuple[float, set[int]]] = []
+        self.recovery_times: list[float] = []
+        self.budget_left = sim.retry_policy.retry_budget  # None = unbounded
+        self.fallback_base = sim.latency_model.stats.get("fallbacks", 0)
+        self.store_base = sim.latency_model.session.stats.store_hits
 
         # Seed the initial fleet, ready at t=0 (prewarmed before traffic).
-        if self.disaggregation is not None:
-            for _ in range(self.disaggregation.prefill_engines):
-                add_engine(ROLE_PREFILL, 0.0, 0.0)
-            for _ in range(self.disaggregation.decode_engines):
-                add_engine(ROLE_DECODE, 0.0, 0.0)
+        if sim.disaggregation is not None:
+            for _ in range(sim.disaggregation.prefill_engines):
+                self._add_engine(ROLE_PREFILL, 0.0, 0.0)
+            for _ in range(sim.disaggregation.decode_engines):
+                self._add_engine(ROLE_DECODE, 0.0, 0.0)
         else:
-            for _ in range(self.num_engines):
-                add_engine(ROLE_COLOCATED, 0.0, 0.0)
-
+            for _ in range(sim.num_engines):
+                self._add_engine(ROLE_COLOCATED, 0.0, 0.0)
         for state in make_states(trace):
-            heapq.heappush(
-                heap, (state.spec.arrival_time, next(sequence), _ARRIVAL, state)
+            self._push(state.spec.arrival_time, self._on_arrival, state)
+        for fault in sim.faults or ():
+            self._push(fault.time, self._on_fault, fault)
+
+    def run(self) -> ClusterResult:
+        heap = self.heap
+        while heap:
+            now, _, handler, payload = heapq.heappop(heap)
+            handler(now, payload)
+        if any(engine.batcher.has_work() for engine in self.engines):
+            raise SimulationInvariantError(
+                "cluster simulation ended with unfinished requests"
             )
-        for fault in self.faults or ():
-            heapq.heappush(heap, (fault.time, next(sequence), _FAULT, fault))
-
-        def active_fleet() -> list[_Engine]:
-            return [e for e in engines if e.active]
-
-        def role_for(state: RequestState) -> str:
-            if self.disaggregation is None:
-                return ROLE_COLOCATED
-            if state.spec.kind != DIFFUSION and state.prefill_pending:
-                return ROLE_PREFILL
-            return ROLE_DECODE
-
-        def kick(engine: _Engine, now: float) -> None:
-            """Start the engine's next iteration, or finalize a drain."""
-            core = engine.core
-            if core.busy or engine.removed_time is not None or engine.ready_time > now:
-                return
-            # A straggler window stretches every iteration *started* inside
-            # it; an iteration already in flight when the fault fires
-            # finishes at its original latency.
-            core.latency_scale = engine.slow_factor if now < engine.slow_until else 1.0
-            started = core.start_iteration(now)
-            if started is not None:
-                batch, latency = started
-                heapq.heappush(
-                    heap, (now + latency, next(sequence), _STEP_DONE, (engine, batch))
-                )
-            elif engine.draining and not core.has_work():
-                engine.removed_time = now
-                note_scale(
-                    ScaleEvent(
-                        time=now,
-                        action=SCALE_REMOVE,
-                        engine_id=engine.engine_id,
-                        fleet_size=len(active_fleet()),
-                        reason="drained empty",
-                    )
-                )
-
-        def dispatch(state: RequestState, now: float) -> _Engine:
-            """Route one request to an engine's wait queue (no kick)."""
-            role_needed = role_for(state)
-            candidates = [
-                e
-                for e in engines
-                if e.role == role_needed and e.ready_time <= now and e.active
-            ]
-            if not candidates:
-                # Every engine of the pool is still warming: park the
-                # request on the earliest-ready active engine.  It cannot
-                # happen with a ready initial fleet and drain-guarded
-                # scale-downs, but stay deterministic if it does.
-                pool = [e for e in active_fleet() if e.role == role_needed]
-                if not pool:
-                    raise ConfigurationError(
-                        f"no active engine can serve role {role_needed!r}"
-                    )
-                chosen = min(pool, key=lambda e: (e.ready_time, e.engine_id))
-            else:
-                choice = self.router.choose(state, candidates, now)
-                chosen = next((e for e in candidates if e.engine_id == choice), None)
-                if chosen is None:
-                    raise ConfigurationError(
-                        f"router {self.router.name!r} chose engine {choice}, "
-                        f"not one of {[e.engine_id for e in candidates]}"
-                    )
-            chosen.core.enqueue(state, now)
-            return chosen
-
-        def redispatch(
-            states: list[RequestState], now: float
-        ) -> dict[int, _Engine]:
-            """Re-route requests off a drained or crashed engine.
-
-            The one requeue path both scale-down drains and crashes use:
-            states keep their original arrival times (queue-wait metrics
-            charge from first arrival, with no double-counting) and are
-            routed exactly like fresh arrivals.  Returns the touched
-            engines for the caller to kick.
-            """
-            touched: dict[int, _Engine] = {}
-            for state in states:
-                engine = dispatch(state, now)
-                touched[engine.engine_id] = engine
-                avail["redispatches"] += 1
-            return touched
-
-        def note_resolved(state: RequestState, now: float) -> None:
-            """Settle crash-recovery watches when a lost request resolves."""
-            request_id = state.spec.request_id
-            for crash_time, pending in crash_watches:
-                if request_id in pending:
-                    pending.discard(request_id)
-                    if not pending:
-                        recovery_times.append(now - crash_time)
-
-        def fail_request(state: RequestState, now: float) -> None:
-            """Record a request as failed (retry budget exhausted)."""
-            failed.append(state.spec)
-            note_resolved(state, now)
-            if autoscaler is not None:
-                autoscaler.observe(False)  # a failure always misses its SLO
-
-        def apply_crash(fault, now: float) -> None:
-            nonlocal budget_left
-            pool = active_fleet()
-            # Never kill the last engine able to serve a role — the fleet
-            # (like a real one behind a health-checked load balancer) keeps
-            # a minimum of one replica per role.
-            eligible = [
-                engine
-                for engine in pool
-                if sum(1 for other in pool if other.role == engine.role) > 1
-            ]
-            if not eligible:
-                return
-            victim = eligible[fault.target % len(eligible)]
-            victim.crashed = True
-            victim.removed_time = now
-            avail["crashes"] += 1
-            note_scale(
-                ScaleEvent(
-                    time=now,
-                    action=SCALE_CRASH,
-                    engine_id=victim.engine_id,
-                    fleet_size=len(active_fleet()),
-                    reason="injected fault",
-                )
+        records, rejected, failed = self.records, self.rejected, self.failed
+        arrivals = len(self.trace.requests)
+        if len(records) + len(rejected) + len(failed) != arrivals:
+            raise SimulationInvariantError(
+                "request accounting does not balance: "
+                f"{len(records)} completed + {len(rejected)} rejected + "
+                f"{len(failed)} failed != {arrivals} arrivals"
             )
-            # Queued requests lost no work: re-route them immediately, no
-            # retry attempt consumed.
-            touched = redispatch(victim.core.batcher.drain_waiting(), now)
-            # Admitted and in-flight requests lost their progress: retry
-            # from scratch after a backoff, or fail when out of budget.
-            watch: set[int] = set()
-            for state in victim.core.batcher.drain_running():
-                out_of_budget = budget_left is not None and budget_left <= 0
-                if state.retries + 1 >= policy.max_attempts or out_of_budget:
-                    fail_request(state, now)
-                    continue
-                state.retries += 1
-                avail["retries"] += 1
-                if budget_left is not None:
-                    budget_left -= 1
-                delay = policy.backoff_delay(state.retries, state.spec.request_id)
-                heapq.heappush(
-                    heap, (now + delay, next(sequence), _RETRY, state)
-                )
-                if tracer is not None:
-                    tracer.instant(
-                        "retry",
-                        sim_time=now,
-                        category="cluster",
-                        track="cluster",
-                        request=state.spec.request_id,
-                        attempt=state.retries,
-                        backoff=delay,
-                    )
-                watch.add(state.spec.request_id)
-            if watch:
-                crash_watches.append((now, watch))
-            else:
-                recovery_times.append(0.0)  # nothing (left) to re-serve
-            for engine in touched.values():
-                kick(engine, now)
+        # Injected compile failures that never fired (no cache miss came)
+        # must not leak into a later run on the same latency model.
+        self.sim.latency_model.disarm_compile_failures()
+        return self._result()
 
-        def apply_slowdown(fault, now: float) -> None:
-            pool = active_fleet()
-            if not pool:
-                return
-            victim = pool[fault.target % len(pool)]
-            victim.slow_until = max(victim.slow_until, now + fault.duration)
-            victim.slow_factor = fault.factor
-            avail["slowdowns"] += 1
-            if tracer is not None:
-                tracer.instant(
+    # ------------------------------------------------------------- handlers
+    def _on_arrival(self, now: float, state: RequestState) -> None:
+        self.end_time = now
+        # Drain every arrival with this exact timestamp before kicking
+        # engines, so simultaneous requests (offline batches, burst heads)
+        # can share the iterations they trigger.
+        arrivals = [state]
+        heap = self.heap
+        while heap and heap[0][0] == now and heap[0][2] == self._on_arrival:
+            arrivals.append(heapq.heappop(heap)[3])
+        avg_queue = 0.0
+        if self.sim.degradation is not None:
+            ready = [e for e in self._active() if e.ready_time <= now]
+            avg_queue = sum(e.queue_depth for e in ready) / max(1, len(ready))
+        self._route((s for s in arrivals if self._admit(s, now, avg_queue)), now)
+        self._autoscale(now)
+
+    def _on_step_done(self, now: float, payload: tuple) -> None:
+        self.end_time = now
+        engine, batch = payload
+        if engine.crashed:
+            # Stale completion: the crash destroyed this iteration's work
+            # and already re-dispatched (or failed) its requests.
+            return
+        for state in engine.complete_iteration(batch, now):
+            if state.finished:
+                self._record(state, now)
+            else:
+                # Prefill finished: hand off to the decode pool.
+                delay = self.sim.disaggregation.handoff_delay
+                self._push(now + delay, self._on_handoff, state)
+        self._kick(engine, now)
+        self._autoscale(now)
+
+    def _on_engine_ready(self, now: float, engine: EngineCore) -> None:
+        self.end_time = now
+        # Queued requests are not yet admitted into any batch, so the front
+        # door rebalances them across the grown fleet in FCFS order —
+        # without this, a backlog that triggered the scale-up would stay
+        # pinned to the engines it queued on and the new engine would idle.
+        pending: list[RequestState] = []
+        for other in self.engines:
+            if other.active and other.ready_time <= now:
+                pending.extend(other.batcher.drain_waiting())
+        pending.sort(key=lambda s: (s.spec.arrival_time, s.spec.request_id))
+        self._route(pending, now, {engine.engine_id: engine})
+        self._autoscale(now)
+
+    def _on_handoff(self, now: float, state: RequestState) -> None:
+        # Hand-offs move work within the fleet: no autoscale.
+        self.end_time = now
+        self._kick(self._dispatch(state, now), now)
+
+    def _on_fault(self, now: float, fault: FaultEvent) -> None:
+        if fault.kind == FAULT_ENGINE_CRASH:
+            self._crash(fault, now)
+        elif fault.kind == FAULT_ENGINE_SLOWDOWN:
+            pool = self._active()
+            if pool:
+                victim = pool[fault.target % len(pool)]
+                victim.slow_until = max(victim.slow_until, now + fault.duration)
+                victim.slow_factor = fault.factor
+                self.num_slowdowns += 1
+                self._instant(
                     "fault-slowdown",
-                    sim_time=now,
-                    category="cluster",
-                    track="cluster",
+                    now,
                     engine=victim.engine_id,
                     factor=fault.factor,
                     duration=fault.duration,
                 )
-
-        def apply_corruption(fault) -> None:
-            store = self.latency_model.session.store
+        elif fault.kind == FAULT_COMPILE_FAILURE:
+            self.sim.latency_model.inject_compile_failures(fault.count)
+            self.num_compile_faults += fault.count
+            self._instant("fault-compile-failure", now, count=fault.count)
+        else:  # FAULT_STORE_CORRUPTION
+            store = self.sim.latency_model.session.store
             if store is not None and store.corrupt_entry(fault.target):
-                avail["store_corruptions"] += 1
+                self.num_store_corruptions += 1
+            self._instant("fault-store-corruption", now, target=fault.target)
+        self._autoscale(now)
 
-        def autoscale(now: float) -> None:
-            active = active_fleet()
-            total_waiting = sum(
-                engine.core.queue_depth
-                for engine in active
-                if engine.ready_time <= now
+    def _on_retry(self, now: float, state: RequestState) -> None:
+        # A crash-lost request returns from its backoff delay and is routed
+        # like a fresh arrival (with its progress reset).
+        self.end_time = now
+        self.num_redispatches += 1
+        self._kick(self._dispatch(state, now), now)
+        self._autoscale(now)
+
+    # -------------------------------------------------------------- helpers
+    def _push(self, time: float, handler: Callable, payload: object) -> None:
+        heapq.heappush(self.heap, (time, next(self.sequence), handler, payload))
+
+    def _instant(self, name: str, now: float, **attrs) -> None:
+        """Place one instant on the tracer's ``cluster`` track."""
+        if self.tracer is not None:
+            self.tracer.instant(
+                name, sim_time=now, category="cluster", track="cluster", **attrs
             )
-            decision = autoscaler.decide(now, len(active), total_waiting)
-            if decision is None:
-                return
-            config = self.autoscaler_config
-            reason = (
-                f"avg_queue={total_waiting / max(1, len(active)):.3g}, "
-                f"attainment={autoscaler.attainment:.3g}"
+
+    def _note_scale(
+        self, now: float, action: str, engine: EngineCore, reason: str
+    ) -> None:
+        event = ScaleEvent(
+            time=now,
+            action=action,
+            engine_id=engine.engine_id,
+            fleet_size=len(self._active()),
+            reason=reason,
+        )
+        self.scale_events.append(event)
+        self._instant(
+            f"scale-{action}",
+            now,
+            engine=event.engine_id,
+            fleet_size=event.fleet_size,
+            reason=reason,
+        )
+
+    def _add_engine(self, role: str, added: float, ready: float) -> EngineCore:
+        engine = EngineCore(
+            self.sim.latency_model,
+            self.sim.buckets,
+            engine_id=len(self.engines),
+            role=role,
+            added_time=added,
+            ready_time=ready,
+            tracer=self.tracer,
+        )
+        self.engines.append(engine)
+        return engine
+
+    def _active(self) -> list[EngineCore]:
+        return [engine for engine in self.engines if engine.active]
+
+    def _kick(self, engine: EngineCore, now: float) -> None:
+        """Start the engine's next iteration, or finalize a drain."""
+        if engine.busy or engine.removed_time is not None or engine.ready_time > now:
+            return
+        started = engine.start_iteration(now)
+        if started is not None:
+            batch, latency = started
+            # The hot path: push inline rather than through _push.
+            heapq.heappush(
+                self.heap,
+                (now + latency, next(self.sequence), self._on_step_done, (engine, batch)),
             )
-            if decision == "up":
-                engine = add_engine(
-                    ROLE_COLOCATED, now, now + config.warmup_delay
+        elif engine.draining and not engine.batcher.has_work():
+            engine.removed_time = now
+            self._note_scale(now, SCALE_REMOVE, engine, "drained empty")
+
+    def _dispatch(self, state: RequestState, now: float) -> EngineCore:
+        """Route one request to an engine's wait queue (no kick)."""
+        if self.sim.disaggregation is None:
+            role = ROLE_COLOCATED
+        elif state.spec.kind != DIFFUSION and state.prefill_pending:
+            role = ROLE_PREFILL
+        else:
+            role = ROLE_DECODE
+        candidates = [
+            e
+            for e in self.engines
+            if e.role == role and e.ready_time <= now and e.active
+        ]
+        if not candidates:
+            # Every engine of the pool is still warming — e.g. a crash took
+            # the pool's last ready engine while a scaled-up replacement
+            # warms (the crash guard counts warming engines as replicas).
+            # Park the request on the earliest-ready active engine; it
+            # starts once that engine is ready.
+            pool = [e for e in self._active() if e.role == role]
+            if not pool:
+                raise ConfigurationError(
+                    f"no active engine can serve role {role!r}"
                 )
-                heapq.heappush(
-                    heap, (engine.ready_time, next(sequence), _ENGINE_READY, engine)
+            chosen = min(pool, key=lambda e: (e.ready_time, e.engine_id))
+        else:
+            choice = self.sim.router.choose(state, candidates, now)
+            chosen = next((e for e in candidates if e.engine_id == choice), None)
+            if chosen is None:
+                raise ConfigurationError(
+                    f"router {self.sim.router.name!r} chose engine {choice}, "
+                    f"not one of {[e.engine_id for e in candidates]}"
                 )
-                note_scale(
-                    ScaleEvent(
-                        time=now,
-                        action=SCALE_ADD,
-                        engine_id=engine.engine_id,
-                        fleet_size=len(active_fleet()),
-                        reason=reason,
-                    )
-                )
-                return
-            # Scale down: drain the least-loaded *ready* engine, keeping at
-            # least one ready engine taking traffic.
-            ready = [engine for engine in active if engine.ready_time <= now]
-            if len(ready) < 2:
-                return
-            victim = min(
-                ready,
-                key=lambda e: (
-                    e.core.queue_depth + e.core.running,
-                    -e.engine_id,
-                ),
-            )
-            victim.draining = True
-            note_scale(
-                ScaleEvent(
-                    time=now,
-                    action=SCALE_DRAIN,
-                    engine_id=victim.engine_id,
-                    fleet_size=len(active_fleet()),
-                    reason=reason,
-                )
-            )
-            # Queued (unadmitted) requests re-route to the surviving fleet
-            # through the same requeue path a crash uses; admitted ones
-            # finish where they run.
-            for engine in redispatch(victim.core.batcher.drain_waiting(), now).values():
-                kick(engine, now)
-            kick(victim, now)  # finalizes immediately if already empty
+        chosen.batcher.enqueue(state, now)
+        return chosen
 
-        def slo_for_record(record: RequestRecord) -> SLOSpec | None:
-            return admission.slo_for(record.spec.tenant) or slo
+    def _route(
+        self,
+        states: Iterable[RequestState],
+        now: float,
+        touched: dict[int, EngineCore] | None = None,
+        *,
+        kick: bool = True,
+    ) -> dict[int, EngineCore]:
+        """Dispatch ``states`` in order, then kick every touched engine once.
 
-        while heap:
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind != _FAULT:
-                # Faults alone don't extend the makespan: a crash injected
-                # after the last completion destroys nothing and should not
-                # stretch utilization or goodput denominators.  The heap
-                # pops in time order, so the latest such event wins.
-                end_time = now
-            if kind == _STEP_DONE:  # the common event first
-                engine, batch = payload
-                if engine.crashed:
-                    # Stale completion: the crash destroyed this iteration's
-                    # work and already re-dispatched (or failed) its
-                    # requests.
-                    continue
-                for state in engine.core.complete_iteration(batch, now):
-                    if state.finished:
-                        record = RequestRecord(
-                            spec=state.spec,
-                            arrival_time=state.spec.arrival_time,
-                            started_time=state.started_time,
-                            first_token_time=state.first_token_time,
-                            completion_time=state.completion_time,
-                        )
-                        records.append(record)
-                        note_resolved(state, now)
-                        if autoscaler is not None:
-                            record_slo = slo_for_record(record)
-                            autoscaler.observe(
-                                record_slo.met_by(record)
-                                if record_slo is not None
-                                else True
-                            )
-                    else:
-                        # Prefill finished: hand off to the decode pool.
-                        delay = self.disaggregation.handoff_delay
-                        heapq.heappush(
-                            heap, (now + delay, next(sequence), _HANDOFF, state)
-                        )
-                kick(engine, now)
-            elif kind == _ARRIVAL:
-                # Drain every arrival with this exact timestamp before
-                # kicking engines, so simultaneous requests (offline
-                # batches, burst heads) can share the iterations they
-                # trigger.
-                batch_states = [payload]
-                while heap and heap[0][0] == now and heap[0][2] == _ARRIVAL:
-                    batch_states.append(heapq.heappop(heap)[3])
-                if self.degradation is not None:
-                    ready_now = [
-                        e for e in active_fleet() if e.ready_time <= now
-                    ]
-                    avg_queue = sum(
-                        e.core.queue_depth for e in ready_now
-                    ) / max(1, len(ready_now))
-                else:
-                    avg_queue = 0.0
-                touched: dict[int, _Engine] = {}
-                for state in batch_states:
-                    if not isinstance(state, RequestState):
-                        raise SimulationInvariantError(f"bad arrival {state!r}")
-                    if not admission.admit(state.spec.tenant, now):
-                        rejected.append(state.spec)
-                        continue
-                    if self.degradation is not None and self.degradation.should_shed(
-                        state.spec.tenant, avg_queue
-                    ):
-                        # Graceful degradation: shed at the front door by
-                        # tenant priority before queues collapse SLOs
-                        # fleet-wide.  Shed arrivals count as rejections.
-                        rejected.append(state.spec)
-                        avail["shed"] += 1
-                        if tracer is not None:
-                            tracer.instant(
-                                "shed",
-                                sim_time=now,
-                                category="cluster",
-                                track="cluster",
-                                request=state.spec.request_id,
-                                tenant=state.spec.tenant,
-                            )
-                        continue
-                    engine = dispatch(state, now)
-                    touched[engine.engine_id] = engine
-                for engine in touched.values():
-                    kick(engine, now)
-            elif kind == _ENGINE_READY:
-                # A scaled-up engine just warmed.  Queued requests are not
-                # yet admitted into any batch, so the front door rebalances
-                # them across the grown fleet in FCFS order — without this,
-                # a backlog that triggered the scale-up would stay pinned
-                # to the engines it queued on and the new engine would idle.
-                pending: list[RequestState] = []
-                for other in engines:
-                    if other.active and other.ready_time <= now:
-                        pending.extend(other.core.batcher.drain_waiting())
-                pending.sort(key=lambda s: (s.spec.arrival_time, s.spec.request_id))
-                touched = {payload.engine_id: payload}
-                for state in pending:
-                    chosen = dispatch(state, now)
-                    touched[chosen.engine_id] = chosen
-                for engine in touched.values():
-                    kick(engine, now)
-            elif kind == _FAULT:
-                fault = payload
-                if fault.kind == FAULT_ENGINE_CRASH:
-                    apply_crash(fault, now)
-                elif fault.kind == FAULT_ENGINE_SLOWDOWN:
-                    apply_slowdown(fault, now)
-                elif fault.kind == FAULT_COMPILE_FAILURE:
-                    self.latency_model.inject_compile_failures(fault.count)
-                    avail["compile_faults"] += fault.count
-                    if tracer is not None:
-                        tracer.instant(
-                            "fault-compile-failure",
-                            sim_time=now,
-                            category="cluster",
-                            track="cluster",
-                            count=fault.count,
-                        )
-                else:  # FAULT_STORE_CORRUPTION
-                    apply_corruption(fault)
-                    if tracer is not None:
-                        tracer.instant(
-                            "fault-store-corruption",
-                            sim_time=now,
-                            category="cluster",
-                            track="cluster",
-                            target=fault.target,
-                        )
-            elif kind == _RETRY:
-                # A crash-lost request returns from its backoff delay and
-                # is routed like a fresh arrival (with its progress reset).
-                avail["redispatches"] += 1
-                kick(dispatch(payload, now), now)
-            elif kind == _HANDOFF:
-                kick(dispatch(payload, now), now)
-                continue  # hand-offs move work within the fleet: no autoscale
-            else:
-                raise SimulationInvariantError(f"unknown cluster event kind {kind!r}")
-            if autoscaler is not None:
-                autoscale(now)
+        ``touched`` pre-seeds engines to kick first; ``kick=False`` leaves
+        the kicks to the caller.  Returns the touched engines.
+        """
+        touched = {} if touched is None else touched
+        for state in states:
+            engine = self._dispatch(state, now)
+            touched[engine.engine_id] = engine
+        if kick:
+            for engine in touched.values():
+                self._kick(engine, now)
+        return touched
 
-        if any(engine.core.has_work() for engine in engines):
-            raise SimulationInvariantError(
-                "cluster simulation ended with unfinished requests"
+    def _requeue(
+        self, engine: EngineCore, now: float, *, kick: bool = True
+    ) -> dict[int, EngineCore]:
+        """Re-route a drained or crashed engine's queued requests.
+
+        The one requeue path scale-down drains and crashes share: states
+        keep their original arrival times (queue-wait metrics charge from
+        first arrival, with no double-counting) and are routed exactly like
+        fresh arrivals.
+        """
+        waiting = engine.batcher.drain_waiting()
+        self.num_redispatches += len(waiting)
+        return self._route(waiting, now, kick=kick)
+
+    def _admit(self, state: RequestState, now: float, avg_queue: float) -> bool:
+        """Admission control, then load shedding; record the rejected."""
+        spec = state.spec
+        if not self.admission.admit(spec.tenant, now):
+            self.rejected.append(spec)
+            return False
+        degradation = self.sim.degradation
+        if degradation is not None and degradation.should_shed(
+            spec.tenant, avg_queue
+        ):
+            # Graceful degradation: shed at the front door by tenant
+            # priority before queues collapse SLOs fleet-wide.  Shed
+            # arrivals count as rejections.
+            self.rejected.append(spec)
+            self.num_shed += 1
+            self._instant("shed", now, request=spec.request_id, tenant=spec.tenant)
+            return False
+        return True
+
+    def _slo_for(self, record: RequestRecord) -> SLOSpec | None:
+        return self.admission.slo_for(record.spec.tenant) or self.slo
+
+    def _record(self, state: RequestState, now: float) -> None:
+        record = RequestRecord(
+            spec=state.spec,
+            arrival_time=state.spec.arrival_time,
+            started_time=state.started_time,
+            first_token_time=state.first_token_time,
+            completion_time=state.completion_time,
+        )
+        self.records.append(record)
+        self._resolved(state, now)
+        if self.autoscaler is not None:
+            slo = self._slo_for(record)
+            self.autoscaler.observe(slo.met_by(record) if slo is not None else True)
+
+    def _fail(self, state: RequestState, now: float) -> None:
+        """Record a request as failed (retry budget exhausted)."""
+        self.failed.append(state.spec)
+        self._resolved(state, now)
+        if self.autoscaler is not None:
+            self.autoscaler.observe(False)  # a failure always misses its SLO
+
+    def _resolved(self, state: RequestState, now: float) -> None:
+        """Settle crash-recovery watches when a lost request resolves."""
+        request_id = state.spec.request_id
+        for crash_time, pending in self.crash_watches:
+            if request_id in pending:
+                pending.discard(request_id)
+                if not pending:
+                    self.recovery_times.append(now - crash_time)
+
+    def _crash(self, fault: FaultEvent, now: float) -> None:
+        pool = self._active()
+        # Never kill the last engine able to serve a role — the fleet (like
+        # a real one behind a health-checked load balancer) keeps a minimum
+        # of one replica per role.
+        eligible = [
+            engine
+            for engine in pool
+            if sum(1 for other in pool if other.role == engine.role) > 1
+        ]
+        if not eligible:
+            return
+        victim = eligible[fault.target % len(eligible)]
+        victim.crashed = True
+        victim.removed_time = now
+        self.num_crashes += 1
+        self._note_scale(now, SCALE_CRASH, victim, "injected fault")
+        # Queued requests lost no work: re-route them immediately, no retry
+        # attempt consumed.
+        touched = self._requeue(victim, now, kick=False)
+        # Admitted and in-flight requests lost their progress: retry from
+        # scratch after a backoff, or fail when out of budget.
+        policy = self.sim.retry_policy
+        watch: set[int] = set()
+        for state in victim.batcher.drain_running():
+            out_of_budget = self.budget_left is not None and self.budget_left <= 0
+            if state.retries + 1 >= policy.max_attempts or out_of_budget:
+                self._fail(state, now)
+                continue
+            state.retries += 1
+            self.num_retries += 1
+            if self.budget_left is not None:
+                self.budget_left -= 1
+            delay = policy.backoff_delay(state.retries, state.spec.request_id)
+            self._push(now + delay, self._on_retry, state)
+            self._instant(
+                "retry",
+                now,
+                request=state.spec.request_id,
+                attempt=state.retries,
+                backoff=delay,
             )
-        if len(records) + len(rejected) + len(failed) != len(trace.requests):
-            raise SimulationInvariantError(
-                "request accounting does not balance: "
-                f"{len(records)} completed + {len(rejected)} rejected + "
-                f"{len(failed)} failed != {len(trace.requests)} arrivals"
-            )
+            watch.add(state.spec.request_id)
+        if watch:
+            self.crash_watches.append((now, watch))
+        else:
+            self.recovery_times.append(0.0)  # nothing (left) to re-serve
+        for engine in touched.values():
+            self._kick(engine, now)
 
-        # Injected compile failures that never fired (no cache miss came)
-        # must not leak into a later run on the same latency model.
-        self.latency_model.disarm_compile_failures()
+    def _autoscale(self, now: float) -> None:
+        autoscaler = self.autoscaler
+        if autoscaler is None:
+            return
+        active = self._active()
+        total_waiting = sum(
+            engine.queue_depth for engine in active if engine.ready_time <= now
+        )
+        decision = autoscaler.decide(now, len(active), total_waiting)
+        if decision is None:
+            return
+        reason = (
+            f"avg_queue={total_waiting / max(1, len(active)):.3g}, "
+            f"attainment={autoscaler.attainment:.3g}"
+        )
+        if decision == "up":
+            warmup = self.sim.autoscaler_config.warmup_delay
+            engine = self._add_engine(ROLE_COLOCATED, now, now + warmup)
+            self._push(engine.ready_time, self._on_engine_ready, engine)
+            self._note_scale(now, SCALE_ADD, engine, reason)
+            return
+        # Scale down: drain the least-loaded *ready* engine, keeping at least
+        # one ready engine taking traffic.
+        ready = [engine for engine in active if engine.ready_time <= now]
+        if len(ready) < 2:
+            return
+        victim = min(ready, key=lambda e: (e.load, -e.engine_id))
+        victim.draining = True
+        self._note_scale(now, SCALE_DRAIN, victim, reason)
+        # Queued (unadmitted) requests re-route to the surviving fleet
+        # through the same requeue path a crash uses; admitted ones finish
+        # where they run.
+        self._requeue(victim, now)
+        self._kick(victim, now)  # finalizes immediately if already empty
+
+    # --------------------------------------------------------------- result
+    def _result(self) -> ClusterResult:
+        sim, model, end_time = self.sim, self.sim.latency_model, self.end_time
+        records, failed = self.records, self.failed
         met_under_faults = 0
         for record in records:
-            record_slo = admission.slo_for(record.spec.tenant) or slo
-            if record_slo is None or record_slo.met_by(record):
+            slo = self._slo_for(record)
+            if slo is None or slo.met_by(record):
                 met_under_faults += 1
         accepted = len(records) + len(failed)
         availability = AvailabilityMetrics(
-            num_crashes=avail["crashes"],
-            num_slowdowns=avail["slowdowns"],
-            num_compile_faults=avail["compile_faults"],
-            num_store_corruptions=avail["store_corruptions"],
-            num_retries=avail["retries"],
-            num_redispatches=avail["redispatches"],
+            num_crashes=self.num_crashes,
+            num_slowdowns=self.num_slowdowns,
+            num_compile_faults=self.num_compile_faults,
+            num_store_corruptions=self.num_store_corruptions,
+            num_retries=self.num_retries,
+            num_redispatches=self.num_redispatches,
             num_failed=len(failed),
-            num_shed=avail["shed"],
-            compile_fallbacks=(
-                self.latency_model.stats.get("fallbacks", 0) - fallback_base
-            ),
-            recovery_times=tuple(recovery_times),
+            num_shed=self.num_shed,
+            compile_fallbacks=model.stats.get("fallbacks", 0) - self.fallback_base,
+            recovery_times=tuple(self.recovery_times),
             goodput_under_faults_rps=(
                 met_under_faults / end_time if end_time > 0 else 0.0
             ),
@@ -928,9 +833,8 @@ class ClusterSimulator:
                 met_under_faults / accepted if accepted else 1.0
             ),
         )
-
         engine_records = []
-        for engine in engines:
+        for engine in self.engines:
             lifespan = (
                 engine.removed_time if engine.removed_time is not None else end_time
             ) - engine.ready_time
@@ -938,38 +842,32 @@ class ClusterSimulator:
                 EngineRecord(
                     engine_id=engine.engine_id,
                     role=engine.role,
-                    busy_time=engine.core.busy_time,
-                    num_iterations=engine.core.iterations,
-                    requests_completed=engine.core.completed,
+                    busy_time=engine.busy_time,
+                    num_iterations=engine.iterations,
+                    requests_completed=engine.completed,
                     added_time=engine.added_time,
                     ready_time=engine.ready_time,
                     removed_time=engine.removed_time,
                     utilization=(
-                        min(1.0, engine.core.busy_time / lifespan)
-                        if lifespan > 0
-                        else 0.0
+                        min(1.0, engine.busy_time / lifespan) if lifespan > 0 else 0.0
                     ),
                 )
             )
-
         return ClusterResult(
-            trace_name=trace.name,
-            policy=self.latency_model.policy,
+            trace_name=self.trace.name,
+            policy=model.policy,
             records=tuple(records),
             busy_time=sum(record.busy_time for record in engine_records),
             num_iterations=sum(r.num_iterations for r in engine_records),
-            compiled_shapes=tuple(self.latency_model.compiled_shapes()),
-            slo=slo,
-            router=self.router.name,
+            compiled_shapes=tuple(model.compiled_shapes()),
+            slo=self.slo,
+            router=sim.router.name,
             engines=tuple(engine_records),
-            scale_events=tuple(scale_events),
-            rejected=tuple(rejected),
+            scale_events=tuple(self.scale_events),
+            rejected=tuple(self.rejected),
             failed=tuple(failed),
-            num_arrivals=len(trace.requests),
+            num_arrivals=len(self.trace.requests),
             availability=availability,
-            tenants=tuple(self.tenants.values()),
-            store_hits=(
-                self.latency_model.session.stats.store_hits - store_base
-            ),
+            tenants=tuple(sim.tenants.values()),
+            store_hits=model.session.stats.store_hits - self.store_base,
         )
-

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, TypeVar
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 if TYPE_CHECKING:
     from repro.baselines.ideal import IdealResult
@@ -83,78 +84,11 @@ class CompilerPolicy(abc.ABC):
         """Compile ``compiler``'s workload and return the outcome."""
 
 
-_PolicyT = TypeVar("_PolicyT", bound=type)
+_POLICIES: Registry[CompilerPolicy] = Registry("policy", CompilerPolicy)
 
-#: Registered policy classes, in registration order (dicts preserve it).
-_REGISTRY: dict[str, type[CompilerPolicy]] = {}
-
-
-def register_policy(
-    name: str, *, replace: bool = False
-) -> Callable[[_PolicyT], _PolicyT]:
-    """Class decorator registering a :class:`CompilerPolicy` under ``name``.
-
-    Args:
-        name: Policy name used by ``compile(policy=...)``; lower-cased.
-        replace: Allow overwriting an existing registration (tests, notebook
-            re-runs).  Without it a duplicate name raises
-            :class:`~repro.errors.ConfigurationError`.
-    """
-
-    key = name.lower()
-
-    def decorator(cls: _PolicyT) -> _PolicyT:
-        if not (isinstance(cls, type) and issubclass(cls, CompilerPolicy)):
-            raise ConfigurationError(
-                f"@register_policy({name!r}) expects a CompilerPolicy subclass, "
-                f"got {cls!r}"
-            )
-        if not replace and key in _REGISTRY:
-            raise ConfigurationError(
-                f"policy {key!r} is already registered by "
-                f"{_REGISTRY[key].__qualname__}; pass replace=True to override"
-            )
-        cls.name = key
-        _REGISTRY[key] = cls
-        return cls
-
-    return decorator
-
-
-def unregister_policy(name: str) -> None:
-    """Remove a registered policy (primarily for test cleanup)."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(f"policy {key!r} is not registered")
-    del _REGISTRY[key]
-
-
-def get_policy(name: str) -> CompilerPolicy:
-    """Instantiate the policy registered under ``name``.
-
-    Raises:
-        ConfigurationError: If no policy has been registered under ``name``.
-    """
-    key = name.lower()
-    try:
-        cls = _REGISTRY[key]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown policy {name!r}; expected one of {available_policies()}"
-        ) from None
-    return cls()
-
-
-def is_registered(name: str) -> bool:
-    """Whether a policy is registered under ``name``."""
-    return name.lower() in _REGISTRY
-
-
-def available_policies() -> tuple[str, ...]:
-    """Names of every registered policy, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def policy_descriptions() -> dict[str, str]:
-    """``{name: description}`` of every registered policy."""
-    return {name: cls.description for name, cls in _REGISTRY.items()}
+register_policy = _POLICIES.register
+unregister_policy = _POLICIES.unregister
+get_policy = _POLICIES.get
+is_registered = _POLICIES.is_registered
+available_policies = _POLICIES.available
+policy_descriptions = _POLICIES.descriptions

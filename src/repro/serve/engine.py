@@ -2,11 +2,12 @@
 
 :class:`EngineCore` bundles what it means to *be* a continuously-batched
 engine inside a discrete-event loop: a :class:`ContinuousBatcher`, the shared
-:class:`StepLatencyModel` its iterations are timed by, and the busy/credit
-accounting of one engine.  The fleet simulator in :mod:`repro.cluster` —
-the only event loop — drives one core per engine on one heap; a
-single-engine run (:class:`~repro.serve.simulator.ServingSimulator`) is a
-one-engine fleet.
+:class:`StepLatencyModel` its iterations are timed by, the busy/credit
+accounting of one engine, and its fleet lifecycle (role, warm-up, drain,
+crash, straggler window).  The fleet simulator in :mod:`repro.cluster` —
+the only event loop — drives one core per engine on one heap and hands the
+live cores to routers; a single-engine run
+(:class:`~repro.serve.simulator.ServingSimulator`) is a one-engine fleet.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.serve.batching import (
     PHASE_BOTH,
+    PHASE_DECODE,
+    PHASE_PREFILL,
     Batch,
     BatchBuckets,
     ContinuousBatcher,
@@ -26,9 +29,24 @@ from repro.serve.batching import (
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
+#: Engine roles within a fleet.
+ROLE_COLOCATED = "colocated"
+ROLE_PREFILL = "prefill"
+ROLE_DECODE = "decode"
+
+_ROLE_PHASES = {
+    ROLE_COLOCATED: PHASE_BOTH,
+    ROLE_PREFILL: PHASE_PREFILL,
+    ROLE_DECODE: PHASE_DECODE,
+}
+
 
 class EngineCore:
     """The mutable run state of one continuously-batched serving engine.
+
+    Routers read live cores through the
+    :class:`~repro.cluster.router.EngineView` shape (``engine_id``,
+    ``queue_depth``, ``running``, ``in_flight_tokens``, ``load``).
 
     Args:
         latency_model: Bucketed step latencies (typically shared across a
@@ -36,8 +54,10 @@ class EngineCore:
         buckets: Shape grid for this engine's batcher (defaults to the
             latency model's, so admission caps and compiled shapes agree).
         engine_id: Stable identifier within a fleet (0 for solo engines).
-        phase: ``"both"`` (colocated), ``"prefill"``, or ``"decode"`` —
-            forwarded to the batcher.
+        role: ``"colocated"``, ``"prefill"``, or ``"decode"`` — selects the
+            batcher's phase.
+        added_time: When the engine joined the fleet.
+        ready_time: When it finishes warming and may take traffic.
         tracer: Optional :class:`repro.obs.Tracer` receiving one
             ``iteration`` span per executed iteration on the
             ``engine/<id>`` track, plus the batcher's request lifecycle
@@ -48,10 +68,14 @@ class EngineCore:
         busy_time: Total time spent executing iterations.
         iterations: Iterations executed.
         completed: Requests finished on this engine.
-        latency_scale: Multiplier on every iteration's latency (1.0 =
-            healthy).  Fault injection raises it to model a straggling
-            engine; the stretched time is real wall-clock the engine spends
-            busy, so ``busy_time`` scales with it.
+        draining: Whether the autoscaler is draining the engine away.
+        removed_time: When it left the fleet, drained or crashed (``None``
+            while it serves).
+        crashed: Whether a fault crashed it.
+        slow_until / slow_factor: A straggler window: iterations *started*
+            before ``slow_until`` stretch by ``slow_factor``; the stretched
+            time is real wall-clock the engine spends busy, so
+            ``busy_time`` scales with it.
     """
 
     def __init__(
@@ -60,26 +84,37 @@ class EngineCore:
         buckets: BatchBuckets | None = None,
         *,
         engine_id: int = 0,
-        phase: str = PHASE_BOTH,
+        role: str = ROLE_COLOCATED,
+        added_time: float = 0.0,
+        ready_time: float = 0.0,
         tracer: "Tracer | None" = None,
     ) -> None:
         self.engine_id = engine_id
         self.latency_model = latency_model
-        self.batcher = ContinuousBatcher(buckets or latency_model.buckets, phase=phase)
+        self.batcher = ContinuousBatcher(
+            buckets or latency_model.buckets, phase=_ROLE_PHASES[role]
+        )
         self.tracer = tracer
         self.batcher.tracer = tracer
         self.batcher.engine_id = engine_id
+        self.role = role
+        self.added_time = added_time
+        self.ready_time = ready_time
         self.busy = False
         self.busy_time = 0.0
         self.iterations = 0
         self.completed = 0
-        self.latency_scale = 1.0
+        self.draining = False
+        self.removed_time: float | None = None
+        self.crashed = False
+        self.slow_until = 0.0
+        self.slow_factor = 1.0
 
     # ---------------------------------------------------------- load signals
     @property
-    def phase(self) -> str:
-        """The engine's phase (``"both"``, ``"prefill"``, or ``"decode"``)."""
-        return self.batcher.phase
+    def active(self) -> bool:
+        """Whether the engine is in the fleet and not draining."""
+        return not self.draining and self.removed_time is None
 
     @property
     def queue_depth(self) -> int:
@@ -91,29 +126,26 @@ class EngineCore:
         """Requests admitted and unfinished."""
         return self.batcher.running
 
-    def has_work(self) -> bool:
-        """Whether any request is waiting or running."""
-        return self.batcher.has_work()
+    @property
+    def load(self) -> int:
+        """Requests the engine currently owns (queued plus running)."""
+        return self.batcher.waiting + self.batcher.running
 
+    @property
     def in_flight_tokens(self) -> int:
         """Output units still owed to this engine's requests."""
         return self.batcher.in_flight_tokens()
 
     # ------------------------------------------------------------- operations
-    def enqueue(self, state: RequestState, now: float | None = None) -> None:
-        """Hand one request to this engine's wait queue.
-
-        ``now`` stamps the queue-phase span when tracing (see
-        :meth:`ContinuousBatcher.enqueue`).
-        """
-        self.batcher.enqueue(state, now)
-
     def start_iteration(self, now: float) -> tuple[Batch, float] | None:
         """Form and charge the next iteration; ``None`` if nothing runnable.
 
         On success the engine is busy until the caller delivers the
         returned ``(batch, latency)`` back through
-        :meth:`complete_iteration` at ``now + latency``.
+        :meth:`complete_iteration` at ``now + latency``.  Inside a
+        straggler window the latency stretches by ``slow_factor``; an
+        iteration already in flight when the window opens keeps its
+        original latency.
         """
         batch = self.batcher.form_batch(now)
         if batch is None:
@@ -123,9 +155,8 @@ class EngineCore:
             raise ConfigurationError(
                 f"non-positive step latency for batch {batch.group}"
             )
-        if self.latency_scale < 1.0:
-            raise ConfigurationError("latency_scale must be >= 1.0")
-        latency *= self.latency_scale
+        if now < self.slow_until:
+            latency *= self.slow_factor
         self.iterations += 1
         self.busy_time += latency
         self.busy = True

@@ -3,8 +3,8 @@
 A scenario bundles what a serving study needs besides the hardware: the
 request mix (:class:`~repro.serve.workload.RequestShape`), the arrival
 process, the shape grid the engine compiles, and the SLO goodput is judged
-against.  Scenarios register by name — mirroring
-:mod:`repro.compiler.registry` — so studies, benchmarks, and future
+against.  Scenarios register by name in a
+:class:`repro.registry.Registry`, so studies, benchmarks, and future
 subsystems (autoscaling, multi-tenant sharding) can enumerate and extend
 them without touching the simulator:
 
@@ -25,11 +25,11 @@ and mixed LLM + DiT traffic on one engine.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, ClassVar, TypeVar
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.api.service import Session
 from repro.arch.chip import SystemConfig
-from repro.errors import ConfigurationError
+from repro.registry import Registry
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.preload_order import OrderSearchConfig
 from repro.serve.batching import BatchBuckets
@@ -83,64 +83,13 @@ class ServingScenario(abc.ABC):
         """
 
 
-_ScenarioT = TypeVar("_ScenarioT", bound=type)
+_SCENARIOS: Registry[ServingScenario] = Registry("scenario", ServingScenario)
 
-#: Registered scenario classes, in registration order (dicts preserve it).
-_REGISTRY: dict[str, type[ServingScenario]] = {}
-
-
-def register_scenario(
-    name: str, *, replace: bool = False
-) -> Callable[[_ScenarioT], _ScenarioT]:
-    """Class decorator registering a :class:`ServingScenario` under ``name``."""
-    key = name.lower()
-
-    def decorator(cls: _ScenarioT) -> _ScenarioT:
-        if not (isinstance(cls, type) and issubclass(cls, ServingScenario)):
-            raise ConfigurationError(
-                f"@register_scenario({name!r}) expects a ServingScenario "
-                f"subclass, got {cls!r}"
-            )
-        if not replace and key in _REGISTRY:
-            raise ConfigurationError(
-                f"scenario {key!r} is already registered by "
-                f"{_REGISTRY[key].__qualname__}; pass replace=True to override"
-            )
-        cls.name = key
-        _REGISTRY[key] = cls
-        return cls
-
-    return decorator
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove a registered scenario (primarily for test cleanup)."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(f"scenario {key!r} is not registered")
-    del _REGISTRY[key]
-
-
-def get_scenario(name: str) -> ServingScenario:
-    """Instantiate the scenario registered under ``name``."""
-    key = name.lower()
-    try:
-        cls = _REGISTRY[key]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; expected one of {available_scenarios()}"
-        ) from None
-    return cls()
-
-
-def available_scenarios() -> tuple[str, ...]:
-    """Names of every registered scenario, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def scenario_descriptions() -> dict[str, str]:
-    """``{name: description}`` of every registered scenario."""
-    return {name: cls.description for name, cls in _REGISTRY.items()}
+register_scenario = _SCENARIOS.register
+unregister_scenario = _SCENARIOS.unregister
+get_scenario = _SCENARIOS.get
+available_scenarios = _SCENARIOS.available
+scenario_descriptions = _SCENARIOS.descriptions
 
 
 # --------------------------------------------------------------------------- #

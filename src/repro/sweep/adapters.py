@@ -4,8 +4,8 @@ An adapter is the thin translation layer between a declarative point
 configuration (plain JSON values from a :class:`~repro.sweep.spec.SweepSpec`)
 and one of the repo's execution paths — the serving simulator, the cluster
 fleet, the chaos harness, cold compile timing, a raw compile grid, or the
-DSE explorer.  Adapters register by name, mirroring
-:mod:`repro.compiler.registry`, so new sweep families plug in without
+DSE explorer.  Adapters register by name in a
+:class:`repro.registry.Registry`, so new sweep families plug in without
 touching the runner:
 
 >>> @register_adapter("my-study")
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from repro.api.service import CompileRequest, Session
 from repro.api.store import ArtifactStore
@@ -38,6 +38,7 @@ from repro.cluster import (
     simulate_cluster_scenario,
 )
 from repro.errors import ConfigurationError, ElkError
+from repro.registry import Registry
 from repro.serve.scenarios import make_serving_session, simulate_scenario
 from repro.sweep.journal import config_digest
 
@@ -102,63 +103,13 @@ class SweepAdapter(abc.ABC):
         """Execute one point; return its flat result row."""
 
 
-_AdapterT = TypeVar("_AdapterT", bound=type)
+_ADAPTERS: Registry[SweepAdapter] = Registry("sweep adapter", SweepAdapter)
 
-_REGISTRY: dict[str, type[SweepAdapter]] = {}
-
-
-def register_adapter(
-    name: str, *, replace: bool = False
-) -> Callable[[_AdapterT], _AdapterT]:
-    """Class decorator registering a :class:`SweepAdapter` under ``name``."""
-    key = name.lower()
-
-    def decorator(cls: _AdapterT) -> _AdapterT:
-        if not (isinstance(cls, type) and issubclass(cls, SweepAdapter)):
-            raise ConfigurationError(
-                f"@register_adapter({name!r}) expects a SweepAdapter subclass, "
-                f"got {cls!r}"
-            )
-        if not replace and key in _REGISTRY:
-            raise ConfigurationError(
-                f"sweep adapter {key!r} is already registered by "
-                f"{_REGISTRY[key].__qualname__}; pass replace=True to override"
-            )
-        cls.name = key
-        _REGISTRY[key] = cls
-        return cls
-
-    return decorator
-
-
-def unregister_adapter(name: str) -> None:
-    """Remove a registered adapter (primarily for test cleanup)."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(f"sweep adapter {key!r} is not registered")
-    del _REGISTRY[key]
-
-
-def get_adapter(name: str) -> SweepAdapter:
-    """Instantiate the adapter registered under ``name``."""
-    key = name.lower()
-    try:
-        cls = _REGISTRY[key]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown sweep adapter {name!r}; expected one of {available_adapters()}"
-        ) from None
-    return cls()
-
-
-def available_adapters() -> tuple[str, ...]:
-    """Names of every registered adapter, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def adapter_descriptions() -> dict[str, str]:
-    """``{name: description}`` of every registered adapter."""
-    return {name: cls.description for name, cls in _REGISTRY.items()}
+register_adapter = _ADAPTERS.register
+unregister_adapter = _ADAPTERS.unregister
+get_adapter = _ADAPTERS.get
+available_adapters = _ADAPTERS.available
+adapter_descriptions = _ADAPTERS.descriptions
 
 
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ reproducibility contract.
 import pytest
 
 from repro.cluster import (
+    AutoscalerConfig,
     ClusterSimulator,
     DegradationPolicy,
     FaultEvent,
@@ -349,6 +350,43 @@ def test_crash_never_takes_the_last_engine(chaos_session, small_system):
     assert result.availability.num_crashes == 1
     assert len(result.records) + len(result.failed) == len(trace)
     assert result.accounting_balanced
+
+
+def test_crash_of_the_last_ready_engine_parks_work_on_a_warming_one(
+    chaos_session, small_system
+):
+    # The crash guard counts a warming engine as a replica, so a crash can
+    # take the only *ready* engine while the autoscaler's replacement is
+    # still warming.  Requests routed in that gap park on the warming
+    # engine and must not start before it is ready.
+    crash_time = 0.12
+    trace = poisson_trace(
+        400.0, 64, seed=0,
+        shapes=RequestShape(model="tiny-llm", prefill_tokens=(64, 256),
+                            decode_tokens=(8, 48)),
+    )
+    result = ClusterSimulator(
+        StepLatencyModel(chaos_session, small_system, "basic"),
+        num_engines=1,
+        autoscaler=AutoscalerConfig(
+            scale_up_queue_depth=1.0,
+            scale_down_queue_depth=0.1,
+            cooldown=0.0,
+            warmup_delay=0.5,
+        ),
+        faults=FaultSchedule("last-ready", (_crash(crash_time, target=0),)),
+    ).run(trace)
+    first, warming = result.engines[0], result.engines[1]
+    assert first.removed_time == crash_time
+    assert warming.added_time < crash_time < warming.ready_time
+    assert result.accounting_balanced
+    assert not result.failed
+    assert warming.requests_completed > 0
+    assert not [
+        record
+        for record in result.records
+        if crash_time <= record.started_time < warming.ready_time
+    ]
 
 
 def test_slowdown_stretches_the_run(chaos_session, small_system):

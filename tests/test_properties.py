@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import scaled_chip, scaled_system
-from repro.cluster import ClusterSimulator, random_faults
+from repro.cluster import (
+    AutoscalerConfig,
+    ClusterSimulator,
+    DisaggregationConfig,
+    TenantSpec,
+    random_faults,
+)
 from repro.cost import AnalyticCostModel
 from repro.ir import FP16, TensorSpec, make_matmul
 from repro.ir.models.config import TransformerConfig
@@ -13,6 +19,7 @@ from repro.ir.models.transformer import build_decode_graph
 from repro.partition import enumerate_execute_plans, enumerate_preload_plans
 from repro.serve import (
     RequestShape,
+    SLOSpec,
     StepLatencyModel,
     make_serving_session,
     poisson_trace,
@@ -123,10 +130,14 @@ def serving_session():
     num_engines=st.integers(1, 3),
     router=st.sampled_from(["round-robin", "least-loaded", "session-affinity"]),
     fault_seed=st.none() | st.integers(0, 2**16),
+    # Autoscaling and disaggregation cannot be combined: draw one or neither.
+    fleet=st.sampled_from(["fixed", "autoscaled", "disaggregated"]),
+    warmup_delay=st.sampled_from([0.0, 0.005, 0.05]),
+    tenant_quota=st.none() | st.sampled_from([100.0, 1000.0]),
 )
 def test_serving_loop_invariants(
     serving_session, num_requests, rate, trace_seed, mixed, num_engines, router,
-    fault_seed,
+    fault_seed, fleet, warmup_delay, tenant_quota,
 ):
     """Accounting balances, timestamps are ordered, reruns are identical."""
     trace = poisson_trace(
@@ -145,19 +156,48 @@ def test_serving_loop_invariants(
             compile_failure_rate=1 / duration,
             seed=fault_seed,
         )
+    fleet_options = {}
+    if fleet == "autoscaled":
+        fleet_options["autoscaler"] = AutoscalerConfig(
+            max_engines=4,
+            scale_up_queue_depth=2.0,
+            scale_down_queue_depth=0.5,
+            cooldown=0.002,
+            warmup_delay=warmup_delay,
+        )
+    elif fleet == "disaggregated":
+        fleet_options["disaggregation"] = DisaggregationConfig(
+            prefill_engines=num_engines,
+            decode_engines=num_engines,
+            handoff_delay=warmup_delay,
+        )
+    if tenant_quota is not None:
+        fleet_options["tenants"] = (
+            TenantSpec(
+                "default", quota_rps=tenant_quota, burst=2, slo=SLOSpec(ttft=5e-3)
+            ),
+        )
 
     def run():
         # A fresh latency model per run: compile-failure fallbacks depend on
         # what the model has compiled so far.
         model = StepLatencyModel(serving_session, _SERVING_SYSTEM, "basic")
         simulator = ClusterSimulator(
-            model, num_engines=num_engines, router=router, faults=faults
+            model,
+            num_engines=num_engines,
+            router=router,
+            faults=faults,
+            **fleet_options,
         )
         return simulator.run(trace)
 
     result = run()
     assert result.num_arrivals == num_requests
     assert result.accounting_balanced
+    # Every arrival ends up in exactly one place, exactly once.
+    resolved = [record.spec.request_id for record in result.records]
+    resolved += [spec.request_id for spec in result.rejected + result.failed]
+    assert sorted(resolved) == sorted(spec.request_id for spec in trace.requests)
     for record in result.records:
         assert (
             record.arrival_time
