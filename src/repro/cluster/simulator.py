@@ -424,6 +424,7 @@ class _FleetRun:
             self._push(fault.time, self._on_fault, fault)
 
     def run(self) -> ClusterResult:
+        """Handle events until the heap drains; check accounting; report."""
         heap = self.heap
         while heap:
             now, _, handler, payload = heapq.heappop(heap)
