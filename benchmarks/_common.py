@@ -15,10 +15,12 @@ benchmarks themselves run through :mod:`repro.sweep` specs.
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 
 from repro.api.store import ArtifactStore
 from repro.eval import ExperimentConfig, make_session
 from repro.eval.reporting import save_results
+from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.journal import append_journal, config_digest, resolve_cache_dir
 
 #: Directory where benchmark tables are persisted.
@@ -74,6 +76,10 @@ BENCH_CONFIG = ExperimentConfig(
     max_order_candidates=16 if not FULL else 64,
 )
 
+#: The scaled configuration as ``compile-grid`` point keys: the fixed config
+#: of the figure specs (Figs. 17-24).
+BENCH_POINT = asdict(BENCH_CONFIG)
+
 #: Default compile_many backend for the benchmarks ("thread" or "process";
 #: "process" parallelizes the GIL-bound compile path across cores).
 BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "thread")
@@ -101,6 +107,26 @@ def report(name: str, title: str, rows, columns=None, session=SESSION) -> str:
         artifact_path = session.save(os.path.join(RESULTS_DIR, "session_artifacts.json"))
         print(f"[{len(session.artifacts())} compile artifacts saved to {artifact_path}]")
     return text
+
+
+def run_figure(benchmark, spec: SweepSpec) -> list[dict]:
+    """Run one figure spec on the shared session, report it, return its rows.
+
+    The table is written as ``results/<spec.name>.txt`` under the spec's
+    description and columns.  Every point must produce a row: ``run_sweep``
+    turns any exception into an error row, so a failing point fails the
+    figure here instead of vanishing from its table.
+    """
+    result = benchmark.pedantic(
+        run_sweep,
+        args=(spec,),
+        kwargs=dict(session=SESSION, backend=BENCH_BACKEND),
+        rounds=1,
+        iterations=1,
+    )
+    report(spec.name, spec.description, result.rows, columns=spec.columns)
+    assert result.ok, result.errors
+    return result.rows
 
 
 def summarize_speedups(rows) -> dict[str, float]:

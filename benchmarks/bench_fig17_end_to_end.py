@@ -1,29 +1,31 @@
 """Figure 17: per-token serving latency of all designs across models/batches/sequences."""
 
-from _common import BENCH_CONFIG, FULL, SESSION, report, summarize_speedups
+from _common import BENCH_POINT, FULL, run_figure, summarize_speedups
 
-from repro.eval import end_to_end_latency
+from repro.compiler import POLICIES
+from repro.ir.models import PAPER_LLM_NAMES
+from repro.sweep import SweepSpec
 
-
-def _rows():
-    batch_sizes = (16, 32, 64) if FULL else (16, 32)
-    seq_lens = (2048, 4096) if FULL else (2048,)
-    return end_to_end_latency(
-        batch_sizes=batch_sizes, seq_lens=seq_lens, config=BENCH_CONFIG, session=SESSION
-    )
+SPEC = SweepSpec(
+    name="fig17_end_to_end",
+    adapter="compile-grid",
+    description="Fig. 17: per-token serving latency (4 ICCA chips, 16 TB/s HBM)",
+    axes={
+        "model": PAPER_LLM_NAMES,
+        "seq_len": (2048, 4096) if FULL else (2048,),
+        "batch_size": (16, 32, 64) if FULL else (16, 32),
+        "policy": POLICIES,
+    },
+    fixed=BENCH_POINT,
+    columns=(
+        "model", "batch_size", "seq_len", "policy", "latency_ms",
+        "hbm_utilization", "noc_utilization", "achieved_tflops",
+    ),
+)
 
 
 def test_fig17_end_to_end_latency(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig17_end_to_end",
-        "Fig. 17: per-token serving latency (4 ICCA chips, 16 TB/s HBM)",
-        rows,
-        columns=[
-            "model", "batch_size", "seq_len", "policy", "latency_ms",
-            "hbm_utilization", "noc_utilization", "achieved_tflops",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC)
     speedups = summarize_speedups(rows)
     print(f"Geomean speedup of Elk-Full: {speedups}")
     # Shape checks against the paper: Elk-Full beats Basic clearly, is at

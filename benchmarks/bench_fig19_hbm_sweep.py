@@ -1,31 +1,31 @@
 """Figure 19: per-token latency at varied HBM bandwidths on both topologies."""
 
-from _common import BENCH_CONFIG, FULL, SESSION, report
+from _common import BENCH_POINT, FULL, run_figure
 
-from repro.eval import hbm_bandwidth_sweep
-from repro.units import TB
+from repro.compiler import POLICIES
+from repro.ir.models import PAPER_LLM_NAMES
+from repro.sweep import SweepSpec
 
-
-def _rows():
-    models = ("llama2-13b", "llama2-70b") if not FULL else None
-    bandwidths = (4 * TB, 8 * TB, 16 * TB) if not FULL else (4 * TB, 8 * TB, 12 * TB, 16 * TB)
-    kwargs = {"hbm_bandwidths": bandwidths, "config": BENCH_CONFIG, "session": SESSION}
-    if models:
-        kwargs["models"] = models
-    return hbm_bandwidth_sweep(**kwargs)
+SPEC = SweepSpec(
+    name="fig19_hbm_sweep",
+    adapter="compile-grid",
+    description="Fig. 19: per-token latency vs HBM bandwidth (all-to-all and mesh)",
+    axes={
+        "topology": ("all_to_all", "mesh_2d"),
+        "hbm_bandwidth_TBps": (4.0, 8.0, 12.0, 16.0) if FULL else (4.0, 8.0, 16.0),
+        "model": PAPER_LLM_NAMES if FULL else ("llama2-13b", "llama2-70b"),
+        "policy": POLICIES,
+    },
+    fixed=BENCH_POINT,
+    columns=(
+        "model", "topology", "hbm_bandwidth_TBps", "policy",
+        "latency_ms", "hbm_utilization", "noc_utilization",
+    ),
+)
 
 
 def test_fig19_hbm_bandwidth_sweep(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig19_hbm_sweep",
-        "Fig. 19: per-token latency vs HBM bandwidth (all-to-all and mesh)",
-        rows,
-        columns=[
-            "model", "topology", "hbm_bandwidth_TBps", "policy",
-            "latency_ms", "hbm_utilization", "noc_utilization",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC)
     # Trend check: for Elk-Full, more HBM bandwidth never hurts, and the
     # benefit of the last doubling is smaller than the first (diminishing returns).
     by_key: dict[tuple, list[dict]] = {}

@@ -1,33 +1,30 @@
 """Figure 20: Llama2-13B latency breakdown at varied HBM bandwidths (all-to-all)."""
 
-from _common import BENCH_CONFIG, SESSION, report
+from _common import BENCH_POINT, run_figure
 
-from repro.eval import hbm_bandwidth_sweep
-from repro.units import TB
+from repro.compiler import POLICIES
+from repro.sweep import SweepSpec
 
-
-def _rows():
-    return hbm_bandwidth_sweep(
-        models=("llama2-13b",),
-        hbm_bandwidths=(6 * TB, 10 * TB, 16 * TB),
-        topologies=("all_to_all",),
-        config=BENCH_CONFIG,
-        session=SESSION,
-    )
+SPEC = SweepSpec(
+    name="fig20_breakdown_hbm",
+    adapter="compile-grid",
+    description="Fig. 20: Llama2-13B latency breakdown vs HBM bandwidth (all-to-all)",
+    axes={
+        "topology": ("all_to_all",),
+        "hbm_bandwidth_TBps": (6.0, 10.0, 16.0),
+        "policy": POLICIES,
+    },
+    fixed={**BENCH_POINT, "model": "llama2-13b"},
+    columns=(
+        "hbm_bandwidth_TBps", "policy", "latency_ms",
+        "breakdown_preload_ms", "breakdown_execute_ms",
+        "breakdown_overlapped_ms", "breakdown_interconnect_ms",
+    ),
+)
 
 
 def test_fig20_breakdown_vs_hbm_bandwidth(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig20_breakdown_hbm",
-        "Fig. 20: Llama2-13B latency breakdown vs HBM bandwidth (all-to-all)",
-        rows,
-        columns=[
-            "hbm_bandwidth_TBps", "policy", "latency_ms",
-            "breakdown_preload_ms", "breakdown_execute_ms",
-            "breakdown_overlapped_ms", "breakdown_interconnect_ms",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC)
     # Basic's non-overlapped preload share shrinks much less than Elk's as HBM
     # speeds up, because Basic cannot exploit the extra bandwidth.
     basic = [r for r in rows if r["policy"] == "basic"]

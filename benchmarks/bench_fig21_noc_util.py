@@ -1,31 +1,30 @@
 """Figure 21: interconnect utilization at varied HBM bandwidths, both topologies."""
 
-from _common import BENCH_CONFIG, SESSION, report
+from _common import BENCH_POINT, run_figure
 
-from repro.eval import hbm_bandwidth_sweep
-from repro.units import TB
+from repro.compiler import POLICIES
+from repro.sweep import SweepSpec
 
-
-def _rows():
-    return hbm_bandwidth_sweep(
-        models=("llama2-13b", "gemma2-27b"),
-        hbm_bandwidths=(8 * TB, 16 * TB),
-        config=BENCH_CONFIG,
-        session=SESSION,
-    )
+SPEC = SweepSpec(
+    name="fig21_noc_util",
+    adapter="compile-grid",
+    description="Fig. 21: interconnect utilization vs HBM bandwidth (all-to-all vs mesh)",
+    axes={
+        "topology": ("all_to_all", "mesh_2d"),
+        "hbm_bandwidth_TBps": (8.0, 16.0),
+        "model": ("llama2-13b", "gemma2-27b"),
+        "policy": POLICIES,
+    },
+    fixed=BENCH_POINT,
+    columns=(
+        "model", "topology", "hbm_bandwidth_TBps", "policy",
+        "noc_utilization", "hbm_utilization", "latency_ms",
+    ),
+)
 
 
 def test_fig21_noc_utilization(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig21_noc_util",
-        "Fig. 21: interconnect utilization vs HBM bandwidth (all-to-all vs mesh)",
-        rows,
-        columns=[
-            "model", "topology", "hbm_bandwidth_TBps", "policy",
-            "noc_utilization", "hbm_utilization", "latency_ms",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC)
     # Mesh chips run their interconnect hotter than all-to-all chips at the
     # same HBM bandwidth (multi-hop HBM delivery), for the same design.
     paired: dict[tuple, dict[str, float]] = {}

@@ -1,34 +1,30 @@
 """Figure 22: Llama2-70B latency at varied interconnect bandwidths."""
 
-from _common import BENCH_CONFIG, FULL, SESSION, report
+from _common import BENCH_POINT, FULL, run_figure
 
-from repro.eval import noc_bandwidth_sweep
-from repro.units import TB
+from repro.compiler import POLICIES
+from repro.sweep import SweepSpec
 
-
-def _rows():
-    noc = (24 * TB, 32 * TB, 48 * TB) if not FULL else (24 * TB, 32 * TB, 40 * TB, 48 * TB)
-    hbm = (8 * TB, 16 * TB) if not FULL else (8 * TB, 12 * TB, 16 * TB)
-    return noc_bandwidth_sweep(
-        noc_bandwidths=noc,
-        hbm_bandwidths=hbm,
-        topologies=("all_to_all",) if not FULL else ("all_to_all", "mesh_2d"),
-        config=BENCH_CONFIG,
-        session=SESSION,
-    )
+SPEC = SweepSpec(
+    name="fig22_noc_sweep",
+    adapter="compile-grid",
+    description="Fig. 22: Llama2-70B latency vs total interconnect bandwidth",
+    axes={
+        "topology": ("all_to_all", "mesh_2d") if FULL else ("all_to_all",),
+        "hbm_bandwidth_TBps": (8.0, 12.0, 16.0) if FULL else (8.0, 16.0),
+        "noc_bandwidth_TBps": (24.0, 32.0, 40.0, 48.0) if FULL else (24.0, 32.0, 48.0),
+        "policy": POLICIES,
+    },
+    fixed={**BENCH_POINT, "model": "llama2-70b"},
+    columns=(
+        "topology", "hbm_bandwidth_TBps", "noc_bandwidth_TBps", "policy",
+        "latency_ms", "noc_utilization",
+    ),
+)
 
 
 def test_fig22_noc_bandwidth_sweep(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report(
-        "fig22_noc_sweep",
-        "Fig. 22: Llama2-70B latency vs total interconnect bandwidth",
-        rows,
-        columns=[
-            "topology", "hbm_bandwidth_TBps", "noc_bandwidth_TBps", "policy",
-            "latency_ms", "noc_utilization",
-        ],
-    )
+    rows = run_figure(benchmark, SPEC)
     # With low HBM bandwidth, raising the NoC bandwidth brings little benefit
     # (HBM is the bottleneck); with high HBM bandwidth the NoC matters more.
     elk = [r for r in rows if r["policy"] == "elk-full" and "latency_ms" in r]

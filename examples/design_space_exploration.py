@@ -7,12 +7,11 @@ each design point — reproducing the paper's §6.4 insights: HBM bandwidth
 helps decode until the interconnect becomes the bottleneck, and the two
 must scale together.
 
-The HBM-bandwidth sweep (insight 1) runs through the declarative
-:mod:`repro.sweep` harness — the same spec is checked in as
+Each study is a declarative ``compile-grid`` :class:`~repro.sweep.SweepSpec`
+— the same path as the figure benchmarks — and all three share one
+compile session.  The HBM-bandwidth study (insight 1) is also checked in as
 ``examples/sweeps/dse_hbm_bandwidth.json`` for the CLI
-(``python -m repro.sweep run examples/sweeps/dse_hbm_bandwidth.json``) —
-while insights 2 and 3 stay on the explorer directly, sharing one compile
-session across all three studies.
+(``python -m repro.sweep run examples/sweeps/dse_hbm_bandwidth.json``).
 
 Run with::
 
@@ -21,69 +20,74 @@ Run with::
 
 from __future__ import annotations
 
+from repro.api import Session
 from repro.arch.interconnect import ALL_TO_ALL, MESH_2D
-from repro.compiler import WorkloadSpec
-from repro.dse import DesignPoint, DesignSpaceExplorer
-from repro.eval import ExperimentConfig
+from repro.dse import bottleneck, diminishing_returns
 from repro.sweep import SweepSpec, run_sweep
-from repro.units import TB
 
+FIXED = {
+    "model": "llama2-13b",
+    "policy": "elk-full",
+    "num_layers": 2,
+    "batch_size": 32,
+    "seq_len": 2048,
+    "max_order_candidates": 8,
+}
 HBM_SWEEP = SweepSpec(
     name="dse_hbm_bandwidth",
-    adapter="dse",
+    adapter="compile-grid",
     description="Insight 1: diminishing returns as HBM bandwidth grows",
-    axes={"hbm_bandwidth_tbps": (4.0, 8.0, 16.0, 32.0)},
-    fixed={
-        "model": "llama2-13b",
-        "num_layers": 2,
-        "batch_size": 32,
-        "seq_len": 2048,
-        "max_order_candidates": 8,
-    },
+    axes={"hbm_bandwidth_TBps": (4.0, 8.0, 16.0, 32.0)},
+    fixed=FIXED,
+)
+NOC_SWEEP = SweepSpec(
+    name="dse_noc_hbm",
+    adapter="compile-grid",
+    description="Insight 2: interconnect and HBM bandwidth must scale together",
+    axes={"noc_bandwidth_TBps": (24.0, 48.0), "hbm_bandwidth_TBps": (8.0, 16.0)},
+    fixed=FIXED,
+)
+TOPOLOGY_SWEEP = SweepSpec(
+    name="dse_topology",
+    adapter="compile-grid",
+    description="Topology comparison at 16 TB/s HBM",
+    axes={"topology": (ALL_TO_ALL, MESH_2D)},
+    fixed=FIXED,
 )
 
 
 def main() -> None:
-    workload = WorkloadSpec("llama2-13b", batch_size=32, seq_len=2048, num_layers=2)
-    config = ExperimentConfig(num_layers=2, policies=("elk-full",), max_order_candidates=8)
-    explorer = DesignSpaceExplorer(workload, config)
+    session = Session()
+
+    def rows(spec: SweepSpec) -> list[dict]:
+        result = run_sweep(spec, session=session)
+        assert result.ok, result.errors
+        return result.rows
 
     print("== Insight 1: HBM bandwidth sweep (all-to-all NoC) ==")
-    # The declarative route: one spec, one run, rows out — through the same
-    # session the explorer below keeps using.
-    sweep = run_sweep(HBM_SWEEP, session=explorer.session)
-    for row in sweep.rows:
+    hbm_rows = rows(HBM_SWEEP)
+    for row in hbm_rows:
         print(
-            f"  HBM {row['hbm_bandwidth_tbps']:5.1f} TB/s -> "
+            f"  HBM {row['hbm_bandwidth_TBps']:5.1f} TB/s -> "
             f"latency {row['latency_ms']:6.3f} ms, "
             f"HBM util {row['hbm_utilization']:.2f}, NoC util {row['noc_utilization']:.2f}, "
-            f"bottleneck: {row['bottleneck']}"
+            f"bottleneck: {bottleneck(row)}"
         )
-    hbm_results = [
-        explorer.evaluate_point(
-            DesignPoint(hbm_bandwidth=row["hbm_bandwidth_tbps"] * TB)
-        )
-        for row in sweep.rows
-    ]
-    print(f"  diminishing returns observed: {DesignSpaceExplorer.diminishing_returns(hbm_results)}")
+    print(f"  diminishing returns observed: {diminishing_returns(hbm_rows)}")
 
     print("\n== Insight 2: interconnect and HBM bandwidth must scale together ==")
-    for noc in (24 * TB, 48 * TB):
-        for hbm in (8 * TB, 16 * TB):
-            result = explorer.evaluate_point(
-                DesignPoint(hbm_bandwidth=hbm, noc_bandwidth=noc)
-            )
-            print(
-                f"  NoC {noc / 1e12:5.1f} TB/s, HBM {hbm / 1e12:5.1f} TB/s -> "
-                f"latency {result.latency * 1e3:6.3f} ms ({result.bottleneck}-bound)"
-            )
+    for row in rows(NOC_SWEEP):
+        print(
+            f"  NoC {row['noc_bandwidth_TBps']:5.1f} TB/s, "
+            f"HBM {row['hbm_bandwidth_TBps']:5.1f} TB/s -> "
+            f"latency {row['latency_ms']:6.3f} ms ({bottleneck(row)}-bound)"
+        )
 
     print("\n== Topology comparison at 16 TB/s HBM ==")
-    for topology in (ALL_TO_ALL, MESH_2D):
-        result = explorer.evaluate_point(DesignPoint(topology=topology))
+    for row in rows(TOPOLOGY_SWEEP):
         print(
-            f"  {topology:10s}: latency {result.latency * 1e3:6.3f} ms, "
-            f"NoC util {result.noc_utilization:.2f}"
+            f"  {row['topology']:10s}: latency {row['latency_ms']:6.3f} ms, "
+            f"NoC util {row['noc_utilization']:.2f}"
         )
 
 

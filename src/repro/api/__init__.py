@@ -1,7 +1,7 @@
 """Service-shaped compilation API: sessions, requests, persistent artifacts.
 
 This package is the batteries-included way to drive the compiler for
-sweep-shaped work (the evaluation harness, the DSE explorer, benchmarks):
+sweep-shaped work (the evaluation harness, sweeps, benchmarks):
 
 * :class:`CompileRequest` — one (workload, system, policy, options) unit.
 * :class:`CompileArtifact` — the JSON-serializable outcome of one request.

@@ -1,25 +1,18 @@
-"""Evaluation harness: per-figure experiment runners, traces, and reporting."""
+"""Evaluation harness: experiment runners, artifact rows, traces, and reporting."""
 
 from repro.eval.experiments import (
     DEFAULT_CONFIG,
     ExperimentConfig,
-    compare_policies,
     compile_time_report,
-    core_count_sweep,
     cost_model_accuracy,
-    end_to_end_latency,
     evaluate_artifact,
     execution_space_profile,
-    hbm_bandwidth_sweep,
     make_fitted_session,
     make_request,
     make_session,
     min_max_preload_demand,
     model_stats_table,
-    noc_bandwidth_sweep,
     preload_space_hbm_demand,
-    training_flops_sweep,
-    utilization_report,
 )
 from repro.eval.reporting import (
     SERVING_SUMMARY_COLUMNS,
@@ -39,23 +32,16 @@ from repro.eval.traces import (
 __all__ = [
     "DEFAULT_CONFIG",
     "ExperimentConfig",
-    "compare_policies",
     "compile_time_report",
-    "core_count_sweep",
     "cost_model_accuracy",
-    "end_to_end_latency",
     "evaluate_artifact",
     "execution_space_profile",
-    "hbm_bandwidth_sweep",
     "make_fitted_session",
     "make_request",
     "make_session",
     "min_max_preload_demand",
     "model_stats_table",
-    "noc_bandwidth_sweep",
     "preload_space_hbm_demand",
-    "training_flops_sweep",
-    "utilization_report",
     "SERVING_SUMMARY_COLUMNS",
     "format_serving_summary",
     "format_table",

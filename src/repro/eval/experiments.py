@@ -1,31 +1,34 @@
-"""Experiment runners for every table and figure of the paper's evaluation.
+"""Experiment runners for the paper's tables and non-grid figures.
 
-Each function reproduces the data behind one artifact (Table 2, Figs. 5-24)
-and returns plain result rows (``list[dict]``) that the benchmark harness
-prints and persists.  The default configurations are *scaled*: a representative
-number of identical transformer layers and a bounded search, so a full
-figure regenerates in seconds-to-minutes on a laptop while preserving the
-relative behaviour of the designs (who wins, by how much, and where the
-crossovers are).
+Each function reproduces the data behind one artifact (Table 2, Figs. 5-8,
+12, 16) and returns plain result rows (``list[dict]``) that the benchmark
+harness prints and persists.  The default configurations are *scaled*: a
+representative number of identical transformer layers and a bounded search,
+so a full figure regenerates in seconds-to-minutes on a laptop while
+preserving the relative behaviour of the designs (who wins, by how much,
+and where the crossovers are).
+
+The compile grids of Figs. 17-24 and the design-space study are not
+runners: they are :class:`~repro.sweep.SweepSpec` grids over the
+``compile-grid`` sweep adapter, whose rows come from
+:func:`evaluate_artifact`.
 
 Every runner compiles through a :class:`repro.api.Session`, so frontend
-results and per-operator profiles are shared across the policies and grid
-points of a sweep; pass your own ``session=`` to share those caches across
-runners (the benchmark harness does).
+results and per-operator profiles are shared across the grid points of a
+study; pass your own ``session=`` to share those caches across runners (the
+benchmark harness does).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.api import CompileArtifact, CompileRequest, Session
 from repro.arch.chip import SystemConfig
-from repro.arch.interconnect import ALL_TO_ALL, MESH_2D
-from repro.arch.presets import ipu_pod4, single_chip
+from repro.arch.presets import ipu_pod4
 from repro.baselines.static import StaticCompiler, StaticOptions
 from repro.compiler.frontend import WorkloadSpec
-from repro.compiler.pipeline import POLICIES
 from repro.cost.fitted import FittedCostModel
 from repro.errors import ElkError
 from repro.eval.traces import hbm_demand_trace, intercore_demand_trace
@@ -35,7 +38,7 @@ from repro.partition.pareto import frontier_from_plans
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.preload_order import OrderSearchConfig
 from repro.scheduler.timeline import TimelineEvaluator
-from repro.units import GB, KiB, TB
+from repro.units import KiB
 
 
 @dataclass
@@ -46,7 +49,6 @@ class ExperimentConfig:
         num_layers: Transformer layers compiled per model (scaled runs).
         batch_size: Default batch size.
         seq_len: Default sequence length.
-        policies: Designs to compare.
         max_preload_ahead: Cap on the preload number.
         max_order_candidates: Cap on evaluated preload orders for Elk-Full.
     """
@@ -54,7 +56,6 @@ class ExperimentConfig:
     num_layers: int = 2
     batch_size: int = 32
     seq_len: int = 2048
-    policies: tuple[str, ...] = POLICIES
     max_preload_ahead: int | None = 12
     max_order_candidates: int = 24
 
@@ -131,222 +132,6 @@ def evaluate_artifact(artifact: CompileArtifact) -> dict[str, object]:
         }
     )
     return row
-
-
-def compare_policies(
-    workload: WorkloadSpec,
-    system: SystemConfig,
-    config: ExperimentConfig,
-    session: Session | None = None,
-) -> list[dict[str, object]]:
-    """Evaluate every configured policy for one workload on one system."""
-    session = session or make_session(config)
-    rows = []
-    for policy in config.policies:
-        try:
-            artifact = session.compile(make_request(workload, system, policy, config))
-            rows.append(evaluate_artifact(artifact))
-        except ElkError as error:
-            rows.append(
-                {
-                    "model": workload.model_name,
-                    "batch_size": workload.batch_size,
-                    "seq_len": workload.seq_len,
-                    "policy": policy,
-                    "error": str(error),
-                }
-            )
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 17: end-to-end per-token latency.
-# --------------------------------------------------------------------------- #
-def end_to_end_latency(
-    models: Sequence[str] = PAPER_LLM_NAMES,
-    batch_sizes: Sequence[int] = (16, 32, 64),
-    seq_lens: Sequence[int] = (2048, 4096),
-    system: SystemConfig | None = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    session: Session | None = None,
-) -> list[dict[str, object]]:
-    """Per-token serving latency of every model / batch / sequence / policy."""
-    system = system or ipu_pod4()
-    session = session or make_session(config)
-    rows: list[dict[str, object]] = []
-    for model in models:
-        for seq_len in seq_lens:
-            for batch in batch_sizes:
-                workload = WorkloadSpec(
-                    model, batch_size=batch, seq_len=seq_len, num_layers=config.num_layers
-                )
-                rows.extend(compare_policies(workload, system, config, session))
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 18: breakdown and hardware utilization.
-# --------------------------------------------------------------------------- #
-def utilization_report(
-    models: Sequence[str] = PAPER_LLM_NAMES,
-    system: SystemConfig | None = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    session: Session | None = None,
-) -> list[dict[str, object]]:
-    """Latency breakdown, HBM/NoC utilization, and TFLOPS per design (Fig. 18)."""
-    system = system or ipu_pod4()
-    session = session or make_session(config)
-    rows: list[dict[str, object]] = []
-    for model in models:
-        workload = WorkloadSpec(
-            model,
-            batch_size=config.batch_size,
-            seq_len=config.seq_len,
-            num_layers=config.num_layers,
-        )
-        rows.extend(compare_policies(workload, system, config, session))
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figures 19-21: HBM bandwidth sweeps on both topologies.
-# --------------------------------------------------------------------------- #
-def hbm_bandwidth_sweep(
-    models: Sequence[str] = PAPER_LLM_NAMES,
-    hbm_bandwidths: Sequence[float] = (4 * TB, 8 * TB, 12 * TB, 16 * TB),
-    topologies: Sequence[str] = (ALL_TO_ALL, MESH_2D),
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    session: Session | None = None,
-) -> list[dict[str, object]]:
-    """Per-token latency and NoC utilization at varied HBM bandwidths."""
-    session = session or make_session(config)
-    rows: list[dict[str, object]] = []
-    for topology in topologies:
-        for bandwidth in hbm_bandwidths:
-            system = ipu_pod4(topology=topology, hbm_total_bandwidth=bandwidth)
-            for model in models:
-                workload = WorkloadSpec(
-                    model,
-                    batch_size=config.batch_size,
-                    seq_len=config.seq_len,
-                    num_layers=config.num_layers,
-                )
-                for row in compare_policies(workload, system, config, session):
-                    row["topology"] = topology
-                    row["hbm_bandwidth_TBps"] = bandwidth / 1e12
-                    rows.append(row)
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 22: interconnect bandwidth sweep.
-# --------------------------------------------------------------------------- #
-def noc_bandwidth_sweep(
-    model: str = "llama2-70b",
-    noc_bandwidths: Sequence[float] = (24 * TB, 32 * TB, 40 * TB, 48 * TB),
-    hbm_bandwidths: Sequence[float] = (8 * TB, 12 * TB, 16 * TB),
-    topologies: Sequence[str] = (ALL_TO_ALL, MESH_2D),
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    session: Session | None = None,
-) -> list[dict[str, object]]:
-    """Per-token latency at varied total interconnect bandwidths (Fig. 22)."""
-    session = session or make_session(config)
-    rows: list[dict[str, object]] = []
-    for topology in topologies:
-        for hbm_bandwidth in hbm_bandwidths:
-            for noc_bandwidth in noc_bandwidths:
-                system = ipu_pod4(
-                    topology=topology, hbm_total_bandwidth=hbm_bandwidth
-                ).with_total_interconnect_bandwidth(noc_bandwidth)
-                workload = WorkloadSpec(
-                    model,
-                    batch_size=config.batch_size,
-                    seq_len=config.seq_len,
-                    num_layers=config.num_layers,
-                )
-                for row in compare_policies(workload, system, config, session):
-                    row["topology"] = topology
-                    row["hbm_bandwidth_TBps"] = hbm_bandwidth / 1e12
-                    row["noc_bandwidth_TBps"] = noc_bandwidth / 1e12
-                    rows.append(row)
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 23: core-count sweep (HBM bandwidth scales with core count).
-# --------------------------------------------------------------------------- #
-def core_count_sweep(
-    models: Sequence[str] = PAPER_LLM_NAMES + ("dit-xl",),
-    core_counts: Sequence[int] = (736, 1104, 1472),
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    session: Session | None = None,
-) -> list[dict[str, object]]:
-    """Per-token latency at varied core counts (2.7 GB/s of HBM per core)."""
-    session = session or make_session(config)
-    rows: list[dict[str, object]] = []
-    for model in models:
-        is_dit = model.startswith("dit") or model.startswith("tiny-dit")
-        for cores in core_counts:
-            if is_dit:
-                system = single_chip(num_cores=cores)
-            else:
-                system = ipu_pod4().with_cores_per_chip(cores)
-            system = system.with_total_hbm_bandwidth(2.7 * GB * system.total_cores)
-            workload = WorkloadSpec(
-                model,
-                batch_size=config.batch_size if not is_dit else 8,
-                seq_len=config.seq_len,
-                num_layers=config.num_layers,
-            )
-            for row in compare_policies(workload, system, config, session):
-                row["cores_per_chip"] = cores
-                row["total_cores"] = system.total_cores
-                rows.append(row)
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 24: training throughput at varied available FLOPS.
-# --------------------------------------------------------------------------- #
-def training_flops_sweep(
-    model: str = "llama2-13b",
-    available_tflops: Sequence[float] = (500, 1000, 1500),
-    hbm_bandwidths_gbps: Sequence[float] = (300, 400),
-    noc_bandwidths_tbps: Sequence[float] = (32, 48),
-    topologies: Sequence[str] = (ALL_TO_ALL, MESH_2D),
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    session: Session | None = None,
-) -> list[dict[str, object]]:
-    """Achieved TFLOPS for the training forward pass (Fig. 24)."""
-    policies = tuple(p for p in config.policies if p in ("static", "elk-full", "ideal"))
-    train_config = replace(
-        config, policies=policies, batch_size=4, seq_len=min(config.seq_len, 2048)
-    )
-    session = session or make_session(train_config)
-    rows: list[dict[str, object]] = []
-    for topology in topologies:
-        for hbm_gbps in hbm_bandwidths_gbps:
-            for noc_tbps in noc_bandwidths_tbps:
-                for tflops in available_tflops:
-                    system = (
-                        ipu_pod4(topology=topology, hbm_total_bandwidth=hbm_gbps * GB)
-                        .with_total_interconnect_bandwidth(noc_tbps * TB)
-                        .with_matmul_tflops(tflops)
-                    )
-                    workload = WorkloadSpec(
-                        model,
-                        batch_size=train_config.batch_size,
-                        seq_len=train_config.seq_len,
-                        phase="training_forward",
-                        num_layers=train_config.num_layers,
-                    )
-                    for row in compare_policies(workload, system, train_config, session):
-                        row["topology"] = topology
-                        row["hbm_bandwidth_GBps"] = hbm_gbps
-                        row["noc_bandwidth_TBps"] = noc_tbps
-                        row["available_tflops"] = tflops
-                        rows.append(row)
-    return rows
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,8 @@
 
 Every grid-shaped study in this repo — rate × policy serving sweeps,
 fleet × router cluster sweeps, crash × retry chaos grids, cold compile-time
-measurement, design-space exploration — is the same shape: expand named
+measurement, and the compile grids of Figs. 17–24 and design-space
+exploration (one ``compile-grid`` adapter) — is the same shape: expand named
 axes over seeds on top of a fixed config, execute each point through one
 shared compile session, and journal schema-versioned rows.  This package
 is that shape, once:

@@ -3,8 +3,8 @@
 An adapter is the thin translation layer between a declarative point
 configuration (plain JSON values from a :class:`~repro.sweep.spec.SweepSpec`)
 and one of the repo's execution paths — the serving simulator, the cluster
-fleet, the chaos harness, cold compile timing, a raw compile grid, or the
-DSE explorer.  Adapters register by name in a
+fleet, the chaos harness, cold compile timing, or the compile grid behind
+Figs. 17–24 and design-space exploration.  Adapters register by name in a
 :class:`repro.registry.Registry`, so new sweep families plug in without
 touching the runner:
 
@@ -25,18 +25,18 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from repro.api.service import CompileRequest, Session
 from repro.api.store import ArtifactStore
 from repro.arch.chip import SystemConfig
-from repro.arch.presets import ipu_pod4, mesh_pod4, scaled_system, single_chip
 from repro.cluster import (
     DisaggregationConfig,
     RetryPolicy,
     random_faults,
     simulate_cluster_scenario,
 )
+from repro.dse.explorer import DesignPoint
 from repro.errors import ConfigurationError, ElkError
 from repro.registry import Registry
 from repro.serve.scenarios import make_serving_session, simulate_scenario
@@ -57,14 +57,12 @@ class RunContext:
         cold_sessions: Extra sessions created by adapters that must compile
             cold (e.g. compile-time measurement); the runner folds their
             stats into the result.
-        scratch: Free-form per-run adapter state (e.g. memoized explorers).
     """
 
     session: Session
     backend: str
     compiled_shapes: set = field(default_factory=set)
     cold_sessions: list[Session] = field(default_factory=list)
-    scratch: dict = field(default_factory=dict)
 
     @property
     def store(self) -> ArtifactStore | None:
@@ -76,8 +74,7 @@ class SweepAdapter(abc.ABC):
     """One registered execution path for sweep points.
 
     Subclasses are instantiated fresh per run, so they may keep state on
-    ``self`` (prefer :attr:`RunContext.scratch` for anything the tests or
-    benches need to see).
+    ``self``.
     """
 
     name: ClassVar[str] = ""
@@ -115,25 +112,11 @@ adapter_descriptions = _ADAPTERS.descriptions
 # --------------------------------------------------------------------------- #
 # Shared config plumbing.
 # --------------------------------------------------------------------------- #
-_SYSTEM_PRESETS: dict[str, Callable[[], SystemConfig]] = {
-    "ipu-pod4": ipu_pod4,
-    "mesh-pod4": mesh_pod4,
-    "single-chip": single_chip,
-    "scaled": lambda: scaled_system(num_cores=32, num_chips=1),
-}
-
-
-def resolve_system(name: str | None) -> SystemConfig | None:
-    """Materialize a named system preset (``None`` keeps the path's default)."""
-    if name is None:
+def _scenario_system(config: Mapping[str, object]) -> SystemConfig | None:
+    """The point's design-point system; ``None`` keeps the scenario default."""
+    if config.get("system") is None:
         return None
-    try:
-        return _SYSTEM_PRESETS[name.lower()]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown system preset {name!r}; expected one of "
-            f"{tuple(_SYSTEM_PRESETS)}"
-        ) from None
+    return DesignPoint.from_config(config).build_system()
 
 
 def _experiment_config(config: Mapping[str, object]):
@@ -177,11 +160,19 @@ class ProbeAdapter(SweepAdapter):
 
 
 # --------------------------------------------------------------------------- #
-# compile-grid: raw (workload, system, policy) grid through compile_many.
+# compile-grid: (workload, policy, design point) grid through compile_many.
 # --------------------------------------------------------------------------- #
 @register_adapter("compile-grid")
 class CompileGridAdapter(SweepAdapter):
-    """Compile each point's workload and report its metrics.
+    """Compile each point's workload on its design point; report its metrics.
+
+    Config keys: the workload (``model`` (required), ``batch_size``,
+    ``seq_len``, ``phase``, ``num_layers``, ``max_preload_ahead``,
+    ``max_order_candidates``; absent ones take
+    :class:`~repro.eval.ExperimentConfig`'s defaults), ``policy`` (default
+    ``elk-full``), and the system: a preset name plus the
+    :class:`~repro.dse.DesignPoint` overrides (see
+    :meth:`~repro.dse.DesignPoint.from_config`).
 
     The whole grid is prefetched through one ``compile_many`` fan-out (the
     run's thread or process backend), so points only read cached artifacts.
@@ -191,7 +182,7 @@ class CompileGridAdapter(SweepAdapter):
     backends and across cold/warm stores.
     """
 
-    description = "workload x system x policy compile grid, simulated metrics"
+    description = "workload x policy x design-point compile grid (Figs. 17-24, DSE)"
 
     def build_session(self, store, backend):
         return Session(store=store, backend=backend)
@@ -202,13 +193,13 @@ class CompileGridAdapter(SweepAdapter):
 
         exp = _experiment_config(config)
         workload = WorkloadSpec(
-            str(config.get("model", "tiny-llm")),
-            batch_size=int(config.get("batch_size", exp.batch_size)),
-            seq_len=int(config.get("seq_len", exp.seq_len)),
+            str(config["model"]),
+            batch_size=int(exp.batch_size),
+            seq_len=int(exp.seq_len),
+            phase=str(config.get("phase", "decode")),
             num_layers=exp.num_layers,
         )
-        system = resolve_system(str(config.get("system", "scaled")))
-        assert system is not None
+        system = DesignPoint.from_config(config).build_system()
         return make_request(workload, system, str(config.get("policy", "elk-full")), exp)
 
     def prefetch(self, configs, ctx):
@@ -249,7 +240,7 @@ class ServingAdapter(SweepAdapter):
         policy = str(config.get("policy", "elk-full"))
         result = simulate_scenario(
             scenario,
-            system=resolve_system(config.get("system")),
+            system=_scenario_system(config),
             policy=policy,
             num_requests=int(config.get("num_requests", 64)),
             seed=config["seed"],
@@ -306,7 +297,7 @@ class ClusterAdapter(SweepAdapter):
         kwargs.update(self._fault_kwargs(config))
         result = simulate_cluster_scenario(
             scenario,
-            system=resolve_system(config.get("system")),
+            system=_scenario_system(config),
             policy=policy,
             num_requests=int(config.get("num_requests", 64)),
             seed=config["seed"],
@@ -430,76 +421,3 @@ class CompileTimeAdapter(SweepAdapter):
             session_factory=cold_session,
         )
         return rows[0]
-
-
-# --------------------------------------------------------------------------- #
-# dse: design-space exploration points through the shared session.
-# --------------------------------------------------------------------------- #
-@register_adapter("dse")
-class DseAdapter(SweepAdapter):
-    """Evaluate one :class:`~repro.dse.DesignPoint` per sweep point.
-
-    Config keys: the design-point axes (``topology``,
-    ``hbm_bandwidth_tbps``, ``noc_bandwidth_tbps``, ``cores_per_chip``,
-    ``matmul_tflops``) plus the workload (``model``, ``batch_size``,
-    ``seq_len``, ``num_layers``, ``max_order_candidates``) and ``policy``.
-    """
-
-    description = "architecture design-space points via the DSE explorer"
-
-    def build_session(self, store, backend):
-        return Session(store=store, backend=backend)
-
-    def prefetch(self, configs, ctx):
-        from repro.dse.explorer import DesignPoint
-        from repro.eval.experiments import make_request
-
-        requests = []
-        for config in configs:
-            try:
-                point = DesignPoint.from_config(config)
-                explorer = self._explorer(config, ctx)
-                requests.append(
-                    make_request(
-                        explorer.workload,
-                        point.build_system(),
-                        explorer.policy,
-                        explorer.config,
-                    )
-                )
-            except Exception:
-                continue
-        return requests
-
-    def _explorer(self, config: Mapping[str, object], ctx: RunContext):
-        from repro.compiler.frontend import WorkloadSpec
-        from repro.dse.explorer import DesignSpaceExplorer
-
-        exp = _experiment_config(config)
-        workload = WorkloadSpec(
-            str(config.get("model", "llama2-13b")),
-            batch_size=exp.batch_size,
-            seq_len=exp.seq_len,
-            num_layers=exp.num_layers,
-        )
-        key = (
-            "dse-explorer",
-            str(config.get("model", "llama2-13b")),
-            str(config.get("policy", "elk-full")),
-            config_digest(exp),
-        )
-        if key not in ctx.scratch:
-            ctx.scratch[key] = DesignSpaceExplorer(
-                workload,
-                exp,
-                policy=str(config.get("policy", "elk-full")),
-                session=ctx.session,
-            )
-        return ctx.scratch[key]
-
-    def run_point(self, config, ctx):
-        from repro.dse.explorer import DesignPoint
-
-        explorer = self._explorer(config, ctx)
-        result = explorer.evaluate_point(DesignPoint.from_config(config))
-        return result.row()

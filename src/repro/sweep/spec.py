@@ -10,7 +10,9 @@ hashed into the journal's config digest.
 
 Beyond the pure grid, ``include`` appends explicit extra points (the
 GitHub-Actions-matrix idiom) for comparisons that are not cross-products,
-e.g. the cluster sweep's colocated-vs-disaggregated pair.
+e.g. the cluster sweep's colocated-vs-disaggregated pair.  As in such a
+matrix, a spec with ``include`` entries but no axes runs exactly those
+entries (Fig. 23's core counts, where HBM bandwidth scales with cores).
 """
 
 from __future__ import annotations
@@ -205,7 +207,13 @@ class SweepSpec:
     # ---------------------------------------------------------------- points
     @property
     def grid_size(self) -> int:
-        """Points per seed in the pure axis grid (1 for no axes)."""
+        """Points per seed in the pure axis grid.
+
+        With no axes the grid is the fixed config alone (1), or empty (0)
+        when ``include`` entries are given: they are then the only points.
+        """
+        if not self.axes and self.include:
+            return 0
         size = 1
         for values in self.axes.values():
             size *= len(values)
@@ -225,7 +233,7 @@ class SweepSpec:
         points in the same order, which is what makes same-seed journal rows
         comparable across runs.
         """
-        combos: list[dict[str, object]] = [{}]
+        combos: list[dict[str, object]] = [{}] if self.grid_size else []
         for name, values in self.axes.items():
             combos = [
                 {**combo, name: value} for combo in combos for value in values

@@ -1,44 +1,56 @@
-"""Tests for the evaluation harness, traces, reporting, and the DSE explorer."""
+"""Tests for the evaluation harness, traces, reporting, and design-space rows."""
 
 import os
+from dataclasses import asdict
 
 import pytest
 
 from repro.compiler import WorkloadSpec
-from repro.dse import DesignPoint, DesignSpaceExplorer
+from repro.dse import DesignPoint, bottleneck, diminishing_returns
 from repro.eval import (
     ExperimentConfig,
-    compare_policies,
     cost_model_accuracy,
+    evaluate_artifact,
     format_table,
     geometric_mean,
     hbm_demand_trace,
     intercore_demand_trace,
+    make_request,
+    make_session,
     memory_occupancy_trace,
     save_results,
 )
+from repro.sweep import SweepSpec, run_sweep
 from repro.units import TB
 
 FAST_CONFIG = ExperimentConfig(
     num_layers=1,
     batch_size=4,
     seq_len=256,
-    policies=("basic", "elk-full", "ideal"),
     max_order_candidates=4,
 )
+FAST_POLICIES = ("basic", "elk-full", "ideal")
 
 
-def test_compare_policies_produces_rows(small_system):
+def _policy_rows(workload, system):
+    session = make_session(FAST_CONFIG)
+    return [
+        evaluate_artifact(session.compile(make_request(workload, system, policy, FAST_CONFIG)))
+        for policy in FAST_POLICIES
+    ]
+
+
+def test_policy_rows_cover_every_policy(small_system):
     workload = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=1)
-    rows = compare_policies(workload, small_system, FAST_CONFIG)
-    assert {row["policy"] for row in rows} == set(FAST_CONFIG.policies)
+    rows = _policy_rows(workload, small_system)
+    assert {row["policy"] for row in rows} == set(FAST_POLICIES)
     for row in rows:
         assert row.get("latency_ms", 0) > 0 or "error" in row
 
 
 def test_policy_rows_keep_ideal_fastest(small_system):
     workload = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=1)
-    rows = {r["policy"]: r for r in compare_policies(workload, small_system, FAST_CONFIG)}
+    rows = {r["policy"]: r for r in _policy_rows(workload, small_system)}
     assert rows["ideal"]["latency_ms"] <= rows["elk-full"]["latency_ms"] * 1.001
     assert rows["elk-full"]["latency_ms"] <= rows["basic"]["latency_ms"] * 1.05
 
@@ -104,7 +116,7 @@ def test_geometric_mean():
     assert geometric_mean([]) == 0.0
 
 
-def test_design_space_explorer_points():
+def test_design_point_builds_systems():
     point = DesignPoint(hbm_bandwidth=8 * TB)
     system = point.build_system()
     assert system.total_hbm_bandwidth == pytest.approx(8 * TB)
@@ -115,12 +127,15 @@ def test_design_space_explorer_points():
 
 
 def test_design_space_sweep_diminishing_returns():
-    workload = WorkloadSpec("tiny-llm", batch_size=4, seq_len=512, num_layers=1)
-    explorer = DesignSpaceExplorer(workload, FAST_CONFIG)
-    points = [DesignPoint(hbm_bandwidth=bw) for bw in (1 * TB, 4 * TB, 16 * TB, 64 * TB)]
-    results = explorer.sweep(points)
-    assert len(results) == len(points)
-    latencies = [r.latency for r in results]
+    spec = SweepSpec(
+        name="dse_tiny",
+        adapter="compile-grid",
+        axes={"hbm_bandwidth_TBps": (1.0, 4.0, 16.0, 64.0)},
+        fixed={**asdict(FAST_CONFIG), "model": "tiny-llm", "seq_len": 512},
+    )
+    rows = [row for row in run_sweep(spec).rows if "error" not in row]
+    assert len(rows) == spec.num_points
+    latencies = [row["latency_ms"] for row in rows]
     assert latencies[0] >= latencies[-1]
-    assert DesignSpaceExplorer.diminishing_returns(results)
-    assert all(r.bottleneck in ("hbm", "interconnect", "compute") for r in results)
+    assert diminishing_returns(rows)
+    assert all(bottleneck(row) in ("hbm", "interconnect", "compute") for row in rows)

@@ -2,12 +2,14 @@
 
 Each figure's grid shape (policy comparison, HBM / NoC / core-count /
 MatMul-throughput design points, both topologies, single-chip DiT at batch
-8, and the training forward pass) runs on tiny models with one layer,
-batch 4, sequence 256, and small search bounds, through one shared
-session.  Each grid reduces to its row count, the sorted union of its row
-keys, and a SHA-256 of the canonical JSON of its rows in order, with the
-wall-time ``compile_seconds`` dropped.  ``tests/data/figure_golden.json``
-holds the expected values.
+8, and the training forward pass) runs as a ``compile-grid`` sweep on tiny
+models with one layer, batch 4, sequence 256, and small search bounds,
+through one shared session.  Each grid reduces to its row count, the sorted
+union of its row keys, and a SHA-256 of the canonical JSON of its rows in
+order, with the wall-time ``compile_seconds`` dropped.  The digests were
+first taken from the per-figure runners these specs replaced; the test
+compares only the keys pinned in ``tests/data/figure_golden.json``, so
+labels a sweep adds (``seed``, design-point keys) do not move them.
 
 Regenerate (only when a change is *meant* to move figure numbers)::
 
@@ -19,20 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
-from repro.eval import (
-    ExperimentConfig,
-    core_count_sweep,
-    end_to_end_latency,
-    hbm_bandwidth_sweep,
-    make_session,
-    noc_bandwidth_sweep,
-    training_flops_sweep,
-    utilization_report,
-)
-from repro.units import TB
+from repro.compiler import POLICIES
+from repro.eval import ExperimentConfig, make_session
+from repro.sweep import SweepSpec, run_sweep
+from repro.units import GB, TB
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "figure_golden.json")
 REGENERATE = (
@@ -45,29 +41,69 @@ TINY = ExperimentConfig(
     max_preload_ahead=4,
     max_order_candidates=4,
 )
+TOPOLOGIES = ("all_to_all", "mesh_2d")
+
+
+def _core_point(model: str, cores: int, policy: str) -> dict:
+    dit = model.startswith("tiny-dit")
+    total_cores = cores if dit else 4 * cores
+    point = {
+        "model": model,
+        "system": "single-chip" if dit else "ipu-pod4",
+        "cores_per_chip": cores,
+        "total_cores": total_cores,
+        "hbm_bandwidth_TBps": 2.7 * GB * total_cores / TB,
+        "policy": policy,
+    }
+    return {**point, "batch_size": 8} if dit else point
+
+
+def _spec(name: str, fixed=None, **kwargs) -> SweepSpec:
+    return SweepSpec(
+        name=name, adapter="compile-grid", fixed={**asdict(TINY), **(fixed or {})}, **kwargs
+    )
+
+
 GRIDS = {
-    "fig17_end_to_end": lambda session: end_to_end_latency(
-        models=("tiny-llm", "tiny-gqa"), batch_sizes=(4,), seq_lens=(256,),
-        config=TINY, session=session,
+    "fig17_end_to_end": _spec(
+        "fig17_end_to_end",
+        axes={"model": ("tiny-llm", "tiny-gqa"), "seq_len": (256,),
+              "batch_size": (4,), "policy": POLICIES},
     ),
-    "fig18_utilization": lambda session: utilization_report(
-        models=("tiny-llm", "tiny-gqa"), config=TINY, session=session,
+    "fig18_utilization": _spec(
+        "fig18_utilization", axes={"model": ("tiny-llm", "tiny-gqa"), "policy": POLICIES},
     ),
-    "fig19_hbm_sweep": lambda session: hbm_bandwidth_sweep(
-        models=("tiny-llm",), hbm_bandwidths=(4 * TB, 16 * TB),
-        config=TINY, session=session,
+    "fig19_hbm_sweep": _spec(
+        "fig19_hbm_sweep",
+        axes={"topology": TOPOLOGIES, "hbm_bandwidth_TBps": (4.0, 16.0),
+              "model": ("tiny-llm",), "policy": POLICIES},
     ),
-    "fig22_noc_sweep": lambda session: noc_bandwidth_sweep(
-        model="tiny-llm", noc_bandwidths=(24 * TB, 48 * TB),
-        hbm_bandwidths=(8 * TB,), config=TINY, session=session,
+    "fig22_noc_sweep": _spec(
+        "fig22_noc_sweep",
+        fixed={"model": "tiny-llm"},
+        axes={"topology": TOPOLOGIES, "hbm_bandwidth_TBps": (8.0,),
+              "noc_bandwidth_TBps": (24.0, 48.0), "policy": POLICIES},
     ),
-    "fig23_core_sweep": lambda session: core_count_sweep(
-        models=("tiny-llm", "tiny-dit"), core_counts=(736, 1472),
-        config=TINY, session=session,
+    "fig23_core_sweep": _spec(
+        "fig23_core_sweep",
+        include=tuple(
+            _core_point(model, cores, policy)
+            for model in ("tiny-llm", "tiny-dit")
+            for cores in (736, 1472)
+            for policy in POLICIES
+        ),
     ),
-    "fig24_training": lambda session: training_flops_sweep(
-        model="tiny-llm", available_tflops=(500, 1500), hbm_bandwidths_gbps=(300,),
-        noc_bandwidths_tbps=(32,), config=TINY, session=session,
+    "fig24_training": _spec(
+        "fig24_training",
+        fixed={"model": "tiny-llm", "phase": "training_forward"},
+        include=tuple(
+            {"topology": topology, "hbm_bandwidth_GBps": 300,
+             "hbm_bandwidth_TBps": 300 * GB / TB, "noc_bandwidth_TBps": 32,
+             "available_tflops": tflops, "matmul_tflops": tflops, "policy": policy}
+            for topology in TOPOLOGIES
+            for tflops in (500, 1500)
+            for policy in ("static", "elk-full", "ideal")
+        ),
     ),
 }
 
@@ -93,10 +129,12 @@ def _row_digest(rows, keys=None) -> dict:
 def compute_digests(keys_by_grid=None) -> dict[str, dict]:
     """``{grid: {"num_rows", "keys", "sha256"}}`` for every pinned grid."""
     session = make_session(TINY)
-    return {
-        name: _row_digest(run(session), (keys_by_grid or {}).get(name))
-        for name, run in GRIDS.items()
-    }
+    digests = {}
+    for name, spec in GRIDS.items():
+        result = run_sweep(spec, session=session)
+        assert result.ok, result.errors
+        digests[name] = _row_digest(result.rows, (keys_by_grid or {}).get(name))
+    return digests
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from repro.arch import ipu_pod4, mesh_pod4
 from repro.codegen import DeviceRuntime, generate_device_program
 from repro.compiler import ModelCompiler, WorkloadSpec
 from repro.emu import EmulationFramework
-from repro.eval import ExperimentConfig, compare_policies
+from repro.eval import ExperimentConfig, evaluate_artifact, make_request, make_session
 from repro.sim import simulate_system
 from repro.units import TB
 
@@ -85,28 +85,28 @@ def test_emulator_agrees_with_plan_estimates(llama_pod4_results):
     assert emulated.total_time == pytest.approx(planned, rel=0.6)
 
 
-def test_mesh_topology_end_to_end():
-    """The mesh NoC compiles and is no faster than all-to-all (Fig. 19)."""
+def _elk_full_row(system):
+    """Elk-Full's row for one decoder layer of Llama2-13B on ``system``."""
     config = ExperimentConfig(
-        num_layers=1, batch_size=16, seq_len=1024,
-        policies=("elk-full",), max_order_candidates=4,
+        num_layers=1, batch_size=16, seq_len=1024, max_order_candidates=4,
     )
     workload = WorkloadSpec("llama2-13b", batch_size=16, seq_len=1024, num_layers=1)
-    a2a = compare_policies(workload, ipu_pod4(), config)[0]
-    mesh = compare_policies(workload, mesh_pod4(), config)[0]
+    request = make_request(workload, system, "elk-full", config)
+    return evaluate_artifact(make_session(config).compile(request))
+
+
+def test_mesh_topology_end_to_end():
+    """The mesh NoC compiles and is no faster than all-to-all (Fig. 19)."""
+    a2a = _elk_full_row(ipu_pod4())
+    mesh = _elk_full_row(mesh_pod4())
     assert a2a["latency_ms"] > 0 and mesh["latency_ms"] > 0
     assert mesh["latency_ms"] >= a2a["latency_ms"] * 0.9
 
 
 def test_higher_hbm_bandwidth_helps_decode():
     """Raising HBM bandwidth reduces decode latency (Fig. 19 trend)."""
-    config = ExperimentConfig(
-        num_layers=1, batch_size=16, seq_len=1024,
-        policies=("elk-full",), max_order_candidates=4,
-    )
-    workload = WorkloadSpec("llama2-13b", batch_size=16, seq_len=1024, num_layers=1)
-    slow = compare_policies(workload, ipu_pod4(hbm_total_bandwidth=4 * TB), config)[0]
-    fast = compare_policies(workload, ipu_pod4(hbm_total_bandwidth=16 * TB), config)[0]
+    slow = _elk_full_row(ipu_pod4(hbm_total_bandwidth=4 * TB))
+    fast = _elk_full_row(ipu_pod4(hbm_total_bandwidth=16 * TB))
     assert fast["latency_ms"] < slow["latency_ms"]
 
 

@@ -69,6 +69,9 @@ _includes = st.lists(
 def test_expansion_count_and_uniqueness(axes, seeds, fixed, include):
     """Point count is seeds × (axis product + includes); keys don't collide.
 
+    With no axes, include entries alone are the points (a CI-matrix
+    ``include``); the axis product then counts 0 instead of 1.
+
     Duplicate point keys are possible only if an include entry reproduces a
     grid point exactly — the strategies here never do, so every expanded
     point must be structurally distinct and the count must be the exact
@@ -82,6 +85,8 @@ def test_expansion_count_and_uniqueness(axes, seeds, fixed, include):
     expected_grid = 1
     for values in axes.values():
         expected_grid *= len(values)
+    if not axes and include:
+        expected_grid = 0
     assert spec.grid_size == expected_grid
     assert len(points) == spec.num_points == len(seeds) * (expected_grid + len(include))
     assert [p.index for p in points] == list(range(len(points)))
