@@ -40,7 +40,7 @@ def _policy_rows(workload, system):
     ]
 
 
-def test_policy_rows_cover_every_policy(small_system):
+def test_compare_policies_produces_rows(small_system):
     workload = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=1)
     rows = _policy_rows(workload, small_system)
     assert {row["policy"] for row in rows} == set(FAST_POLICIES)
@@ -116,7 +116,7 @@ def test_geometric_mean():
     assert geometric_mean([]) == 0.0
 
 
-def test_design_point_builds_systems():
+def test_design_space_explorer_points():
     point = DesignPoint(hbm_bandwidth=8 * TB)
     system = point.build_system()
     assert system.total_hbm_bandwidth == pytest.approx(8 * TB)
