@@ -28,6 +28,7 @@ from repro.baselines.static import StaticOptions
 from repro.compiler.frontend import FrontendResult, WorkloadSpec, build_frontend_result
 from repro.compiler.registry import available_policies, get_policy
 from repro.cost.model import AnalyticCostModel, CostModel
+from repro.errors import SchedulingError
 from repro.obs.trace import maybe_span
 from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler.elk import ElkOptions
@@ -245,7 +246,8 @@ class ModelCompiler:
             noc_util = 0.0
             noc_preload_fraction = 0.0
         else:
-            assert timeline is not None
+            if timeline is None:
+                raise SchedulingError(f"policy {policy!r} produced no timeline")
             per_chip_time = timeline.total_time
             breakdown = timeline.breakdown()
             hbm_util = timeline.hbm_utilization

@@ -18,6 +18,7 @@ exist, mirroring §4.3 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from repro.errors import PartitionError
@@ -121,13 +122,15 @@ class ExecutePlan:
             raise PartitionError(f"{self.op_name}: plan uses no cores")
 
     # ------------------------------------------------------------------ memory
-    @property
+    # The plan is frozen, so the two footprints the scheduler reads most are
+    # computed once per plan.
+    @cached_property
     def exec_space_bytes(self) -> int:
         """Per-core SRAM needed while this operator executes (execution space)."""
         resident = sum(o.resident_bytes for o in self.operands)
         return resident + self.output_tile_bytes + self.partial_reduce_bytes
 
-    @property
+    @cached_property
     def exchange_bytes_per_core(self) -> int:
         """Bytes fetched from peer cores per core during execution."""
         return sum(o.exchange_bytes for o in self.operands) + self.partial_reduce_bytes

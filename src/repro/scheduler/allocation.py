@@ -6,11 +6,19 @@ execution space and the preload spaces.  It starts from every operator's
 fastest (largest) plan and greedily steps the most "cost-effective" operator —
 the one whose next-smaller Pareto plan frees the most memory per unit of added
 time — down its frontier until the total footprint fits (Fig. 11).
+
+A :class:`MemoryAllocator` memoizes its results for its own lifetime, keyed
+on the current profile and the *ordered* preloaded (profile, execute option)
+pairs, by identity: ties in the greedy walk go to the earlier candidate, so
+the order is part of the question.  The inductive scheduler owns one
+allocator per scheduling run, where the same question recurs across preload
+numbers and candidate preload orders; the memo dies with the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from repro.cost.model import CostModel
@@ -18,7 +26,7 @@ from repro.errors import AllocationError
 from repro.scheduler.profiles import ExecuteOption, OperatorProfile, PreloadOption
 
 
-@dataclass
+@dataclass(slots=True)
 class PreloadAssignment:
     """Chosen preload-state plan for one preloaded operator.
 
@@ -35,7 +43,7 @@ class PreloadAssignment:
     frontier_index: int
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocationResult:
     """Outcome of one allocator invocation.
 
@@ -96,9 +104,6 @@ class _Candidate:
         added = nxt.time_seconds - self.time
         return saved, added
 
-    def at_minimum(self) -> bool:
-        return self.position + 1 >= len(self.frontier)
-
 
 class MemoryAllocator:
     """The §4.3 greedy allocator.
@@ -120,6 +125,7 @@ class MemoryAllocator:
         self.cost_model = cost_model
         self.sram_budget = sram_budget_bytes
         self.link_bandwidth = link_bandwidth
+        self._memo: dict[tuple[int, ...], tuple[AllocationResult | None, object]] = {}
 
     # ---------------------------------------------------------------- interface
     def allocate(
@@ -138,27 +144,36 @@ class MemoryAllocator:
         Returns:
             The allocation, or ``None`` if even the smallest plans of every
             operator exceed the SRAM budget (the preload number is infeasible).
+            A repeated question returns the first answer's object.
         """
+        key = (id(current), *map(id, chain.from_iterable(preloaded)))
+        entry = self._memo.get(key)
+        if entry is None:
+            # The entry holds the key's objects, so no other object takes their ids.
+            entry = (self._allocate(current, preloaded), (current, tuple(preloaded)))
+            self._memo[key] = entry
+        return entry[0]
+
+    # ----------------------------------------------------------------- internal
+    def _allocate(
+        self,
+        current: OperatorProfile,
+        preloaded: Sequence[tuple[OperatorProfile, ExecuteOption]],
+    ) -> AllocationResult | None:
         current_candidate = _Candidate(key=current.index, frontier=current.execute_frontier)
-        preload_candidates: list[_Candidate] = []
-        execute_options: dict[int, ExecuteOption] = {}
-        profiles_by_index: dict[int, OperatorProfile] = {}
-        for profile, execute_option in preloaded:
-            frontier = profile.preload_frontier(execute_option.plan, self.cost_model)
-            preload_candidates.append(_Candidate(key=profile.index, frontier=frontier))
-            execute_options[profile.index] = execute_option
-            profiles_by_index[profile.index] = profile
-
+        preload_candidates = [
+            _Candidate(profile.index, profile.preload_frontier(option.plan, self.cost_model))
+            for profile, option in preloaded
+        ]
         candidates = [current_candidate] + preload_candidates
-
-        def total_memory() -> int:
-            return sum(c.memory for c in candidates)
+        total_memory = sum(c.memory for c in candidates)
 
         # Greedy walk: step the operator with the best space-saved / time-added
         # ratio until the footprint fits or no operator can shrink further.
-        while total_memory() > self.sram_budget:
+        while total_memory > self.sram_budget:
             best_index = -1
             best_ratio = -1.0
+            best_saved = 0
             for idx, candidate in enumerate(candidates):
                 step = candidate.next_step()
                 if step is None:
@@ -171,27 +186,24 @@ class MemoryAllocator:
                 if ratio > best_ratio:
                     best_ratio = ratio
                     best_index = idx
+                    best_saved = saved
             if best_index < 0:
                 return None
             candidates[best_index].position += 1
+            total_memory -= best_saved
 
-        return self._build_result(
-            current, current_candidate, preload_candidates, execute_options, profiles_by_index
-        )
+        return self._build_result(current_candidate, preloaded, preload_candidates, total_memory)
 
-    # ----------------------------------------------------------------- internal
     def _build_result(
         self,
-        current: OperatorProfile,
         current_candidate: _Candidate,
+        preloaded: Sequence[tuple[OperatorProfile, ExecuteOption]],
         preload_candidates: Sequence[_Candidate],
-        execute_options: dict[int, ExecuteOption],
-        profiles_by_index: dict[int, OperatorProfile],
+        total_memory: int,
     ) -> AllocationResult:
         execute_option: ExecuteOption = current_candidate.option
         assignments: dict[int, PreloadAssignment] = {}
         distribution_total = 0.0
-        preload_noc_bytes = 0
         overhead_penalty = 0.0
         # Squeezing the current operator below its fastest plan is also a cost
         # paid because of the chosen preload number.
@@ -199,16 +211,15 @@ class MemoryAllocator:
             current_candidate.option.time_seconds
             - current_candidate.frontier[0].time_seconds
         )
-        for candidate in preload_candidates:
+        for (profile, chosen), candidate in zip(preloaded, preload_candidates):
             option: PreloadOption = candidate.option
             assignments[candidate.key] = PreloadAssignment(
-                profile=profiles_by_index[candidate.key],
-                execute_option=execute_options[candidate.key],
+                profile=profile,
+                execute_option=chosen,
                 option=option,
                 frontier_index=candidate.position,
             )
             distribution_total += option.distribution_time
-            preload_noc_bytes += option.plan.preload_noc_bytes_per_core
             overhead_penalty += option.overhead_time - candidate.frontier[0].overhead_time
 
         execution_time = execute_option.cost.total_time
@@ -222,10 +233,6 @@ class MemoryAllocator:
         link_time = own_bytes / self.link_bandwidth if self.link_bandwidth > 0 else 0.0
         contention = max(0.0, link_time - execution_time)
         window_time = execution_time + contention
-
-        total_memory = current_candidate.memory + sum(
-            c.memory for c in preload_candidates
-        )
         return AllocationResult(
             execute_option=execute_option,
             execute_frontier_index=current_candidate.position,

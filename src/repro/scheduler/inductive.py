@@ -178,7 +178,11 @@ class InductiveScheduler:
                 if best is None or score >= best[0] - 1e-12:
                     best = (score, p, allocation, exec_start)
 
-            assert best is not None
+            if best is None:
+                raise SchedulingError(
+                    f"operator {profile.op.name!r}: no preload number examined "
+                    f"(max_preload_ahead={self.options.max_preload_ahead})"
+                )
             _, p, allocation, exec_start = best
             decision = decisions[i]
             decision.preload_number = p
@@ -217,7 +221,8 @@ class InductiveScheduler:
         schedules: list[OperatorSchedule] = []
         for i, profile in enumerate(self.profiles):
             decision = decisions[i]
-            assert decision.execute_option is not None
+            if decision.execute_option is None:
+                raise SchedulingError(f"operator {profile.op.name!r} was never scheduled")
             if i in preload_assignments:
                 preload_option = preload_assignments[i].option
             else:

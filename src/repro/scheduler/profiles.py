@@ -4,13 +4,20 @@ Before scheduling, Elk enumerates every operator's execute-state plans, costs
 them, and keeps only the Pareto-optimal memory/time frontier (§4.3).  The
 scheduler and allocator then never touch raw plans again — they walk these
 frontiers.  Preload-state frontiers are derived lazily per chosen execute plan
-and cached, since the same execute plan is examined many times across preload
-numbers and candidate preload orders.
+and cached on the profile, since the same execute plan is examined many times
+across preload numbers and candidate preload orders.
+
+Within one :func:`build_operator_profiles` call, operators with the same
+structure — type, input and output shapes, dtypes and kinds, and attributes;
+everything but names — share one enumeration: a later layer's operator takes
+the first one's frontier with its own operator and tensor names.  Enumeration
+and costing never read names, so the frontier is the one it would have
+enumerated itself.  Nothing outlives the call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.arch.chip import ChipConfig
 from repro.cost.model import CostModel, ExecutionCost
@@ -155,6 +162,24 @@ class OperatorProfile:
         return self._preload_cache[key]
 
 
+def _structure(op: Operator) -> tuple:
+    """Everything enumeration and costing read from an operator: all but names."""
+    names = [t.name for t in op.inputs]
+    return (
+        op.op_type,
+        tuple((t.shape, t.dtype, t.kind, names.index(t.name)) for t in op.inputs),
+        tuple((t.shape, t.dtype, t.kind) for t in op.outputs),
+        repr(sorted(op.attrs.items())),
+    )
+
+
+def _renamed(option: ExecuteOption, op: Operator, names: dict[str, str]) -> ExecuteOption:
+    """``option`` of a structurally identical operator, under ``op``'s names."""
+    plan = option.plan
+    operands = tuple(replace(s, tensor_name=names[s.tensor_name]) for s in plan.operands)
+    return replace(option, plan=replace(plan, op_name=op.name, operands=operands))
+
+
 def build_operator_profiles(
     graph: OperatorGraph,
     chip: ChipConfig,
@@ -162,6 +187,9 @@ def build_operator_profiles(
     limits: EnumerationLimits | None = None,
 ) -> list[OperatorProfile]:
     """Enumerate, cost, and Pareto-filter every operator's execute plans.
+
+    Structurally identical operators are enumerated once (see the module
+    docstring); each still gets its own profile and its own named plans.
 
     Args:
         graph: The model graph.
@@ -176,35 +204,42 @@ def build_operator_profiles(
         SchedulingError: If any operator ends up with an empty frontier.
     """
     profiles: list[OperatorProfile] = []
+    enumerated: dict[tuple, tuple[Operator, list[ExecuteOption]]] = {}
     for index, op in enumerate(graph):
-        plans = enumerate_execute_plans(op, chip, limits)
+        key = _structure(op)
         hbm_time = cost_model.hbm_load_time(op.hbm_load_bytes)
-        options = []
-        for plan in plans:
-            cost = cost_model.execution_cost(op, plan)
-            setup = min(
-                (
-                    cost_model.distribution_time(p)
-                    + max(0.0, cost_model.preload_noc_time(p) - hbm_time)
+        if key in enumerated:
+            first, shared = enumerated[key]
+            names = {a.name: b.name for a, b in zip(first.inputs, op.inputs)}
+            frontier = [_renamed(option, op, names) for option in shared]
+        else:
+            options = []
+            for plan in enumerate_execute_plans(op, chip, limits):
+                cost = cost_model.execution_cost(op, plan)
+                setup = min(
+                    (
+                        cost_model.distribution_time(p)
+                        + max(0.0, cost_model.preload_noc_time(p) - hbm_time)
+                    )
+                    for p in enumerate_preload_plans(plan)
                 )
-                for p in enumerate_preload_plans(plan)
+                options.append(ExecuteOption(plan=plan, cost=cost, setup_overhead=setup))
+            frontier_points = frontier_from_plans(
+                options,
+                memory_of=lambda o: o.memory_bytes,
+                time_of=lambda o: o.time_seconds,
             )
-            options.append(ExecuteOption(plan=plan, cost=cost, setup_overhead=setup))
-        frontier_points = frontier_from_plans(
-            options,
-            memory_of=lambda o: o.memory_bytes,
-            time_of=lambda o: o.time_seconds,
-        )
-        frontier = [point.plan for point in frontier_points]
-        if not frontier:
-            raise SchedulingError(f"operator {op.name!r} has an empty plan frontier")
+            frontier = [point.plan for point in frontier_points]
+            if not frontier:
+                raise SchedulingError(f"operator {op.name!r} has an empty plan frontier")
+            enumerated[key] = (op, frontier)
         profiles.append(
             OperatorProfile(
                 index=index,
                 op=op,
                 execute_frontier=frontier,
                 hbm_bytes=op.hbm_load_bytes,
-                hbm_time=cost_model.hbm_load_time(op.hbm_load_bytes),
+                hbm_time=hbm_time,
             )
         )
     return profiles

@@ -1,6 +1,7 @@
 """Tests for the cost-aware on-chip memory allocator (§4.3)."""
 
 import itertools
+import random
 
 import pytest
 
@@ -94,3 +95,27 @@ def test_greedy_tracks_exhaustive_optimum(allocator_parts, small_chip, small_cos
 def test_allocator_rejects_zero_budget(small_cost_model):
     with pytest.raises(Exception):
         MemoryAllocator(small_cost_model, 0, 5.5e9)
+
+
+@pytest.mark.parametrize("budget_share", [1, 4])
+def test_memoized_allocations_match_fresh_allocators(
+    small_chip, small_cost_model, tiny_profiles, budget_share
+):
+    """Repeats return the first answer; each preload order is its own question."""
+    budget = small_chip.per_core_usable_sram // budget_share
+    link = small_chip.core.link_bandwidth
+    allocator = MemoryAllocator(small_cost_model, budget, link)
+    rng = random.Random(budget_share)
+    for _ in range(60):
+        current, *others = rng.sample(tiny_profiles, rng.randint(2, 6))
+        preloaded = [(p, rng.choice(p.execute_frontier)) for p in others]
+        permuted = preloaded[::-1]
+        for pairs in (preloaded, permuted):
+            first = allocator.allocate(current, pairs)
+            fresh = MemoryAllocator(small_cost_model, budget, link).allocate(current, pairs)
+            assert first == fresh
+            assert allocator.allocate(current, list(pairs)) is first
+        forward = allocator.allocate(current, preloaded)
+        backward = allocator.allocate(current, permuted)
+        if len(preloaded) > 1 and forward is not None:
+            assert backward is not forward

@@ -1,5 +1,7 @@
 """Tests for the two-level inductive scheduler and the preload-order search."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -155,3 +157,53 @@ def test_edit_distance_limit_respected(tiny_graph, tiny_profiles, small_chip):
             abs(permutation.index(op) - heavy.index(op)) for op in heavy
         )
         assert displacement <= 1
+
+
+def _structure(op):
+    def tensors(specs):
+        return [(t.shape, t.dtype, t.kind) for t in specs]
+
+    return op.op_type, tensors(op.inputs), tensors(op.outputs), op.attrs
+
+
+def _nameless(option):
+    plan = option.plan
+    operands = tuple(replace(shard, tensor_name="") for shard in plan.operands)
+    return replace(option, plan=replace(plan, op_name="", operands=operands))
+
+
+def test_shared_enumeration_keeps_each_operators_names(tiny_profiles):
+    """Layer 1 reuses layer 0's enumeration but not its names."""
+    by_name = {profile.op.name: profile for profile in tiny_profiles}
+    for profile in tiny_profiles:
+        inputs = {tensor.name for tensor in profile.op.inputs}
+        for option in profile.execute_frontier:
+            assert option.plan.op_name == profile.op.name
+            assert {shard.tensor_name for shard in option.plan.operands} <= inputs
+    pairs = [
+        (by_name[name.replace("layer1.", "layer0.", 1)], profile)
+        for name, profile in by_name.items()
+        if name.startswith("layer1.")
+    ]
+    # Layer 0's first norm and residual read the embeddings, an input tensor.
+    pairs = [(a, b) for a, b in pairs if _structure(a.op) == _structure(b.op)]
+    assert len(pairs) == 12
+    for first, second in pairs:
+        assert [_nameless(o) for o in first.execute_frontier] == [
+            _nameless(o) for o in second.execute_frontier
+        ]
+        assert first.execute_frontier != second.execute_frontier
+
+
+def test_negative_preload_cap_is_a_scheduling_error(
+    tiny_profiles, small_chip, small_cost_model
+):
+    scheduler = InductiveScheduler(
+        tiny_profiles,
+        small_cost_model,
+        small_chip.per_core_usable_sram,
+        small_chip.core.link_bandwidth,
+        SchedulerOptions(max_preload_ahead=-1),
+    )
+    with pytest.raises(SchedulingError, match="no preload number"):
+        scheduler.schedule()
