@@ -7,12 +7,14 @@ fastest (largest) plan and greedily steps the most "cost-effective" operator —
 the one whose next-smaller Pareto plan frees the most memory per unit of added
 time — down its frontier until the total footprint fits (Fig. 11).
 
-A :class:`MemoryAllocator` memoizes its results for its own lifetime, keyed
-on the current profile and the *ordered* preloaded (profile, execute option)
+A :class:`MemoryAllocator` memoizes its answers for its own lifetime.  The key
+is the current profile plus the *ordered* preloaded (profile, execute option)
 pairs, by identity: ties in the greedy walk go to the earlier candidate, so
-the order is part of the question.  The inductive scheduler owns one
+the order is part of the question.  The allocator holds every object it has
+keyed on, so no other object can take one's identity, and its answers share
+their :class:`PreloadAssignment` objects.  The inductive scheduler owns one
 allocator per scheduling run, where the same question recurs across preload
-numbers and candidate preload orders; the memo dies with the run.
+numbers and candidate preload orders, so the memo dies with the run.
 """
 
 from __future__ import annotations
@@ -91,17 +93,13 @@ class _Candidate:
     def memory(self) -> int:
         return self.option.memory_bytes
 
-    @property
-    def time(self) -> float:
-        return self.option.time_seconds
-
     def next_step(self) -> tuple[int, float] | None:
         """(memory saved, time added) by moving one step down the frontier."""
         if self.position + 1 >= len(self.frontier):
             return None
         nxt = self.frontier[self.position + 1]
         saved = self.memory - nxt.memory_bytes
-        added = nxt.time_seconds - self.time
+        added = nxt.time_seconds - self.option.time_seconds
         return saved, added
 
 
@@ -125,7 +123,9 @@ class MemoryAllocator:
         self.cost_model = cost_model
         self.sram_budget = sram_budget_bytes
         self.link_bandwidth = link_bandwidth
-        self._memo: dict[tuple[int, ...], tuple[AllocationResult | None, object]] = {}
+        self._serials: dict[int, tuple[int, object]] = {}
+        self._memo: dict[tuple[int, ...], AllocationResult | None] = {}
+        self._assignments: dict[tuple[int, int, int], PreloadAssignment] = {}
 
     # ---------------------------------------------------------------- interface
     def allocate(
@@ -146,15 +146,19 @@ class MemoryAllocator:
             operator exceed the SRAM budget (the preload number is infeasible).
             A repeated question returns the first answer's object.
         """
-        key = (id(current), *map(id, chain.from_iterable(preloaded)))
-        entry = self._memo.get(key)
-        if entry is None:
-            # The entry holds the key's objects, so no other object takes their ids.
-            entry = (self._allocate(current, preloaded), (current, tuple(preloaded)))
-            self._memo[key] = entry
-        return entry[0]
+        key = tuple(map(self._serial, (current, *chain.from_iterable(preloaded))))
+        if key not in self._memo:
+            self._memo[key] = self._allocate(current, preloaded)
+        return self._memo[key]
 
     # ----------------------------------------------------------------- internal
+    def _serial(self, obj: object) -> int:
+        """This allocator's number for ``obj``, which it holds so the number stays its own."""
+        entry = self._serials.get(id(obj))
+        if entry is None:
+            entry = self._serials[id(obj)] = (len(self._serials), obj)
+        return entry[0]
+
     def _allocate(
         self,
         current: OperatorProfile,
@@ -213,12 +217,14 @@ class MemoryAllocator:
         )
         for (profile, chosen), candidate in zip(preloaded, preload_candidates):
             option: PreloadOption = candidate.option
-            assignments[candidate.key] = PreloadAssignment(
-                profile=profile,
-                execute_option=chosen,
-                option=option,
-                frontier_index=candidate.position,
-            )
+            # (profile, execute option, position) fixes an assignment, and
+            # ``_serial`` holds both objects, so their ids stay theirs.
+            shared = (id(profile), id(chosen), candidate.position)
+            if shared not in self._assignments:
+                self._assignments[shared] = PreloadAssignment(
+                    profile, chosen, option, candidate.position
+                )
+            assignments[candidate.key] = self._assignments[shared]
             distribution_total += option.distribution_time
             overhead_penalty += option.overhead_time - candidate.frontier[0].overhead_time
 

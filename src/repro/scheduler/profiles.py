@@ -163,7 +163,10 @@ class OperatorProfile:
 
 
 def _structure(op: Operator) -> tuple:
-    """Everything enumeration and costing read from an operator: all but names."""
+    """Everything enumeration and costing read from an operator: all but names.
+
+    Which inputs are one tensor stays in, so renaming by tensor name is exact.
+    """
     names = [t.name for t in op.inputs]
     return (
         op.op_type,
@@ -187,9 +190,6 @@ def build_operator_profiles(
     limits: EnumerationLimits | None = None,
 ) -> list[OperatorProfile]:
     """Enumerate, cost, and Pareto-filter every operator's execute plans.
-
-    Structurally identical operators are enumerated once (see the module
-    docstring); each still gets its own profile and its own named plans.
 
     Args:
         graph: The model graph.
