@@ -93,8 +93,8 @@ def test_obs_trace_determinism_and_overhead(benchmark):
     to_jsonl(tracer_a, os.path.join(OBS_DIR, "cluster_chaos_trace.jsonl"))
     registry = MetricsRegistry()
     result.register_into(registry)
-    session.stats.register_into(registry)
-    store.stats.register_into(registry)
+    registry.register_source("session", session.stats.snapshot)
+    registry.register_source("store", store.stats.snapshot)
     snapshot = registry.snapshot()
     snapshot_path = os.path.join(OBS_DIR, "metrics_snapshot.json")
     with open(snapshot_path, "w", encoding="utf-8") as handle:

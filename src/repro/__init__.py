@@ -67,14 +67,21 @@ queue- and SLO-driven autoscaler, and prefill/decode disaggregation::
 :mod:`repro.obs` observes all of it: an opt-in :class:`Tracer` threads
 hierarchical spans through compile, store, serving, and fleet layers
 (exportable to Perfetto via :func:`to_chrome_trace`, bit-identical across
-same-seed runs), and a :class:`MetricsRegistry` unifies every subsystem's
-counters behind one ``snapshot()``::
+same-seed runs), and a :class:`MetricsRegistry` of sources unifies every
+subsystem's metric struct behind one ``snapshot()``::
 
-    from repro import Tracer, simulate_cluster_scenario, to_chrome_trace
+    from repro import (MetricsRegistry, Tracer, make_serving_session,
+                       simulate_cluster_scenario, to_chrome_trace)
 
-    tracer = Tracer()
-    simulate_cluster_scenario("cluster-chaos-crashes", tracer=tracer)
+    session, tracer = make_serving_session(), Tracer()
+    result = simulate_cluster_scenario("cluster-chaos-crashes",
+                                       session=session, tracer=tracer)
     to_chrome_trace(tracer, "trace.json")  # open in ui.perfetto.dev
+
+    registry = MetricsRegistry()
+    result.register_into(registry)  # cluster.{serving,availability,counters}
+    registry.register_source("session", session.stats.snapshot)
+    print(registry.table())
 """
 
 from repro.api import (

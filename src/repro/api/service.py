@@ -43,7 +43,6 @@ from repro.api.artifacts import CompileArtifact, save_artifacts
 from repro.api.store import ArtifactStore, artifact_digest
 
 if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 from repro.arch.chip import ChipConfig, SystemConfig
 from repro.baselines.static import StaticOptions
@@ -212,12 +211,6 @@ class SessionStats:
     def snapshot(self) -> dict[str, int]:
         """Plain-dict copy for logging."""
         return dataclasses.asdict(self)
-
-    def register_into(
-        self, registry: "MetricsRegistry", prefix: str = "session"
-    ) -> None:
-        """Expose these counters as a live source in a metrics registry."""
-        registry.register_source(prefix, self.snapshot)
 
 
 class Session:

@@ -40,13 +40,10 @@ import json
 import os
 import tempfile
 import threading
-from typing import TYPE_CHECKING, Hashable, Iterator
+from typing import Hashable, Iterator
 
 from repro.api.artifacts import ARTIFACT_SCHEMA_VERSION, CompileArtifact
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -102,10 +99,6 @@ class StoreStats:
     def snapshot(self) -> dict[str, int]:
         """Plain-dict copy for logging."""
         return dataclasses.asdict(self)
-
-    def register_into(self, registry: "MetricsRegistry", prefix: str = "store") -> None:
-        """Expose these counters as a source in a metrics registry."""
-        registry.register_source(prefix, self.snapshot)
 
 
 class ArtifactStore:

@@ -68,10 +68,6 @@ class CoreConfig:
         """Convert a cycle count to seconds at this core's clock."""
         return cycles / self.clock_hz
 
-    def seconds_to_cycles(self, seconds: float) -> float:
-        """Convert seconds to a cycle count at this core's clock."""
-        return seconds * self.clock_hz
-
     def scaled_flops(self, factor: float) -> "CoreConfig":
         """Return a copy with compute throughput scaled by ``factor``.
 

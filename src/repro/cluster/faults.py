@@ -38,12 +38,9 @@ import os
 import random
 import zlib
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
 
 #: Bumped whenever the serialized fault-schedule layout changes incompatibly.
 FAULT_SCHEMA_VERSION = 1
@@ -450,12 +447,6 @@ class AvailabilityMetrics:
             "goodput_under_faults_rps": self.goodput_under_faults_rps,
             "goodput_under_faults_fraction": self.goodput_under_faults_fraction,
         }
-
-    def register_into(
-        self, registry: "MetricsRegistry", prefix: str = "availability"
-    ) -> None:
-        """Expose this run's summary as a source in a metrics registry."""
-        registry.register_source(prefix, self.summary)
 
 
 __all__ = [

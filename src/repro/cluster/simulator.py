@@ -241,8 +241,8 @@ class ClusterResult(ServingResult):
         retry counters (``<prefix>.counters.*``) as sources, so one
         ``registry.snapshot()`` covers the whole run.
         """
-        self.metrics().register_into(registry, f"{prefix}.serving")
-        self.availability.register_into(registry, f"{prefix}.availability")
+        registry.register_source(f"{prefix}.serving", self.metrics().summary)
+        registry.register_source(f"{prefix}.availability", self.availability.summary)
         registry.register_source(f"{prefix}.counters", self.counters)
 
     def tenant_metrics(self) -> dict[str, ServingMetrics]:

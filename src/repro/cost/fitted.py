@@ -11,7 +11,6 @@ including the accuracy evaluation used for Fig. 12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 

@@ -140,10 +140,6 @@ class HBMSimulator:
             row_misses=row_misses_per_channel * total_channels,
         )
 
-    def load_tensors(self, placements: list[TensorPlacement]) -> list[AccessRecord]:
-        """Simulate a sequence of tensor loads (back-to-back streaming)."""
-        return [self.load_tensor(p) for p in placements]
-
     def sustained_bandwidth(self, tensor_bytes: int) -> float:
         """Effective bandwidth achieved when streaming a tensor of this size."""
         placement = TensorPlacement("probe", 0, tensor_bytes)

@@ -62,8 +62,3 @@ def dtype_from_name(name: str) -> DType:
     if key not in _REGISTRY:
         raise ShapeError(f"unknown dtype {name!r}; known: {sorted(_REGISTRY)}")
     return _REGISTRY[key]
-
-
-def register_dtype(dtype: DType) -> None:
-    """Register a custom dtype so it can be referenced by name."""
-    _REGISTRY[dtype.name] = dtype

@@ -111,13 +111,6 @@ class OperatorGraph:
                 )
             covered.update(span.indices())
 
-    def layer_of(self, op_index: int) -> LayerSpan | None:
-        """Return the layer span containing the operator index, if any."""
-        for span in self.layers:
-            if span.start <= op_index < span.stop:
-                return span
-        return None
-
     def identical_layer_groups(self) -> dict[str, list[LayerSpan]]:
         """Group layers by their structural template.
 
@@ -308,11 +301,6 @@ class GraphBuilder:
         """Append an operator and return it (for chaining its output tensor)."""
         self._operators.append(op)
         return op
-
-    @property
-    def operator_count(self) -> int:
-        """Number of operators added so far."""
-        return len(self._operators)
 
     def build(self) -> OperatorGraph:
         """Finalize and validate the graph."""

@@ -31,10 +31,6 @@ def _weight(name: str, shape: tuple[int, ...], config: TransformerConfig) -> Ten
     return TensorSpec(name, shape, config.dtype, kind="weight")
 
 
-def _kv(name: str, shape: tuple[int, ...], config: TransformerConfig) -> TensorSpec:
-    return TensorSpec(name, shape, config.dtype, kind="kv_cache")
-
-
 def _add_decoder_layer(
     builder: GraphBuilder,
     config: TransformerConfig,

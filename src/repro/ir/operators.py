@@ -10,7 +10,6 @@ transformers (the same set plus patch embedding expressed as a MatMul).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
@@ -128,11 +127,6 @@ class Operator:
         return self.usage.output_bytes
 
     @property
-    def total_footprint_bytes(self) -> int:
-        """Bytes of all inputs plus outputs — the minimum on-chip footprint."""
-        return sum(t.size_bytes for t in self.inputs) + self.output_bytes
-
-    @property
     def flops(self) -> int:
         """Floating point operations performed by this operator."""
         return operator_flops(self)
@@ -232,13 +226,6 @@ def operator_flops(op: Operator) -> int:
 # --------------------------------------------------------------------------- #
 # Convenience constructors used by the model builders.
 # --------------------------------------------------------------------------- #
-_name_counter = itertools.count()
-
-
-def _unique(name: str | None, prefix: str) -> str:
-    if name:
-        return name
-    return f"{prefix}_{next(_name_counter)}"
 
 
 def make_matmul(

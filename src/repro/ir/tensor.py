@@ -80,10 +80,6 @@ class TensorSpec:
         """Return a copy of this tensor with a different kind."""
         return TensorSpec(self.name, self.shape, self.dtype, kind)
 
-    def with_name(self, name: str) -> "TensorSpec":
-        """Return a copy of this tensor with a different name."""
-        return TensorSpec(name, self.shape, self.dtype, self.kind)
-
     def to_dict(self) -> dict:
         """Serialize to a JSON-compatible dictionary."""
         return {

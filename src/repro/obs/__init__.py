@@ -13,27 +13,31 @@ layers of the reproduction:
 - :func:`to_chrome_trace` / :func:`to_jsonl` — exporters whose deterministic
   mode is bit-identical across same-seed runs; the Chrome output loads in
   Perfetto (see the README "Observability" section).
-- :class:`MetricsRegistry` — counters/gauges/histograms plus the existing
-  per-layer metric structs registered as sources, yielding one
-  ``snapshot()`` dict and one reporting table.
+- :class:`MetricsRegistry` — a registry of sources: the existing per-layer
+  metric structs plug in as bound methods, yielding one ``snapshot()`` dict
+  and one reporting table.
 
 Quick start::
 
-    from repro import Tracer, simulate_cluster_scenario, to_chrome_trace
+    from repro import (MetricsRegistry, Tracer, make_serving_session,
+                       simulate_cluster_scenario, to_chrome_trace)
 
-    tracer = Tracer()
-    result = simulate_cluster_scenario("cluster-chaos-crashes", tracer=tracer)
+    session, tracer = make_serving_session(), Tracer()
+    result = simulate_cluster_scenario("cluster-chaos-crashes",
+                                       session=session, tracer=tracer)
     to_chrome_trace(tracer, "results/cluster_trace.json")  # open in Perfetto
+
+    registry = MetricsRegistry()
+    result.register_into(registry)  # cluster.{serving,availability,counters}
+    registry.register_source("session", session.stats.snapshot)
+    print(registry.table())
 """
 
 from .export import to_chrome_trace, to_jsonl, trace_events
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .trace import Span, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Span",
     "Tracer",

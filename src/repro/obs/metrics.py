@@ -1,17 +1,18 @@
-"""Unified metrics registry: counters, gauges, histograms, and sources.
+"""Unified metrics registry: one namespace of metric sources.
 
 The repo grew one bespoke metrics struct per layer (`SessionStats`,
 `StoreStats`, `ServingMetrics`, `AvailabilityMetrics`, the
 `StepLatencyModel` counter dict).  :class:`MetricsRegistry` gives them one
-namespace: native instruments (:class:`Counter` / :class:`Gauge` /
-:class:`Histogram`) are created through the registry, and the existing
-structs plug in unchanged as *sources* — callables returning a flat mapping,
-re-read at every :meth:`MetricsRegistry.snapshot`.  Names live in a single
-namespace; registering the same name twice (any kind) raises
+namespace: each plugs in unchanged as a *source* — a zero-arg callable
+returning a flat mapping, re-read at every :meth:`MetricsRegistry.snapshot`.
+Register a bound method directly
+(``registry.register_source("session", session.stats.snapshot)``);
+:meth:`~repro.cluster.ClusterResult.register_into` registers a fleet run's
+three families at once.  Registering the same name twice raises
 :class:`~repro.errors.ConfigurationError` so two subsystems can never
 silently shadow each other's numbers.
 
-``snapshot()`` returns one flat ``{"name" | "source.key": value}`` dict and
+``snapshot()`` returns one flat ``{"source.key": value}`` dict and
 ``table()`` renders it with the standard reporting formatter — one place to
 look instead of five.
 """
@@ -23,121 +24,15 @@ from typing import Callable, Mapping
 
 from ..errors import ConfigurationError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-
-
-class Counter:
-    """Monotonic counter; create via :meth:`MetricsRegistry.counter`."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name!r} cannot decrease (inc by {amount})"
-            )
-        self.value += amount
-
-
-class Gauge:
-    """Last-value gauge; create via :meth:`MetricsRegistry.gauge`."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class Histogram:
-    """Streaming histogram; create via :meth:`MetricsRegistry.histogram`.
-
-    Keeps every observation (these are offline-analysis runs, not a hot
-    serving path) and summarizes as count/sum/min/max/mean/p50/p95.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.values: list[float] = []
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    @staticmethod
-    def _percentile(ordered: list[float], q: float) -> float:
-        if not ordered:
-            return 0.0
-        pos = q * (len(ordered) - 1)
-        low = int(pos)
-        high = min(low + 1, len(ordered) - 1)
-        frac = pos - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
-
-    def summary(self) -> dict[str, float]:
-        ordered = sorted(self.values)
-        count = len(ordered)
-        total = sum(ordered)
-        return {
-            "count": count,
-            "sum": total,
-            "min": ordered[0] if ordered else 0.0,
-            "max": ordered[-1] if ordered else 0.0,
-            "mean": total / count if count else 0.0,
-            "p50": self._percentile(ordered, 0.50),
-            "p95": self._percentile(ordered, 0.95),
-        }
+__all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """One namespace of instruments and pluggable metric sources.
-
-    Thread-safe for registration; instruments themselves are simple
-    attributes (the simulators are single-threaded event loops).
-    """
+    """One namespace of pluggable metric sources (thread-safe registration)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._sources: dict[str, Callable[[], Mapping[str, float]]] = {}
-
-    def _claim(self, name: str, kind: str) -> None:
-        if not name:
-            raise ConfigurationError(f"{kind} name must be non-empty")
-        for table in (self._counters, self._gauges, self._histograms, self._sources):
-            if name in table:
-                raise ConfigurationError(
-                    f"metric name {name!r} already registered; names share one "
-                    f"namespace across counters, gauges, histograms, and sources"
-                )
-
-    def counter(self, name: str) -> Counter:
-        """Create and register a :class:`Counter` under ``name``."""
-        with self._lock:
-            self._claim(name, "counter")
-            metric = Counter(name)
-            self._counters[name] = metric
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        """Create and register a :class:`Gauge` under ``name``."""
-        with self._lock:
-            self._claim(name, "gauge")
-            metric = Gauge(name)
-            self._gauges[name] = metric
-        return metric
-
-    def histogram(self, name: str) -> Histogram:
-        """Create and register a :class:`Histogram` under ``name``."""
-        with self._lock:
-            self._claim(name, "histogram")
-            metric = Histogram(name)
-            self._histograms[name] = metric
-        return metric
 
     def register_source(
         self, name: str, source: Callable[[], Mapping[str, float]]
@@ -147,28 +42,24 @@ class MetricsRegistry:
         ``source`` is a zero-arg callable returning a flat mapping; its keys
         appear in the snapshot as ``"<name>.<key>"``.
         """
+        if not name:
+            raise ConfigurationError("source name must be non-empty")
         with self._lock:
-            self._claim(name, "source")
+            if name in self._sources:
+                raise ConfigurationError(
+                    f"metric source {name!r} already registered"
+                )
             self._sources[name] = source
 
     def snapshot(self) -> dict[str, float]:
-        """One flat, key-sorted dict across every instrument and source."""
-        out: dict[str, float] = {}
+        """One flat, key-sorted dict across every source."""
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
             sources = dict(self._sources)
-        for name, counter in counters.items():
-            out[name] = counter.value
-        for name, gauge in gauges.items():
-            out[name] = gauge.value
-        for name, histogram in histograms.items():
-            for key, value in histogram.summary().items():
-                out[f"{name}.{key}"] = value
-        for name, source in sources.items():
-            for key, value in source().items():
-                out[f"{name}.{key}"] = value
+        out = {
+            f"{name}.{key}": value
+            for name, source in sources.items()
+            for key, value in source().items()
+        }
         return dict(sorted(out.items()))
 
     def table(self) -> str:

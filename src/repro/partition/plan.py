@@ -146,19 +146,9 @@ class ExecutePlan:
 
     # --------------------------------------------------------------- preloading
     @property
-    def hbm_resident_bytes_per_core(self) -> int:
-        """Per-core execute-state resident bytes that come from HBM operands."""
-        return sum(o.resident_bytes for o in self.operands if o.from_hbm)
-
-    @property
     def hbm_unique_bytes_per_core(self) -> int:
         """Per-core unique share of HBM-sourced operands (the MinPreload floor)."""
         return sum(o.unique_bytes for o in self.operands if o.from_hbm)
-
-    @property
-    def activation_resident_bytes_per_core(self) -> int:
-        """Per-core execute-state resident bytes of on-chip activation operands."""
-        return sum(o.resident_bytes for o in self.operands if not o.from_hbm)
 
     def describe(self) -> dict[str, object]:
         """Compact dictionary used in traces and debug dumps."""

@@ -120,13 +120,6 @@ class ExecutionPlan:
         )
         return displacement / len(self.schedules)
 
-    def schedule_for(self, op_name: str) -> OperatorSchedule:
-        """Look up the schedule of an operator by name."""
-        for schedule in self.schedules:
-            if schedule.op_name == op_name:
-                return schedule
-        raise SchedulingError(f"no schedule for operator {op_name!r}")
-
     def validate_against(self, graph: OperatorGraph) -> None:
         """Check the plan covers exactly the operators of ``graph`` in order."""
         if len(graph) != len(self.schedules):

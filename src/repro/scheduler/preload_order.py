@@ -182,12 +182,6 @@ class PreloadOrderGenerator:
                 break
         return candidates
 
-    def _apply_layer_permutation(
-        self, permutation: Sequence[int], heavy_slots: Sequence[int]
-    ) -> dict[int, int]:
-        """Map heavy slot position -> operator index occupying it."""
-        return {slot: op for slot, op in zip(heavy_slots, permutation)}
-
     def candidate_orders(self) -> list[tuple[int, ...]]:
         """Full-model candidate preload orders (identity first).
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
 from repro.api.service import CompileRequest, Session
@@ -182,12 +181,6 @@ class StepLatencyModel:
         """The (model, phase, batch bucket, context bucket) shapes compiled."""
         with self._lock:
             return sorted(self._latencies)
-
-    def register_metrics(
-        self, registry: "MetricsRegistry", prefix: str = "latency_model"
-    ) -> None:
-        """Expose the latency-cache counters as a live registry source."""
-        registry.register_source(prefix, lambda: dict(self.stats))
 
     def inject_compile_failures(self, count: int = 1) -> None:
         """Arm ``count`` transient compile failures (fault injection).

@@ -22,13 +22,10 @@ simulation are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.serve.workload import DIFFUSION, RequestSpec
-
-if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -197,12 +194,6 @@ class ServingMetrics:
             "e2e_p99_ms": self.e2e_p99 * 1e3,
             "utilization": self.utilization,
         }
-
-    def register_into(
-        self, registry: "MetricsRegistry", prefix: str = "serving"
-    ) -> None:
-        """Expose this run's summary as a source in a metrics registry."""
-        registry.register_source(prefix, self.summary)
 
 
 def compute_metrics(

@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 from repro.errors import SimulationError
 from repro.sim.resources import Resource
 
+#: Slack (in seconds and in progress fraction) under which a job counts as done.
+TIME_STEP_EPSILON = 1e-12
+
 
 @dataclass
 class Job:
@@ -42,14 +45,6 @@ class Job:
     start_time: float = -1.0
     end_time: float = -1.0
     progress: float = 0.0
-
-    @property
-    def standalone_duration(self) -> float:
-        """Duration the job would take with every resource to itself."""
-        longest = max(
-            (amount for amount in self.demands.values() if amount > 0), default=0.0
-        )
-        return self.min_duration if longest == 0 else self.min_duration
 
     def uncontended_duration(self, resources: dict[str, Resource]) -> float:
         """Duration with exclusive access to every resource it uses."""
@@ -83,7 +78,7 @@ class FluidSimulator:
         return job
 
     # ----------------------------------------------------------------- running
-    def run(self, time_step_epsilon: float = 1e-12) -> float:
+    def run(self) -> float:
         """Simulate until every job completes and return the makespan."""
         for job in self.jobs.values():
             for pred in job.predecessors:
@@ -174,11 +169,11 @@ class FluidSimulator:
             newly_done = []
             for job_id in list(active):
                 job = self.jobs[job_id]
-                if job.progress >= 1.0 - time_step_epsilon and now >= job.start_time + job.min_duration - time_step_epsilon:
+                if job.progress >= 1.0 - TIME_STEP_EPSILON and now >= job.start_time + job.min_duration - TIME_STEP_EPSILON:
                     job.progress = 1.0
                     job.end_time = now
                     newly_done.append(job_id)
-            if not newly_done and dt <= time_step_epsilon:
+            if not newly_done and dt <= TIME_STEP_EPSILON:
                 # Force completion of the job chosen by the event to avoid stalling.
                 _, forced = min(finish_times)
                 job = self.jobs[forced]
@@ -193,13 +188,6 @@ class FluidSimulator:
         return now
 
     # ----------------------------------------------------------------- metrics
-    def jobs_of_kind(self, kind: str) -> list[Job]:
-        """All jobs with the given kind label, sorted by start time."""
-        return sorted(
-            (job for job in self.jobs.values() if job.kind == kind),
-            key=lambda j: j.start_time,
-        )
-
     def busy_intervals(self, kinds: set[str]) -> list[tuple[float, float]]:
         """Merged busy intervals of all jobs whose kind is in ``kinds``."""
         intervals = sorted(

@@ -35,56 +35,9 @@ class Resource:
         if self.capacity <= 0:
             raise SimulationError(f"resource {self.name!r} needs positive capacity")
 
-    @property
-    def utilization_of(self) -> float:
-        """Average utilization over a given makespan (filled in by the engine)."""
-        return self.served / self.capacity
-
     def utilization(self, makespan: float) -> float:
         """Average utilization of the resource over ``makespan`` seconds."""
         if makespan <= 0:
             return 0.0
         return min(1.0, self.served / (self.capacity * makespan))
 
-
-def fair_share_rates(
-    demands: dict[str, dict[str, float]], resources: dict[str, Resource]
-) -> dict[str, float]:
-    """Compute per-job progress rates under max-min fair sharing.
-
-    Args:
-        demands: ``job_id -> {resource_name: remaining_demand}``.  A job's
-            progress rate is expressed as a fraction of its *total remaining
-            work per resource*: the job completes when every per-resource
-            demand is served, and the per-resource service rates are chosen so
-            that each resource splits its capacity equally among the jobs
-            using it (water-filling).
-        resources: Resource table.
-
-    Returns:
-        ``job_id -> progress_rate`` where progress rate is the inverse of the
-        time the job would need to finish if rates stayed constant (1/s).
-    """
-    # Equal split per resource: each resource divides its capacity over the
-    # jobs that still need it; a job's finish rate on a resource is
-    # share / remaining_demand, and its overall rate is the minimum across the
-    # resources it uses (the bottleneck).
-    users: dict[str, int] = {}
-    for job_demands in demands.values():
-        for name, amount in job_demands.items():
-            if amount > 0:
-                users[name] = users.get(name, 0) + 1
-
-    rates: dict[str, float] = {}
-    for job_id, job_demands in demands.items():
-        job_rate = float("inf")
-        for name, amount in job_demands.items():
-            if amount <= 0:
-                continue
-            resource = resources[name]
-            share = resource.capacity / users[name]
-            job_rate = min(job_rate, share / amount)
-        if job_rate == float("inf"):
-            job_rate = float("inf")  # no remaining demand: completes immediately
-        rates[job_id] = job_rate
-    return rates

@@ -1,9 +1,12 @@
 """Tests for the policy registry and the ``repro.api`` service layer."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import repro
 from repro.api import CompileArtifact, CompileRequest, Session, load_artifacts
 from repro.eval.experiments import evaluate_artifact
 from repro.baselines.basic import BasicCompiler
@@ -248,3 +251,21 @@ def test_session_save_and_load_artifacts(small_system, tmp_path):
     assert [list(evaluate_artifact(a).items()) for a in loaded] == [
         list(evaluate_artifact(a).items()) for a in session.artifacts()
     ]
+
+
+# --------------------------------------------------------------------------- #
+# Package exports
+# --------------------------------------------------------------------------- #
+def test_every_public_export_resolves():
+    """Each name in ``__all__`` of ``repro`` and its subpackages exists."""
+    packages = [repro] + [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    ]
+    assert len(packages) > 1
+    for package in packages:
+        missing = [
+            name for name in package.__all__ if not hasattr(package, name)
+        ]
+        assert not missing, f"{package.__name__}.__all__ lists {missing}"

@@ -203,43 +203,27 @@ def test_scenario_run_restores_session_tracer():
 
 def test_registry_instruments_and_snapshot():
     registry = MetricsRegistry()
-    requests = registry.counter("requests")
-    depth = registry.gauge("queue_depth")
-    lat = registry.histogram("latency_ms")
-    requests.inc()
-    requests.inc(2)
-    depth.set(7)
-    for value in (1.0, 2.0, 3.0, 4.0):
-        lat.observe(value)
-    registry.register_source("store", lambda: {"hits": 5, "misses": 1})
+    depth = {"value": 7}
+    registry.register_source("store", lambda: {"misses": 1, "hits": 5})
+    registry.register_source("queue", lambda: {"depth": depth["value"]})
     snapshot = registry.snapshot()
-    assert snapshot["requests"] == 3
-    assert snapshot["queue_depth"] == 7
-    assert snapshot["latency_ms.count"] == 4
-    assert snapshot["latency_ms.p50"] == pytest.approx(2.5)
-    assert snapshot["store.hits"] == 5
+    assert snapshot == {"queue.depth": 7, "store.hits": 5, "store.misses": 1}
     assert list(snapshot) == sorted(snapshot)
-    table = registry.table()
-    assert "latency_ms.p95" in table and "store.misses" in table
+    # Sources are re-read at every snapshot, not copied at registration.
+    depth["value"] = 9
+    assert registry.snapshot()["queue.depth"] == 9
+    rows = registry.table().splitlines()[2:]  # below the header and rule
+    assert [row.split()[0] for row in rows] == sorted(snapshot)
 
 
 def test_registry_rejects_duplicate_names_across_kinds():
     registry = MetricsRegistry()
-    registry.counter("x")
-    for factory in (registry.counter, registry.gauge, registry.histogram):
-        with pytest.raises(ConfigurationError):
-            factory("x")
+    registry.register_source("x", lambda: {})
     with pytest.raises(ConfigurationError):
-        registry.register_source("x", lambda: {})
+        registry.register_source("x", lambda: {"other": 1})
     with pytest.raises(ConfigurationError):
-        registry.counter("")
-
-
-def test_counter_rejects_negative_increments():
-    registry = MetricsRegistry()
-    counter = registry.counter("n")
-    with pytest.raises(ConfigurationError):
-        counter.inc(-1)
+        registry.register_source("", lambda: {})
+    assert registry.snapshot() == {}
 
 
 def test_existing_structs_register_as_sources(tmp_path):
@@ -255,8 +239,8 @@ def test_existing_structs_register_as_sources(tmp_path):
     )
     registry = MetricsRegistry()
     result.register_into(registry)
-    session.stats.register_into(registry)
-    session.store.stats.register_into(registry)
+    registry.register_source("session", session.stats.snapshot)
+    registry.register_source("store", session.store.stats.snapshot)
     snapshot = registry.snapshot()
     assert "cluster.serving.throughput_rps" in snapshot
     assert "cluster.availability.crashes" in snapshot

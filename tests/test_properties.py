@@ -1,5 +1,8 @@
 """Property-based tests over core invariants of the compiler stack."""
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from repro.ir.models.config import TransformerConfig
 from repro.ir.models.transformer import build_decode_graph
 from repro.partition import enumerate_execute_plans, enumerate_preload_plans
 from repro.serve import (
+    ContinuousBatcher,
     RequestShape,
     SLOSpec,
     StepLatencyModel,
@@ -139,7 +143,8 @@ def test_serving_loop_invariants(
     serving_session, num_requests, rate, trace_seed, mixed, num_engines, router,
     fault_seed, fleet, warmup_delay, tenant_quota,
 ):
-    """Accounting balances, timestamps are ordered, reruns are identical."""
+    """Accounting balances, timestamps are ordered, every output unit is
+    delivered, reruns are identical."""
     trace = poisson_trace(
         rate,
         num_requests,
@@ -191,8 +196,29 @@ def test_serving_loop_invariants(
         )
         return simulator.run(trace)
 
-    result = run()
+    finished = []  # (request id, units delivered, units asked) per release
+    complete_step = ContinuousBatcher.complete_step
+
+    def recording_complete_step(batcher, batch, now):
+        released = complete_step(batcher, batch, now)
+        finished.extend(
+            (state.spec.request_id, state.steps_done, state.spec.output_units)
+            for state in released
+            if state.finished
+        )
+        return released
+
+    with mock.patch.object(
+        ContinuousBatcher, "complete_step", recording_complete_step
+    ):
+        result = run()
     assert result.num_arrivals == num_requests
+    # Each finished request delivered exactly its output units, and each
+    # completed request (retried or requeued ones too) finished exactly once.
+    assert all(done == asked for _, done, asked in finished)
+    assert Counter(rid for rid, _, _ in finished) == Counter(
+        record.spec.request_id for record in result.records
+    )
     assert result.accounting_balanced
     # Every arrival ends up in exactly one place, exactly once.
     resolved = [record.spec.request_id for record in result.records]
