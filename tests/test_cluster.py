@@ -5,12 +5,15 @@ runs in well under a second while still exercising real compiled step
 plans.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
     AdmissionController,
     Autoscaler,
     AutoscalerConfig,
+    AvailabilityMetrics,
     ClusterSimulator,
     DisaggregationConfig,
     EngineView,
@@ -31,8 +34,10 @@ from repro.serve import (
     RequestSpec,
     SLOSpec,
     StepLatencyModel,
+    get_scenario,
     make_serving_session,
     poisson_trace,
+    simulate_scenario,
 )
 
 
@@ -433,3 +438,48 @@ def test_cluster_metrics_summary_includes_queue_wait(small_system, cluster_sessi
     assert summary["queue_p50_ms"] <= summary["queue_p95_ms"]
     utilization = result.engine_utilization()
     assert all(0.0 <= value <= 1.0 for value in utilization.values())
+
+
+def test_plain_scenario_through_the_fleet_driver(small_system, cluster_session):
+    # A plain serving scenario borrows the fleet defaults: two engines,
+    # least-loaded routing, and every fleet feature off.
+    fleet = simulate_cluster_scenario(
+        "interactive-chat",
+        system=small_system,
+        policy="basic",
+        num_requests=12,
+        seed=3,
+        session=cluster_session,
+    )
+    assert fleet.router == "least-loaded"
+    assert fleet.fleet_size == 2
+    assert fleet.scale_events == ()
+    assert fleet.availability == dataclasses.replace(
+        AvailabilityMetrics(),
+        goodput_under_faults_rps=fleet.availability.goodput_under_faults_rps,
+        goodput_under_faults_fraction=(
+            fleet.availability.goodput_under_faults_fraction
+        ),
+    )
+    assert fleet.accounting_balanced
+
+    # simulate_scenario is the README recipe: one round-robin engine.
+    scenario = get_scenario("interactive-chat")
+    single = simulate_scenario(
+        scenario,
+        system=small_system,
+        policy="basic",
+        num_requests=12,
+        seed=3,
+        session=cluster_session,
+    )
+    latency = StepLatencyModel(
+        cluster_session, small_system, "basic", buckets=scenario.buckets, num_layers=1
+    )
+    trace = scenario.trace(num_requests=12, seed=3)
+    direct = ClusterSimulator(latency, num_engines=1, router="round-robin").run(
+        trace, slo=scenario.slo
+    )
+    assert single.records == direct.records
+    assert single.metrics() == direct.metrics()
+    assert direct.router == "round-robin" and direct.fleet_size == 1
