@@ -121,7 +121,6 @@ from repro.cluster import (
     AutoscalerConfig,
     AvailabilityMetrics,
     ClusterResult,
-    ClusterScenario,
     ClusterSimulator,
     DegradationPolicy,
     DisaggregationConfig,
@@ -153,9 +152,7 @@ from repro.serve import (
     RequestShape,
     RequestSpec,
     ServingMetrics,
-    ServingResult,
     ServingScenario,
-    ServingSimulator,
     SLOSpec,
     StepLatencyModel,
     available_scenarios,
@@ -223,9 +220,7 @@ __all__ = [
     "RequestShape",
     "RequestSpec",
     "ServingMetrics",
-    "ServingResult",
     "ServingScenario",
-    "ServingSimulator",
     "SLOSpec",
     "StepLatencyModel",
     "available_scenarios",
@@ -242,7 +237,6 @@ __all__ = [
     "AutoscalerConfig",
     "AvailabilityMetrics",
     "ClusterResult",
-    "ClusterScenario",
     "ClusterSimulator",
     "CompileFailedError",
     "DegradationPolicy",

@@ -37,7 +37,7 @@ from concurrent.futures import (
 )
 from concurrent.futures import TimeoutError as PoolTimeout
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro.api.artifacts import CompileArtifact, save_artifacts
 from repro.api.store import ArtifactStore, artifact_digest
@@ -700,25 +700,6 @@ class Session:
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         return compiled
-
-    def sweep(
-        self,
-        workloads: Iterable[WorkloadSpec | str],
-        systems: Iterable[SystemConfig] | SystemConfig,
-        policies: Iterable[str] = ("elk-full",),
-        max_workers: int | None = None,
-        backend: str | None = None,
-    ) -> list[CompileArtifact]:
-        """Cross-product convenience: compile workloads × systems × policies."""
-        if isinstance(systems, SystemConfig):
-            systems = [systems]
-        requests = [
-            CompileRequest(workload, system, policy)
-            for workload in workloads
-            for system in systems
-            for policy in policies
-        ]
-        return self.compile_many(requests, max_workers=max_workers, backend=backend)
 
     # ------------------------------------------------------------ persistence
     def artifacts(self) -> list[CompileArtifact]:

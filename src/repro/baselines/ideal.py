@@ -15,7 +15,6 @@ from typing import Sequence
 
 from repro.arch.chip import ChipConfig
 from repro.cost.model import CostModel
-from repro.ir.graph import OperatorGraph
 from repro.scheduler.profiles import OperatorProfile
 
 
@@ -96,12 +95,3 @@ class IdealRoofline:
             hbm_bound=hbm_time >= execute_time,
         )
 
-
-def ideal_for_graph(
-    graph: OperatorGraph,
-    chip: ChipConfig,
-    profiles: Sequence[OperatorProfile],
-    cost_model: CostModel,
-) -> IdealResult:
-    """Convenience wrapper: Ideal roofline of ``graph`` on ``chip``."""
-    return IdealRoofline(profiles, chip, cost_model, total_flops=graph.total_flops).estimate()

@@ -18,7 +18,8 @@ plans compile once fleet-wide.  It layers on :mod:`repro.serve`:
   prefill/decode disaggregation with a hand-off queue and crash recovery
   with balanced request accounting;
 * :mod:`repro.cluster.scenarios` — named fleet studies registered alongside
-  the single-engine serving scenarios, including two chaos scenarios.
+  the single-engine serving scenarios, including two chaos scenarios, and
+  :func:`simulate_cluster_scenario`, the one scenario driver.
 
 Everything stays a pure function of the seeded trace, the fault schedule,
 and the configuration: fleet metrics are bit-reproducible.
@@ -60,7 +61,7 @@ from repro.cluster.router import (
     router_descriptions,
     unregister_router,
 )
-from repro.cluster.scenarios import ClusterScenario, simulate_cluster_scenario
+from repro.cluster.scenarios import simulate_cluster_scenario
 from repro.cluster.simulator import (
     ROLE_COLOCATED,
     ROLE_DECODE,
@@ -90,7 +91,6 @@ __all__ = [
     "AutoscalerConfig",
     "AvailabilityMetrics",
     "ClusterResult",
-    "ClusterScenario",
     "ClusterSimulator",
     "DegradationPolicy",
     "DisaggregationConfig",

@@ -1,11 +1,12 @@
-"""Named fleet-scale scenarios, registered alongside the serving ones.
+"""Named fleet-scale scenarios and the one scenario driver.
 
-A :class:`ClusterScenario` is a :class:`~repro.serve.scenarios.ServingScenario`
-plus the fleet configuration: initial size, router policy, optional
-autoscaler, tenant quotas, and prefill/decode disaggregation.  They live in
-the *same* registry as the single-engine scenarios, so tooling that
-enumerates :func:`~repro.serve.scenarios.available_scenarios` sees both
-families; :func:`simulate_cluster_scenario` is the one scenario driver
+Every :class:`~repro.serve.scenarios.ServingScenario` carries a fleet
+configuration (initial size, router policy, optional autoscaler, tenant
+quotas, prefill/decode disaggregation, faults, retries, degradation); the
+fleet studies below set theirs and register in the *same* registry as the
+single-engine scenarios, so tooling that enumerates
+:func:`~repro.serve.scenarios.available_scenarios` sees both families.
+:func:`simulate_cluster_scenario` is the one scenario driver
 (:func:`~repro.serve.scenarios.simulate_scenario` calls it with a pinned
 one-engine fleet) and accepts per-call overrides for sweeps (fleet size,
 router, disaggregation on/off).
@@ -30,7 +31,7 @@ Built-ins:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 from repro.arch.chip import SystemConfig
 from repro.arch.presets import scaled_system
@@ -53,6 +54,8 @@ from repro.cluster.tenancy import TenantSpec
 from repro.serve.batching import StepLatencyModel
 from repro.serve.metrics import SLOSpec
 from repro.serve.scenarios import (
+    _CHAT_SHAPE,
+    _DIT_SHAPE,
     ServingScenario,
     get_scenario,
     make_serving_session,
@@ -65,44 +68,11 @@ if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
 
-class ClusterScenario(ServingScenario):
-    """One named fleet study: a serving scenario plus fleet configuration.
-
-    Attributes:
-        num_engines: Initial fleet size (colocated mode).
-        router: Registered router-policy name.
-        autoscaler: Autoscaler configuration (``None`` = fixed fleet).
-        tenants: Tenant quota/SLO specs enforced at admission.
-        disaggregation: Prefill/decode pool split (``None`` = colocated).
-        faults: Fault schedule injected during the run (``None`` = happy
-            path).
-        retry_policy: Retry/backoff semantics for crash-lost work (``None``
-            = the defaults).
-        degradation: Load-shedding policy under overload (``None`` = never
-            shed).
-    """
-
-    num_engines: ClassVar[int] = 2
-    router: ClassVar[str] = "least-loaded"
-    autoscaler: ClassVar[AutoscalerConfig | None] = None
-    tenants: ClassVar[tuple[TenantSpec, ...]] = ()
-    disaggregation: ClassVar[DisaggregationConfig | None] = None
-    faults: ClassVar[FaultSchedule | None] = None
-    retry_policy: ClassVar[RetryPolicy | None] = None
-    degradation: ClassVar[DegradationPolicy | None] = None
-
-
 # --------------------------------------------------------------------------- #
 # Built-in fleet scenarios.
 # --------------------------------------------------------------------------- #
-_CHAT_SHAPE = RequestShape(
-    model="tiny-llm", prefill_tokens=(64, 256), decode_tokens=(8, 48)
-)
-_DIT_SHAPE = RequestShape(model="tiny-dit", denoise_steps=8)
-
-
 @register_scenario("cluster-chat-fleet")
-class ClusterChatFleet(ClusterScenario):
+class ClusterChatFleet(ServingScenario):
     description = "mixed LLM+DiT diurnal traffic on a 4-engine least-loaded fleet"
     slo = SLOSpec(ttft=5e-3, e2e=20e-3)
     nominal_rate = 480.0  # 4x the single-engine mixed-traffic load
@@ -122,7 +92,7 @@ class ClusterChatFleet(ClusterScenario):
 
 
 @register_scenario("cluster-multi-tenant")
-class ClusterMultiTenant(ClusterScenario):
+class ClusterMultiTenant(ServingScenario):
     description = (
         "three tenants with distinct quotas and SLOs, session-affinity routing"
     )
@@ -157,7 +127,7 @@ class ClusterMultiTenant(ClusterScenario):
 
 
 @register_scenario("cluster-autoscale")
-class ClusterAutoscale(ClusterScenario):
+class ClusterAutoscale(ServingScenario):
     description = "bursty chat against a 1..4-engine autoscaled fleet"
     slo = SLOSpec(ttft=3e-3, tpot=5e-4)
     nominal_rate = 500.0
@@ -185,7 +155,7 @@ class ClusterAutoscale(ClusterScenario):
 
 
 @register_scenario("cluster-disaggregated")
-class ClusterDisaggregated(ClusterScenario):
+class ClusterDisaggregated(ServingScenario):
     description = "chat on dedicated prefill/decode pools with a hand-off queue"
     slo = SLOSpec(ttft=3e-3, tpot=5e-4)
     nominal_rate = 300.0
@@ -205,7 +175,7 @@ class ClusterDisaggregated(ClusterScenario):
 
 
 @register_scenario("cluster-chaos-crashes")
-class ClusterChaosCrashes(ClusterScenario):
+class ClusterChaosCrashes(ServingScenario):
     description = (
         "crash-heavy chat fleet: three engine crashes, a straggler window, "
         "and transient compile faults, recovering under retry/backoff while "
@@ -254,7 +224,7 @@ class ClusterChaosCrashes(ClusterScenario):
 
 
 @register_scenario("cluster-chaos-degraded")
-class ClusterChaosDegraded(ClusterScenario):
+class ClusterChaosDegraded(ServingScenario):
     description = (
         "overloaded two-tier tenant mix losing an engine and straggling; "
         "graceful degradation sheds batch traffic before interactive SLOs "
@@ -313,7 +283,7 @@ _UNSET = object()  # "use the scenario's default" (None is a meaningful override
 
 
 def simulate_cluster_scenario(
-    scenario: str | ClusterScenario,
+    scenario: str | ServingScenario,
     *,
     system: SystemConfig | None = None,
     policy: str = "elk-full",
@@ -333,15 +303,14 @@ def simulate_cluster_scenario(
     prewarm: bool = False,
     tracer: "Tracer | None" = None,
 ) -> ClusterResult:
-    """Run one registered cluster scenario end to end on a fleet.
+    """Run one registered scenario end to end on a fleet.
 
     The fleet parameters (``num_engines``, ``router``, ``autoscaler``,
-    ``tenants``, ``disaggregation``) default to the scenario's class
+    ``tenants``, ``disaggregation``, ...) default to the scenario's class
     configuration; pass any of them to override for a sweep — an explicit
     ``None`` disables the feature (e.g. ``disaggregation=None`` runs the
-    ``cluster-disaggregated`` trace colocated).  A plain
-    (single-engine) :class:`ServingScenario` name also works — it runs on
-    the default 2-engine fleet unless overridden.
+    ``cluster-disaggregated`` trace colocated).  A scenario that sets no
+    fleet configuration runs on the default 2-engine least-loaded fleet.
 
     Args:
         scenario: Registered scenario name or an instance.
@@ -383,25 +352,20 @@ def simulate_cluster_scenario(
         num_layers=num_layers,
         tracer=tracer,
     )
-    defaults = (
-        scenario
-        if isinstance(scenario, ClusterScenario)
-        else ClusterScenario  # fleet defaults for plain serving scenarios
-    )
     simulator = ClusterSimulator(
         latency_model,
-        num_engines=num_engines if num_engines is not None else defaults.num_engines,
-        router=router if router is not None else defaults.router,
-        autoscaler=defaults.autoscaler if autoscaler is _UNSET else autoscaler,
-        tenants=defaults.tenants if tenants is _UNSET else tenants,
+        num_engines=num_engines if num_engines is not None else scenario.num_engines,
+        router=router if router is not None else scenario.router,
+        autoscaler=scenario.autoscaler if autoscaler is _UNSET else autoscaler,
+        tenants=scenario.tenants if tenants is _UNSET else tenants,
         disaggregation=(
-            defaults.disaggregation if disaggregation is _UNSET else disaggregation
+            scenario.disaggregation if disaggregation is _UNSET else disaggregation
         ),
-        faults=defaults.faults if faults is _UNSET else faults,
+        faults=scenario.faults if faults is _UNSET else faults,
         retry_policy=(
-            defaults.retry_policy if retry_policy is _UNSET else retry_policy
+            scenario.retry_policy if retry_policy is _UNSET else retry_policy
         ),
-        degradation=defaults.degradation if degradation is _UNSET else degradation,
+        degradation=scenario.degradation if degradation is _UNSET else degradation,
         prewarm=prewarm,
         tracer=tracer,
     )

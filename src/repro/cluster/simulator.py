@@ -5,8 +5,8 @@ fleet of :class:`~repro.serve.engine.EngineCore` engines that all share one
 :class:`~repro.serve.batching.StepLatencyModel` — and therefore one compile
 :class:`~repro.api.Session` — so every bucketed step plan compiles exactly
 once fleet-wide no matter how many engines serve it.  Its heapq event loop
-is the repo's only one: :class:`~repro.serve.simulator.ServingSimulator`
-runs it with one round-robin engine.
+is the repo's only one; single-engine serving is
+``ClusterSimulator(latency, num_engines=1, router="round-robin")``.
 
 Each :meth:`ClusterSimulator.run` call builds a private run object that
 owns the heap, the engines, and the run's records and counters.  Every heap
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -87,7 +88,6 @@ from repro.serve.batching import (
 )
 from repro.serve.engine import ROLE_COLOCATED, ROLE_DECODE, ROLE_PREFILL, EngineCore
 from repro.serve.metrics import RequestRecord, ServingMetrics, SLOSpec, compute_metrics
-from repro.serve.simulator import ServingResult
 from repro.serve.workload import DIFFUSION, ArrivalTrace, RequestSpec
 
 if TYPE_CHECKING:
@@ -150,17 +150,35 @@ class EngineRecord:
 
 
 @dataclass(frozen=True)
-class ClusterResult(ServingResult):
-    """Outcome of one fleet-scale serving simulation.
+class ClusterResult:
+    """Outcome of one serving simulation, on one engine or a fleet.
 
-    Extends :class:`~repro.serve.simulator.ServingResult` (whose
-    ``busy_time`` / ``num_iterations`` aggregate the whole fleet) with the
-    cluster-level story: which router ran, what each engine did, when the
-    autoscaler acted, what admission control (or load shedding) rejected,
-    what faults destroyed, and how the fleet recovered.  Accounting always
-    balances: ``completed + rejected + failed == num_arrivals``.
+    Besides the completed requests, it tells the cluster-level story: which
+    router ran, what each engine did, when the autoscaler acted, what
+    admission control (or load shedding) rejected, what faults destroyed,
+    and how the fleet recovered.  Accounting always balances:
+    ``completed + rejected + failed == num_arrivals``.
+
+    Attributes:
+        trace_name: Name of the simulated trace.
+        policy: Compiler policy the step plans were compiled with.
+        records: One :class:`RequestRecord` per completed request, in
+            completion order.
+        busy_time: Total time the fleet's engines spent executing
+            iterations.
+        num_iterations: Iterations executed fleet-wide.
+        compiled_shapes: The bucketed (model, phase, batch, context) shapes
+            the run compiled (via the shared session).
+        slo: Default SLO for :meth:`metrics` (from the scenario, if any).
     """
 
+    trace_name: str
+    policy: str
+    records: tuple[RequestRecord, ...]
+    busy_time: float
+    num_iterations: int
+    compiled_shapes: tuple[tuple, ...] = ()
+    slo: SLOSpec | None = field(default=None, compare=False)
     router: str = ""
     engines: tuple[EngineRecord, ...] = ()
     scale_events: tuple[ScaleEvent, ...] = ()
@@ -172,19 +190,23 @@ class ClusterResult(ServingResult):
     store_hits: int = 0
 
     @property
+    def makespan(self) -> float:
+        """First arrival → last completion (0 for empty runs)."""
+        if not self.records:
+            return 0.0
+        start = min(record.arrival_time for record in self.records)
+        return max(record.completion_time for record in self.records) - start
+
+    def metrics(self, slo: SLOSpec | None = None) -> ServingMetrics:
+        """Aggregate metrics, under ``slo`` (default: the run's own SLO)."""
+        return compute_metrics(
+            self.records, busy_time=self.busy_time, slo=slo or self.slo
+        )
+
+    @property
     def fleet_size(self) -> int:
         """Engines that ever served in the run."""
         return len(self.engines)
-
-    @property
-    def peak_fleet_size(self) -> int:
-        """Largest simultaneously active fleet the autoscaler reached."""
-        if not self.scale_events:
-            return len(self.engines)
-        return max(
-            len([e for e in self.engines if e.removed_time is None]),
-            max(event.fleet_size for event in self.scale_events),
-        )
 
     def engine_utilization(self) -> dict[int, float]:
         """``{engine_id: utilization}`` across the fleet."""
@@ -392,14 +414,8 @@ class _FleetRun:
         self.failed: list[RequestSpec] = []
         self.scale_events: list[ScaleEvent] = []
         self.end_time = 0.0
-        # AvailabilityMetrics counters, under the same names.
-        self.num_crashes = 0
-        self.num_slowdowns = 0
-        self.num_compile_faults = 0
-        self.num_store_corruptions = 0
-        self.num_retries = 0
-        self.num_redispatches = 0
-        self.num_shed = 0
+        # Fault and recovery counters, keyed by AvailabilityMetrics' fields.
+        self.counts: Counter[str] = Counter()
         # Per applied crash: (crash time, ids of retried requests still
         # owed a completion or failure).  When a set empties, the crash is
         # recovered and its recovery time is recorded.
@@ -508,7 +524,7 @@ class _FleetRun:
                 victim = pool[fault.target % len(pool)]
                 victim.slow_until = max(victim.slow_until, now + fault.duration)
                 victim.slow_factor = fault.factor
-                self.num_slowdowns += 1
+                self.counts["num_slowdowns"] += 1
                 self._instant(
                     "fault-slowdown",
                     now,
@@ -518,12 +534,12 @@ class _FleetRun:
                 )
         elif fault.kind == FAULT_COMPILE_FAILURE:
             self.sim.latency_model.inject_compile_failures(fault.count)
-            self.num_compile_faults += fault.count
+            self.counts["num_compile_faults"] += fault.count
             self._instant("fault-compile-failure", now, count=fault.count)
         else:  # FAULT_STORE_CORRUPTION
             store = self.sim.latency_model.session.store
             if store is not None and store.corrupt_entry(fault.target):
-                self.num_store_corruptions += 1
+                self.counts["num_store_corruptions"] += 1
             self._instant("fault-store-corruption", now, target=fault.target)
         self._autoscale(now)
 
@@ -531,7 +547,7 @@ class _FleetRun:
         # A crash-lost request returns from its backoff delay and is routed
         # like a fresh arrival (with its progress reset).
         self.end_time = now
-        self.num_redispatches += 1
+        self.counts["num_redispatches"] += 1
         self._kick(self._dispatch(state, now), now)
         self._autoscale(now)
 
@@ -666,7 +682,7 @@ class _FleetRun:
         fresh arrivals.
         """
         waiting = engine.batcher.drain_waiting()
-        self.num_redispatches += len(waiting)
+        self.counts["num_redispatches"] += len(waiting)
         return self._route(waiting, now, kick=kick)
 
     def _admit(self, state: RequestState, now: float, avg_queue: float) -> bool:
@@ -683,7 +699,7 @@ class _FleetRun:
             # priority before queues collapse SLOs fleet-wide.  Shed
             # arrivals count as rejections.
             self.rejected.append(spec)
-            self.num_shed += 1
+            self.counts["num_shed"] += 1
             self._instant("shed", now, request=spec.request_id, tenant=spec.tenant)
             return False
         return True
@@ -736,7 +752,7 @@ class _FleetRun:
         victim = eligible[fault.target % len(eligible)]
         victim.crashed = True
         victim.removed_time = now
-        self.num_crashes += 1
+        self.counts["num_crashes"] += 1
         self._note_scale(now, SCALE_CRASH, victim, "injected fault")
         # Queued requests lost no work: re-route them immediately, no retry
         # attempt consumed.
@@ -751,7 +767,7 @@ class _FleetRun:
                 self._fail(state, now)
                 continue
             state.retries += 1
-            self.num_retries += 1
+            self.counts["num_retries"] += 1
             if self.budget_left is not None:
                 self.budget_left -= 1
             delay = policy.backoff_delay(state.retries, state.spec.request_id)
@@ -817,14 +833,8 @@ class _FleetRun:
                 met_under_faults += 1
         accepted = len(records) + len(failed)
         availability = AvailabilityMetrics(
-            num_crashes=self.num_crashes,
-            num_slowdowns=self.num_slowdowns,
-            num_compile_faults=self.num_compile_faults,
-            num_store_corruptions=self.num_store_corruptions,
-            num_retries=self.num_retries,
-            num_redispatches=self.num_redispatches,
+            **self.counts,
             num_failed=len(failed),
-            num_shed=self.num_shed,
             compile_fallbacks=model.stats.get("fallbacks", 0) - self.fallback_base,
             recovery_times=tuple(self.recovery_times),
             goodput_under_faults_rps=(

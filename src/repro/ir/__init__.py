@@ -21,7 +21,7 @@ from repro.ir.operators import (
     make_softmax,
     operator_flops,
 )
-from repro.ir.tensor import TENSOR_KINDS, TensorSpec, TensorUsage, total_bytes
+from repro.ir.tensor import TENSOR_KINDS, TensorSpec, TensorUsage
 
 __all__ = [
     "BF16",
@@ -48,5 +48,4 @@ __all__ = [
     "TENSOR_KINDS",
     "TensorSpec",
     "TensorUsage",
-    "total_bytes",
 ]

@@ -102,11 +102,6 @@ class TensorSpec:
         )
 
 
-def total_bytes(tensors: Iterable[TensorSpec]) -> int:
-    """Sum the sizes of a collection of tensors."""
-    return sum(t.size_bytes for t in tensors)
-
-
 @dataclass
 class TensorUsage:
     """Aggregated byte accounting for an operator's tensors.

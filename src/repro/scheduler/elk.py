@@ -9,7 +9,6 @@ timeline evaluator, and keep the best plan.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -56,14 +55,12 @@ class ScheduleOutcome:
         timeline: Its forward-replayed timeline and metrics.
         candidate_results: ``(order, total_time)`` for every evaluated order.
         stats: Search-space statistics (Table 2 factors).
-        compile_seconds: Wall-clock time of the scheduling run.
     """
 
     plan: ExecutionPlan
     timeline: TimelineResult
     candidate_results: list[tuple[tuple[int, ...], float]]
     stats: OrderSearchStats
-    compile_seconds: float
 
 
 class ElkScheduler:
@@ -126,7 +123,6 @@ class ElkScheduler:
     # --------------------------------------------------------------------- run
     def run(self) -> ScheduleOutcome:
         """Run the full Elk pipeline and return the best plan."""
-        started = time.perf_counter()
         generator = self.order_generator()
         if self.options.enable_reordering:
             orders = generator.candidate_orders()
@@ -169,11 +165,9 @@ class ElkScheduler:
                 "graph_metadata": dict(self.graph.metadata),
             }
         )
-        elapsed = time.perf_counter() - started
         return ScheduleOutcome(
             plan=plan,
             timeline=timeline,
             candidate_results=candidate_results,
             stats=generator.stats(),
-            compile_seconds=elapsed,
         )

@@ -18,12 +18,13 @@ The pieces compose individually: build a trace
 (:func:`poisson_trace` / :func:`bursty_trace` / :func:`diurnal_trace` /
 :func:`batch_trace` / :func:`replay_trace`), a
 :class:`StepLatencyModel` over your session/system/policy, and run it
-through :class:`ServingSimulator`.  New scenarios register by name via
+through ``repro.cluster.ClusterSimulator(latency, num_engines=1,
+router="round-robin")``.  New scenarios register by name via
 :func:`register_scenario`, exactly like compiler policies.
 
-The event loop itself is :class:`repro.cluster.ClusterSimulator`'s:
-:class:`ServingSimulator` and :func:`simulate_scenario` run it with one
-round-robin engine and every fleet feature off.
+The event loop and the result type (:class:`repro.cluster.ClusterResult`)
+are the fleet's: :func:`simulate_scenario` runs one round-robin engine with
+every fleet feature off.
 """
 
 from repro.serve.batching import (
@@ -55,7 +56,6 @@ from repro.serve.scenarios import (
     simulate_scenario,
     unregister_scenario,
 )
-from repro.serve.simulator import ServingResult, ServingSimulator
 from repro.serve.workload import (
     DEFAULT_TENANT,
     TRACE_GENERATORS,
@@ -95,8 +95,6 @@ __all__ = [
     "scenario_descriptions",
     "simulate_scenario",
     "unregister_scenario",
-    "ServingResult",
-    "ServingSimulator",
     "DEFAULT_TENANT",
     "TRACE_GENERATORS",
     "TRACE_SCHEMA_VERSION",

@@ -6,8 +6,8 @@ engine inside a discrete-event loop: a :class:`ContinuousBatcher`, the shared
 accounting of one engine, and its fleet lifecycle (role, warm-up, drain,
 crash, straggler window).  The fleet simulator in :mod:`repro.cluster` —
 the only event loop — drives one core per engine on one heap and hands the
-live cores to routers; a single-engine run
-(:class:`~repro.serve.simulator.ServingSimulator`) is a one-engine fleet.
+live cores to routers; a single-engine run is a one-engine fleet
+(:func:`~repro.serve.scenarios.simulate_scenario`).
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 A scenario bundles what a serving study needs besides the hardware: the
 request mix (:class:`~repro.serve.workload.RequestShape`), the arrival
-process, the shape grid the engine compiles, and the SLO goodput is judged
-against.  Scenarios register by name in a
-:class:`repro.registry.Registry`, so studies, benchmarks, and future
-subsystems (autoscaling, multi-tenant sharding) can enumerate and extend
-them without touching the simulator:
+process, the shape grid the engines compile, the SLO goodput is judged
+against, and the fleet it runs on (size, router, autoscaler, tenants,
+disaggregation, faults, retries, degradation — all off or minimal by
+default).  Scenarios register by name in a
+:class:`repro.registry.Registry`, so studies, benchmarks, and tooling can
+enumerate and extend them without touching the simulator:
 
 >>> @register_scenario("my-workload")
 ... class MyWorkload(ServingScenario):
@@ -16,10 +17,11 @@ them without touching the simulator:
 ...         return poisson_trace(50.0 * rate_scale, num_requests, seed=seed)
 >>> simulate_scenario("my-workload", num_requests=16)
 
-The built-ins cover the paper-adjacent serving studies: interactive chat
-(latency-bound Poisson traffic), bursty chat (on/off herds), offline batch
-(throughput-bound, everything at t=0), diffusion serving (DiT denoising),
-and mixed LLM + DiT traffic on one engine.
+The built-ins here cover the paper-adjacent serving studies: interactive
+chat (latency-bound Poisson traffic), bursty chat (on/off herds), offline
+batch (throughput-bound, everything at t=0), diffusion serving (DiT
+denoising), and mixed LLM + DiT traffic on one engine.  The fleet studies
+(``cluster-*``) live in :mod:`repro.cluster.scenarios`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.scheduler.elk import ElkOptions
 from repro.scheduler.preload_order import OrderSearchConfig
 from repro.serve.batching import BatchBuckets
 from repro.serve.metrics import SLOSpec
-from repro.serve.simulator import ServingResult
 from repro.serve.workload import (
     ArrivalTrace,
     RequestShape,
@@ -45,20 +46,37 @@ from repro.serve.workload import (
 )
 
 if TYPE_CHECKING:
+    from repro.cluster.autoscaler import AutoscalerConfig
+    from repro.cluster.faults import DegradationPolicy, FaultSchedule, RetryPolicy
+    from repro.cluster.simulator import ClusterResult, DisaggregationConfig
+    from repro.cluster.tenancy import TenantSpec
     from repro.obs.trace import Tracer
 
 
 class ServingScenario(abc.ABC):
-    """One named serving study: a request mix, arrival process, and SLO.
+    """One named serving study: a request mix, arrival process, SLO, fleet.
 
     Subclasses are registered with :func:`register_scenario` and instantiated
-    fresh per use, so they may keep state on ``self``.
+    fresh per use, so they may keep state on ``self``.  The fleet attributes
+    configure :func:`repro.cluster.simulate_cluster_scenario`;
+    :func:`simulate_scenario` ignores them and runs one engine.
 
     Attributes:
         name: Registry name, filled in by :func:`register_scenario`.
         description: One-line summary for tooling and reports.
         slo: The SLO goodput is evaluated against.
-        buckets: Shape grid the engine compiles for this scenario.
+        buckets: Shape grid the engines compile for this scenario.
+        num_engines: Initial fleet size (colocated mode).
+        router: Registered router-policy name.
+        autoscaler: Autoscaler configuration (``None`` = fixed fleet).
+        tenants: Tenant quota/SLO specs enforced at admission.
+        disaggregation: Prefill/decode pool split (``None`` = colocated).
+        faults: Fault schedule injected during the run (``None`` = happy
+            path).
+        retry_policy: Retry/backoff semantics for crash-lost work (``None``
+            = the defaults).
+        degradation: Load-shedding policy under overload (``None`` = never
+            shed).
     """
 
     name: ClassVar[str] = ""
@@ -67,6 +85,14 @@ class ServingScenario(abc.ABC):
     buckets: ClassVar[BatchBuckets] = BatchBuckets(
         batch_sizes=(1, 2, 4, 8), context_buckets=(256, 512)
     )
+    num_engines: ClassVar[int] = 2
+    router: ClassVar[str] = "least-loaded"
+    autoscaler: ClassVar[AutoscalerConfig | None] = None
+    tenants: ClassVar[tuple[TenantSpec, ...]] = ()
+    disaggregation: ClassVar[DisaggregationConfig | None] = None
+    faults: ClassVar[FaultSchedule | None] = None
+    retry_policy: ClassVar[RetryPolicy | None] = None
+    degradation: ClassVar[DegradationPolicy | None] = None
 
     @abc.abstractmethod
     def trace(
@@ -222,13 +248,13 @@ def simulate_scenario(
     num_layers: int | None = 1,
     prewarm: bool = False,
     tracer: "Tracer | None" = None,
-) -> ServingResult:
+) -> ClusterResult:
     """Run one registered scenario end to end on a single engine.
 
     This is :func:`repro.cluster.simulate_cluster_scenario` with the fleet
     pinned to one round-robin engine and every fleet feature (autoscaler,
-    tenants, disaggregation, faults, retries, degradation) off — also for
-    cluster scenarios, whose fleet configuration is ignored here.
+    tenants, disaggregation, faults, retries, degradation) off — whatever
+    the scenario's own fleet configuration says.
 
     Args:
         scenario: Registered scenario name or an instance.

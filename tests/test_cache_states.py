@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ArtifactStore
-from repro.cluster import ClusterScenario, simulate_cluster_scenario
+from repro.cluster import simulate_cluster_scenario
 from repro.serve import (
     available_scenarios,
     get_scenario,
@@ -21,12 +21,16 @@ from repro.serve import (
     simulate_scenario,
 )
 
-SCENARIOS = (
+# Single-engine scenarios run through simulate_scenario, fleet scenarios
+# through simulate_cluster_scenario.
+SINGLE_ENGINE = (
     "interactive-chat",
     "bursty-chat",
     "offline-batch",
     "diffusion-serving",
     "mixed-traffic",
+)
+FLEET = (
     "cluster-chat-fleet",
     "cluster-multi-tenant",
     "cluster-autoscale",
@@ -34,25 +38,22 @@ SCENARIOS = (
     "cluster-chaos-crashes",
     "cluster-chaos-degraded",
 )
+SCENARIOS = SINGLE_ENGINE + FLEET
 WAYS = ("cold", "warm", "process", "prewarm", "lazy")
 NUM_REQUESTS = 12
 
 
 def _simulate(name, session, prewarm=False):
-    scenario = get_scenario(name)
-    run = (
-        simulate_cluster_scenario
-        if isinstance(scenario, ClusterScenario)
-        else simulate_scenario
-    )
-    return run(scenario, num_requests=NUM_REQUESTS, session=session, prewarm=prewarm)
+    run = simulate_scenario if name in SINGLE_ENGINE else simulate_cluster_scenario
+    return run(name, num_requests=NUM_REQUESTS, session=session, prewarm=prewarm)
 
 
 def _outcome(result) -> dict:
-    outcome = {"records": result.records, "metrics": result.metrics()}
-    if hasattr(result, "availability"):
-        outcome["availability"] = result.availability
-    return outcome
+    return {
+        "records": result.records,
+        "metrics": result.metrics(),
+        "availability": result.availability,
+    }
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.cluster import ClusterSimulator
 from repro.errors import ConfigurationError, SimulationInvariantError
 from repro.eval import format_serving_summary, serving_summary_rows
 from repro.eval.reporting import SERVING_SUMMARY_COLUMNS
@@ -16,7 +17,6 @@ from repro.serve import (
     RequestShape,
     RequestSpec,
     ServingScenario,
-    ServingSimulator,
     SLOSpec,
     StepLatencyModel,
     available_scenarios,
@@ -354,7 +354,11 @@ def _engine(session, system, policy="basic", **kwargs):
     kwargs.setdefault(
         "buckets", BatchBuckets(batch_sizes=(1, 2, 4), context_buckets=(256,))
     )
-    return ServingSimulator(StepLatencyModel(session, system, policy, **kwargs))
+    return ClusterSimulator(
+        StepLatencyModel(session, system, policy, **kwargs),
+        num_engines=1,
+        router="round-robin",
+    )
 
 
 def test_empty_trace_serves_cleanly(small_system, serve_session):
