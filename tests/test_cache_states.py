@@ -21,8 +21,6 @@ from repro.serve import (
     simulate_scenario,
 )
 
-# Single-engine scenarios run through simulate_scenario, fleet scenarios
-# through simulate_cluster_scenario.
 SINGLE_ENGINE = (
     "interactive-chat",
     "bursty-chat",
