@@ -88,7 +88,7 @@ from repro.serve.batching import (
 )
 from repro.serve.engine import ROLE_COLOCATED, ROLE_DECODE, ROLE_PREFILL, EngineCore
 from repro.serve.metrics import RequestRecord, ServingMetrics, SLOSpec, compute_metrics
-from repro.serve.workload import DIFFUSION, ArrivalTrace, RequestSpec
+from repro.serve.workload import ArrivalTrace, RequestSpec
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -406,7 +406,9 @@ class _FleetRun:
             else None
         )
         # Engine ids are list positions: engines join in id order and stay.
+        # ``active`` is the in-fleet, non-draining subset, in the same order.
         self.engines: list[EngineCore] = []
+        self.active: list[EngineCore] = []
         self.heap: list[tuple[float, int, Callable, object]] = []
         self.sequence = itertools.count()
         self.records: list[RequestRecord] = []
@@ -474,7 +476,7 @@ class _FleetRun:
             arrivals.append(heapq.heappop(heap)[3])
         avg_queue = 0.0
         if self.sim.degradation is not None:
-            ready = [e for e in self._active() if e.ready_time <= now]
+            ready = [e for e in self.active if e.ready_time <= now]
             avg_queue = sum(e.queue_depth for e in ready) / max(1, len(ready))
         self._route((s for s in arrivals if self._admit(s, now, avg_queue)), now)
         self._autoscale(now)
@@ -503,8 +505,8 @@ class _FleetRun:
         # without this, a backlog that triggered the scale-up would stay
         # pinned to the engines it queued on and the new engine would idle.
         pending: list[RequestState] = []
-        for other in self.engines:
-            if other.active and other.ready_time <= now:
+        for other in self.active:
+            if other.ready_time <= now:
                 pending.extend(other.batcher.drain_waiting())
         pending.sort(key=lambda s: (s.spec.arrival_time, s.spec.request_id))
         self._route(pending, now, {engine.engine_id: engine})
@@ -519,7 +521,7 @@ class _FleetRun:
         if fault.kind == FAULT_ENGINE_CRASH:
             self._crash(fault, now)
         elif fault.kind == FAULT_ENGINE_SLOWDOWN:
-            pool = self._active()
+            pool = self.active
             if pool:
                 victim = pool[fault.target % len(pool)]
                 victim.slow_until = max(victim.slow_until, now + fault.duration)
@@ -569,7 +571,7 @@ class _FleetRun:
             time=now,
             action=action,
             engine_id=engine.engine_id,
-            fleet_size=len(self._active()),
+            fleet_size=len(self.active),
             reason=reason,
         )
         self.scale_events.append(event)
@@ -592,10 +594,8 @@ class _FleetRun:
             tracer=self.tracer,
         )
         self.engines.append(engine)
+        self.active.append(engine)
         return engine
-
-    def _active(self) -> list[EngineCore]:
-        return [engine for engine in self.engines if engine.active]
 
     def _kick(self, engine: EngineCore, now: float) -> None:
         """Start the engine's next iteration, or finalize a drain."""
@@ -617,14 +617,12 @@ class _FleetRun:
         """Route one request to an engine's wait queue (no kick)."""
         if self.sim.disaggregation is None:
             role = ROLE_COLOCATED
-        elif state.spec.kind != DIFFUSION and state.prefill_pending:
+        elif state.prefill_pending:
             role = ROLE_PREFILL
         else:
             role = ROLE_DECODE
         candidates = [
-            e
-            for e in self.engines
-            if e.role == role and e.ready_time <= now and e.active
+            e for e in self.active if e.role == role and e.ready_time <= now
         ]
         if not candidates:
             # Every engine of the pool is still warming — e.g. a crash took
@@ -632,7 +630,7 @@ class _FleetRun:
             # warms (the crash guard counts warming engines as replicas).
             # Park the request on the earliest-ready active engine; it
             # starts once that engine is ready.
-            pool = [e for e in self._active() if e.role == role]
+            pool = [e for e in self.active if e.role == role]
             if not pool:
                 raise ConfigurationError(
                     f"no active engine can serve role {role!r}"
@@ -738,7 +736,7 @@ class _FleetRun:
                     self.recovery_times.append(now - crash_time)
 
     def _crash(self, fault: FaultEvent, now: float) -> None:
-        pool = self._active()
+        pool = self.active
         # Never kill the last engine able to serve a role — the fleet (like
         # a real one behind a health-checked load balancer) keeps a minimum
         # of one replica per role.
@@ -752,6 +750,7 @@ class _FleetRun:
         victim = eligible[fault.target % len(eligible)]
         victim.crashed = True
         victim.removed_time = now
+        self.active.remove(victim)
         self.counts["num_crashes"] += 1
         self._note_scale(now, SCALE_CRASH, victim, "injected fault")
         # Queued requests lost no work: re-route them immediately, no retry
@@ -791,9 +790,9 @@ class _FleetRun:
         autoscaler = self.autoscaler
         if autoscaler is None:
             return
-        active = self._active()
+        active = self.active
         total_waiting = sum(
-            engine.queue_depth for engine in active if engine.ready_time <= now
+            e.batcher.waiting for e in active if e.ready_time <= now
         )
         decision = autoscaler.decide(now, len(active), total_waiting)
         if decision is None:
@@ -815,6 +814,7 @@ class _FleetRun:
             return
         victim = min(ready, key=lambda e: (e.load, -e.engine_id))
         victim.draining = True
+        active.remove(victim)
         self._note_scale(now, SCALE_DRAIN, victim, reason)
         # Queued (unadmitted) requests re-route to the surviving fleet
         # through the same requeue path a crash uses; admitted ones finish

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import threading
 import time
 from collections.abc import Iterator
@@ -75,23 +76,18 @@ class Span:
     attrs: tuple[tuple[str, Any], ...] = ()
 
 
-@dataclasses.dataclass
-class _OpenPhase:
-    name: str
-    category: str
-    track: str
-    seq_start: int
-    sim_start: float
-    attrs: dict[str, Any]
-
-
 class Tracer:
     """Collects spans from all layers onto one deterministic timeline.
 
-    Thread-safe: the sequence counter and span list are lock-protected, and
-    the wall-span nesting stack is thread-local.  Note that *ordering*
-    determinism is only guaranteed for serial emission (the single-threaded
-    simulator event loops and the serial compile path); spans emitted from
+    Thread-safe without a lock per event: every emitter takes its sequence
+    numbers from one :func:`itertools.count` and appends one flat tuple to
+    one list, and ``begin``/``end`` claim and release open phases with one
+    ``dict.setdefault``/``dict.pop`` — each a single atomic operation under
+    the GIL, so concurrent emitters never lose a span or share a sequence
+    number.  The wall-span nesting stack is thread-local.  :meth:`spans`
+    builds the :class:`Span` objects.  Note that *ordering* determinism is
+    only guaranteed for serial emission (the single-threaded simulator
+    event loops and the serial compile path); spans emitted from
     `compile_many` worker pools interleave nondeterministically.
 
     Args:
@@ -101,21 +97,13 @@ class Tracer:
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock if clock is not None else time.perf_counter
-        self._lock = threading.Lock()
-        self._seq = 0
-        self._spans: list[Span] = []
-        self._open: dict[Hashable, _OpenPhase] = {}
+        self._seq = itertools.count(1)
+        # Span fields in declaration order, with ``attrs`` still a dict.
+        self._records: list[tuple] = []
+        # key -> (name, category, track, seq_start, sim_start, attrs)
+        self._open: dict[Hashable, tuple] = {}
         self._local = threading.local()
         self.wall_origin = self._clock()
-
-    def _next_seq(self) -> int:
-        with self._lock:
-            self._seq += 1
-            return self._seq
-
-    def _append(self, span: Span) -> None:
-        with self._lock:
-            self._spans.append(span)
 
     @property
     def _stack(self) -> list[str]:
@@ -142,30 +130,19 @@ class Tracer:
         stack = self._stack
         depth = len(stack)
         stack.append(name)
-        seq_start = self._next_seq()
+        seq_start = next(self._seq)
         wall_start = self._clock()
         extra: dict[str, Any] = {}
         try:
             yield extra
         finally:
             wall_end = self._clock()
-            seq_end = self._next_seq()
+            seq_end = next(self._seq)
             stack.pop()
-            merged = {**attrs, **extra}
-            self._append(
-                Span(
-                    name=name,
-                    category=category,
-                    track=track,
-                    kind="span",
-                    seq_start=seq_start,
-                    seq_end=seq_end,
-                    depth=depth,
-                    wall_start=wall_start,
-                    wall_end=wall_end,
-                    attrs=_freeze_attrs(merged),
-                )
-            )
+            self._records.append((
+                name, category, track, "span", seq_start, seq_end, depth,
+                None, None, wall_start, wall_end, {**attrs, **extra},
+            ))
 
     def add_span(
         self,
@@ -178,21 +155,11 @@ class Tracer:
         **attrs: Any,
     ) -> None:
         """Record a completed sim-clocked span (e.g. one engine iteration)."""
-        seq_start = self._next_seq()
-        seq_end = self._next_seq()
-        self._append(
-            Span(
-                name=name,
-                category=category,
-                track=track,
-                kind="span",
-                seq_start=seq_start,
-                seq_end=seq_end,
-                sim_start=sim_start,
-                sim_end=sim_end,
-                attrs=_freeze_attrs(attrs),
-            )
-        )
+        seq = self._seq
+        self._records.append((
+            name, category, track, "span", next(seq), next(seq), 0,
+            sim_start, sim_end, None, None, attrs,
+        ))
 
     def instant(
         self,
@@ -207,23 +174,12 @@ class Tracer:
 
         Sim-clocked when ``sim_time`` is given, wall-clocked otherwise.
         """
-        seq = self._next_seq()
+        seq = next(self._seq)
         wall = self._clock() if sim_time is None else None
-        self._append(
-            Span(
-                name=name,
-                category=category,
-                track=track,
-                kind="instant",
-                seq_start=seq,
-                seq_end=seq,
-                sim_start=sim_time,
-                sim_end=sim_time,
-                wall_start=wall,
-                wall_end=wall,
-                attrs=_freeze_attrs(attrs),
-            )
-        )
+        self._records.append((
+            name, category, track, "instant", seq, seq, 0,
+            sim_time, sim_time, wall, wall, attrs,
+        ))
 
     def begin(
         self,
@@ -238,54 +194,37 @@ class Tracer:
         """Open an async sim-clocked phase under ``key``.
 
         First publisher wins: a ``begin`` on an already-open key is ignored,
-        preserving the original open time.  Phases never closed with
-        :meth:`end` (e.g. work abandoned by an engine crash) are simply
-        never emitted.
+        preserving the original open time — but it still takes a sequence
+        number, like every call, so the numbering (and with it the trace
+        exports) does not depend on which begins were no-ops.  Phases never
+        closed with :meth:`end` (e.g. work abandoned by an engine crash) are
+        simply never emitted.
         """
-        seq = self._next_seq()
-        with self._lock:
-            if key in self._open:
-                return
-            self._open[key] = _OpenPhase(
-                name=name,
-                category=category,
-                track=track,
-                seq_start=seq,
-                sim_start=sim_time,
-                attrs=dict(attrs),
-            )
+        self._open.setdefault(
+            key, (name, category, track, next(self._seq), sim_time, attrs)
+        )
 
     def end(self, key: Hashable, sim_time: float, **attrs: Any) -> None:
         """Close the phase opened under ``key``; no-op if none is open."""
-        with self._lock:
-            phase = self._open.pop(key, None)
+        phase = self._open.pop(key, None)
         if phase is None:
             return
-        seq_end = self._next_seq()
-        merged = {**phase.attrs, **attrs}
-        self._append(
-            Span(
-                name=phase.name,
-                category=phase.category,
-                track=phase.track,
-                kind="span",
-                seq_start=phase.seq_start,
-                seq_end=seq_end,
-                sim_start=phase.sim_start,
-                sim_end=sim_time,
-                attrs=_freeze_attrs(merged),
-            )
-        )
+        name, category, track, seq_start, sim_start, opened = phase
+        merged = {**opened, **attrs} if attrs else opened
+        self._records.append((
+            name, category, track, "span", seq_start, next(self._seq), 0,
+            sim_start, sim_time, None, None, merged,
+        ))
 
     def spans(self) -> tuple[Span, ...]:
         """All finished spans in deterministic (sequence) order."""
-        with self._lock:
-            finished = list(self._spans)
-        return tuple(sorted(finished, key=lambda s: (s.seq_start, s.seq_end)))
+        records = sorted(self._records, key=lambda r: (r[4], r[5]))
+        return tuple(
+            Span(*fields, attrs=_freeze_attrs(attrs)) for *fields, attrs in records
+        )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+        return len(self._records)
 
 
 def maybe_span(

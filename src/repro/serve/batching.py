@@ -24,9 +24,11 @@ only requests whose prefill already ran elsewhere.
 from __future__ import annotations
 
 import bisect
+import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -90,17 +92,26 @@ class BatchBuckets:
         """The largest batch bucket (the admission cap)."""
         return self.batch_sizes[-1]
 
+    @cached_property
+    def _batch_index(self) -> tuple[int, ...]:
+        """``batch_bucket(n)`` at index ``n``, for ``n`` up to ``max_batch``."""
+        sizes = self.batch_sizes
+        return (0,) + tuple(
+            sizes[bisect.bisect_left(sizes, n)] for n in range(1, sizes[-1] + 1)
+        )
+
     def batch_bucket(self, n: int) -> int:
         """Smallest batch bucket holding ``n`` requests."""
         if n < 1:
             raise ConfigurationError("batch size must be >= 1")
-        index = bisect.bisect_left(self.batch_sizes, n)
-        return self.batch_sizes[min(index, len(self.batch_sizes) - 1)]
+        index = self._batch_index
+        return index[n] if n < len(index) else self.batch_sizes[-1]
 
     def context_bucket(self, tokens: int) -> int:
         """Smallest context bucket holding ``tokens`` (clamped to the largest)."""
-        index = bisect.bisect_left(self.context_buckets, max(1, tokens))
-        return self.context_buckets[min(index, len(self.context_buckets) - 1)]
+        buckets = self.context_buckets  # all >= 1, so tokens < 1 maps to the first
+        index = bisect.bisect_left(buckets, tokens)
+        return buckets[index] if index < len(buckets) else buckets[-1]
 
 
 class StepLatencyModel:
@@ -111,7 +122,9 @@ class StepLatencyModel:
     rate-sweep over the same session all hit the same cached plans — and the
     latency is the simulated time persisted on the artifact, so fresh,
     store-resolved, and process-backend artifacts agree (plan-less
-    ``ideal`` artifacts use the analytic latency).
+    ``ideal`` artifacts use the analytic latency).  Lookups of an
+    already-compiled shape read the published latencies without the lock;
+    only a miss (or a publish) takes it.
 
     Attributes:
         session: The shared compilation service.
@@ -123,12 +136,6 @@ class StepLatencyModel:
         tracer: Optional :class:`repro.obs.Tracer` receiving
             ``compile-fault`` / ``compile-fallback`` instants (compile-stage
             spans come from the shared session's own tracer).
-        stats: ``{"compiles", "hits", "compile_faults", "fallbacks"}``
-            counters of this model's own latency cache (the session keeps
-            its own compile-level counters).  ``compile_faults`` counts
-            injected transient failures that fired; ``fallbacks`` counts
-            lookups served from the closest already-compiled bucket plan
-            because of one.
     """
 
     def __init__(
@@ -147,12 +154,31 @@ class StepLatencyModel:
         self.buckets = buckets or BatchBuckets()
         self.num_layers = num_layers
         self.tracer = tracer
-        self.stats = {"compiles": 0, "hits": 0, "compile_faults": 0, "fallbacks": 0}
         self._lock = threading.Lock()
+        # Guarded by the lock.  Hits bypass it: each is one next() on an
+        # itertools.count, atomic under the GIL, and ``stats`` reads the
+        # counter with one more next() under the lock, net of earlier reads.
+        self._counts = {"compiles": 0, "compile_faults": 0, "fallbacks": 0}
+        self._hits = itertools.count()
+        self._hit_reads = 0
         self._latencies: dict[tuple, float] = {}
         self._armed_failures = 0
 
     # ------------------------------------------------------------- public API
+    @property
+    def stats(self) -> dict[str, int]:
+        """``{"compiles", "hits", "compile_faults", "fallbacks"}`` counters.
+
+        They count this model's own latency cache (the session keeps its
+        own compile-level counters).  ``compile_faults`` counts injected
+        transient failures that fired; ``fallbacks`` counts lookups served
+        from the closest already-compiled bucket plan because of one.
+        """
+        with self._lock:
+            hits = next(self._hits) - self._hit_reads
+            self._hit_reads += 1
+            return dict(self._counts, hits=hits)
+
     def decode_latency(self, model: str, batch_size: int, context_tokens: int) -> float:
         """Latency of one decode step at the bucketed batch and KV length."""
         return self._step_latency(
@@ -259,21 +285,27 @@ class StepLatencyModel:
     def _step_latency(
         self, model: str, phase: str, batch_bucket: int, context_bucket: int
     ) -> float:
-        # Same lock-around-publish discipline as Session: concurrent engines
-        # sharing this model (the docstring's promise) may race to the same
-        # key, and only the first publisher's latency and "compiles" count
-        # may land — losers record hits, never duplicate entries.  The winner
-        # is decided by key presence, not object identity: racing threads can
-        # receive the SAME float object from the session's cached artifact.
+        # Published latencies never change, so a hit needs no lock.  A miss
+        # follows the same lock-around-publish discipline as Session:
+        # concurrent engines sharing this model (the docstring's promise) may
+        # race to the same key, and only the first publisher's latency and
+        # "compiles" count may land — losers record hits, never duplicate
+        # entries.  The winner is decided by key presence, not object
+        # identity: racing threads can receive the SAME float object from the
+        # session's cached artifact.
         key = (model.lower(), phase, batch_bucket, context_bucket)
+        cached = self._latencies.get(key)
+        if cached is not None:
+            next(self._hits)
+            return cached
         with self._lock:
             cached = self._latencies.get(key)
             if cached is not None:
-                self.stats["hits"] += 1
+                next(self._hits)
                 return cached
             if self._armed_failures > 0:
                 self._armed_failures -= 1
-                self.stats["compile_faults"] += 1
+                self._counts["compile_faults"] += 1
                 if self.tracer is not None:
                     self.tracer.instant(
                         "compile-fault",
@@ -287,7 +319,7 @@ class StepLatencyModel:
                     # Serve the degraded plan WITHOUT caching it under this
                     # key: the failure is transient, so the next request at
                     # this shape retries the real compile.
-                    self.stats["fallbacks"] += 1
+                    self._counts["fallbacks"] += 1
                     if self.tracer is not None:
                         self.tracer.instant(
                             "compile-fallback",
@@ -308,9 +340,9 @@ class StepLatencyModel:
             winner = self._latencies.get(key)
             if winner is None:
                 self._latencies[key] = latency
-                self.stats["compiles"] += 1
+                self._counts["compiles"] += 1
                 return latency
-            self.stats["hits"] += 1
+            next(self._hits)
             return winner
 
     def _closest_compiled_locked(self, key: tuple) -> float | None:
@@ -457,6 +489,14 @@ class ContinuousBatcher:
             (dedicated decode pool: only accepts requests whose prefill
             already ran, plus diffusion work, which has no prefill).
 
+    Attributes:
+        waiting: Requests queued but not yet admitted.
+        running: Requests admitted and unfinished.
+
+    ``waiting``, ``running`` and the owed output units
+    :meth:`in_flight_tokens` returns are counters, updated by every
+    operation that moves a request, so load reads cost nothing.
+
     The ``tracer`` and ``engine_id`` attributes (set by the owning
     :class:`~repro.serve.engine.EngineCore`) opt the batcher into request
     lifecycle tracing: per-request ``queued`` → ``prefill``/``decode``/
@@ -486,18 +526,11 @@ class ContinuousBatcher:
         self._last_served: dict[tuple[str, str, str], int] = {}
         self._first_seen: dict[tuple[str, str, str], int] = {}
         self._iteration = 0
+        self.waiting = 0
+        self.running = 0
+        self._owed = 0
 
     # ------------------------------------------------------------------ state
-    @property
-    def waiting(self) -> int:
-        """Requests queued but not yet admitted."""
-        return sum(len(queue) for queue in self._waiting.values())
-
-    @property
-    def running(self) -> int:
-        """Requests admitted and unfinished."""
-        return sum(len(group) for group in self._running.values())
-
     def has_work(self) -> bool:
         """Whether any request is waiting or running."""
         return self.waiting > 0 or self.running > 0
@@ -508,12 +541,7 @@ class ContinuousBatcher:
         The load signal least-loaded routing and autoscaling read: queue
         depth counts heads, this counts the work behind them.
         """
-        total = 0
-        for queues in (self._waiting.values(), self._running.values()):
-            for states in queues:
-                for state in states:
-                    total += state.spec.output_units - state.steps_done
-        return total
+        return self._owed
 
     # ------------------------------------------------------------- operations
     def enqueue(self, state: RequestState, now: float | None = None) -> None:
@@ -533,8 +561,11 @@ class ContinuousBatcher:
                 "a decode-pool engine only accepts requests whose prefill "
                 "already ran; route fresh LLM requests to a prefill engine"
             )
-        self._first_seen.setdefault(state.group, len(self._first_seen))
-        self._waiting.setdefault(state.group, deque()).append(state)
+        group = state.group
+        self._first_seen.setdefault(group, len(self._first_seen))
+        self._waiting.setdefault(group, deque()).append(state)
+        self.waiting += 1
+        self._owed += state.spec.output_units - state.steps_done
         if self.tracer is not None:
             rid = state.spec.request_id
             self.tracer.begin(
@@ -558,6 +589,8 @@ class ContinuousBatcher:
         for queue in self._waiting.values():
             drained.extend(queue)
             queue.clear()
+        self.waiting -= len(drained)
+        self._owed -= sum(s.spec.output_units - s.steps_done for s in drained)
         return drained
 
     def drain_running(self) -> list[RequestState]:
@@ -575,7 +608,9 @@ class ContinuousBatcher:
         for members in self._running.values():
             drained.extend(members)
             members.clear()
+        self.running -= len(drained)
         for state in drained:
+            self._owed -= state.spec.output_units - state.steps_done
             state.reset_progress()
         return drained
 
@@ -588,13 +623,62 @@ class ContinuousBatcher:
         tie-break in first-arrival order), so no group starves under mixed
         traffic.
         """
-        # FCFS admission from each group's wait queue into its running set.
+        if self.waiting:
+            self._admit(now)
+        candidates = [key for key, members in self._running.items() if members]
+        if not candidates:
+            return None
+        chosen = candidates[0] if len(candidates) == 1 else min(
+            candidates,
+            key=lambda key: (
+                self._last_served.get(key, -1),
+                self._first_seen[key],
+            ),
+        )
+        self._iteration += 1
+        self._last_served[chosen] = self._iteration
+        members = list(self._running[chosen])
+        llm = chosen[2] != DIFFUSION
         tracer = self.tracer
+        prefills = []
+        for state in members:
+            # "Started" means first *scheduled* iteration, not admission:
+            # a request admitted while another group holds the engine has
+            # not started, and its per-step metrics must exclude that wait.
+            if state.started_time is None:
+                state.started_time = now
+            prefill = llm and state.steps_done == 0  # prefill_pending
+            if prefill:
+                prefills.append(state)
+            if tracer is not None:
+                # First-publisher-wins begin: the span opens at the first
+                # iteration that actually runs this phase and later calls
+                # are no-ops, so one begin call per scheduled member covers
+                # prefill, decode (including post-hand-off decode on a
+                # disaggregated fleet), and denoise alike.
+                rid = state.spec.request_id
+                phase = "prefill" if prefill else "decode" if llm else "denoise"
+                tracer.begin(
+                    (rid, state.retries, phase),
+                    phase,
+                    sim_time=now,
+                    category="request",
+                    track=f"req/{rid}",
+                    engine=self.engine_id,
+                )
+        return Batch(group=chosen, requests=members, prefills=prefills)
+
+    def _admit(self, now: float) -> None:
+        """FCFS admission from each group's wait queue into its running set."""
+        tracer = self.tracer
+        max_batch = self.buckets.max_batch
         for key, queue in self._waiting.items():
             group = self._running.setdefault(key, [])
-            while queue and len(group) < self.buckets.max_batch:
+            while queue and len(group) < max_batch:
                 state = queue.popleft()
                 group.append(state)
+                self.waiting -= 1
+                self.running += 1
                 if tracer is not None:
                     rid = state.spec.request_id
                     tracer.end((rid, state.retries, "queued"), now)
@@ -605,52 +689,6 @@ class ContinuousBatcher:
                         track=f"req/{rid}",
                         engine=self.engine_id,
                     )
-
-        candidates = [key for key, members in self._running.items() if members]
-        if not candidates:
-            return None
-        chosen = min(
-            candidates,
-            key=lambda key: (
-                self._last_served.get(key, -1),
-                self._first_seen[key],
-            ),
-        )
-        self._iteration += 1
-        self._last_served[chosen] = self._iteration
-        members = list(self._running[chosen])
-        for state in members:
-            # "Started" means first *scheduled* iteration, not admission:
-            # a request admitted while another group holds the engine has
-            # not started, and its per-step metrics must exclude that wait.
-            if state.started_time is None:
-                state.started_time = now
-            if tracer is not None:
-                # First-publisher-wins begin: the span opens at the first
-                # iteration that actually runs this phase and later calls
-                # are no-ops, so one begin call per scheduled member covers
-                # prefill, decode (including post-hand-off decode on a
-                # disaggregated fleet), and denoise alike.
-                rid = state.spec.request_id
-                if state.spec.kind == DIFFUSION:
-                    phase = "denoise"
-                elif state.prefill_pending:
-                    phase = "prefill"
-                else:
-                    phase = "decode"
-                tracer.begin(
-                    (rid, state.retries, phase),
-                    phase,
-                    sim_time=now,
-                    category="request",
-                    track=f"req/{rid}",
-                    engine=self.engine_id,
-                )
-        return Batch(
-            group=chosen,
-            requests=members,
-            prefills=[state for state in members if state.prefill_pending],
-        )
 
     def complete_step(self, batch: Batch, now: float) -> list[RequestState]:
         """Apply one finished iteration; return the requests it released.
@@ -665,22 +703,26 @@ class ContinuousBatcher:
         """
         released = []
         tracer = self.tracer
+        llm = batch.group[2] != DIFFUSION
+        handoff = self.phase == PHASE_PREFILL  # every step ends the prefill
+        self._owed -= len(batch.requests)
         for state in batch.requests:
             first_output = state.steps_done == 0
             state.steps_done += 1
-            if first_output and state.spec.kind != DIFFUSION:
+            if first_output and llm:
                 state.first_token_time = now
             if state.steps_done >= state.spec.output_units:
                 state.completion_time = now
                 if state.first_token_time is None:
                     state.first_token_time = now
                 released.append(state)
-            elif self.phase == PHASE_PREFILL and not state.prefill_pending:
+            elif handoff:
                 released.append(state)  # prefill done: hand off to decode
+                self._owed -= state.spec.output_units - state.steps_done
             if tracer is not None:
                 rid = state.spec.request_id
                 key = (rid, state.retries)
-                if first_output and state.spec.kind != DIFFUSION:
+                if first_output and llm:
                     tracer.end(key + ("prefill",), now)
                 if state.finished:
                     # Only one of these is open; end() ignores the other.
@@ -693,7 +735,7 @@ class ContinuousBatcher:
                         track=f"req/{rid}",
                         engine=self.engine_id,
                     )
-                elif self.phase == PHASE_PREFILL and not state.prefill_pending:
+                elif handoff:
                     tracer.instant(
                         "handoff",
                         sim_time=now,
@@ -702,6 +744,7 @@ class ContinuousBatcher:
                         engine=self.engine_id,
                     )
         if released:
+            self.running -= len(released)
             leaving = {id(state) for state in released}
             self._running[batch.group] = [
                 s for s in self._running[batch.group] if id(s) not in leaving
@@ -722,19 +765,21 @@ class ContinuousBatcher:
         if kind == DIFFUSION:
             return latency_model.diffusion_latency(model, len(batch))
         latency = 0.0
-        for chunk in self._prefill_chunks(batch.prefills):
+        for chunk in self._prefill_chunks(batch.prefills) if batch.prefills else ():
             latency += latency_model.prefill_latency(
                 model,
                 len(chunk),
                 max(state.spec.prefill_tokens for state in chunk),
             )
-        decoding = [state for state in batch.requests if not state.prefill_pending]
+        decoding = longest = 0  # requests past their prefill, longest KV
+        for state in batch.requests:
+            if state.steps_done:
+                decoding += 1
+                context = state.spec.prefill_tokens + state.steps_done
+                if context > longest:
+                    longest = context
         if decoding:
-            latency += latency_model.decode_latency(
-                model,
-                len(decoding),
-                max(state.context_tokens for state in decoding),
-            )
+            latency += latency_model.decode_latency(model, decoding, longest)
         return latency
 
     def _prefill_chunks(

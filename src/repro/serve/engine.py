@@ -46,7 +46,9 @@ class EngineCore:
 
     Routers read live cores through the
     :class:`~repro.cluster.router.EngineView` shape (``engine_id``,
-    ``queue_depth``, ``running``, ``in_flight_tokens``, ``load``).
+    ``queue_depth``, ``running``, ``in_flight_tokens``, ``load``).  Each
+    reads the batcher's counters, so a load read costs the same at any
+    queue depth.
 
     Args:
         latency_model: Bucketed step latencies (typically shared across a
@@ -111,11 +113,6 @@ class EngineCore:
         self.slow_factor = 1.0
 
     # ---------------------------------------------------------- load signals
-    @property
-    def active(self) -> bool:
-        """Whether the engine is in the fleet and not draining."""
-        return not self.draining and self.removed_time is None
-
     @property
     def queue_depth(self) -> int:
         """Requests queued but not yet admitted."""

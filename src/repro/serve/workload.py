@@ -54,6 +54,9 @@ class RequestSpec:
             to.  Tenants never share a batch, can carry their own SLOs and
             admission quotas, and are the sticky key session-affinity
             routing hashes on.
+        kind: ``"llm"`` or ``"diffusion"`` (derived, not a field).
+        output_units: Units of output work: decode tokens (LLM) or denoise
+            steps (derived, not a field).
     """
 
     request_id: int
@@ -82,16 +85,11 @@ class RequestSpec:
                 "an LLM request needs prefill_tokens >= 1 and "
                 "decode_tokens >= 1"
             )
-
-    @property
-    def kind(self) -> str:
-        """``"llm"`` or ``"diffusion"``."""
-        return DIFFUSION if self.denoise_steps > 0 else LLM
-
-    @property
-    def output_units(self) -> int:
-        """Units of output work: decode tokens (LLM) or denoise steps."""
-        return self.denoise_steps if self.kind == DIFFUSION else self.decode_tokens
+        # Derived once per spec, since the event loop reads both every step.
+        diffusion = self.denoise_steps > 0
+        object.__setattr__(self, "kind", DIFFUSION if diffusion else LLM)
+        units = self.denoise_steps if diffusion else self.decode_tokens
+        object.__setattr__(self, "output_units", units)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -50,6 +53,60 @@ def test_begin_end_first_publisher_wins_and_unopened_end_ignored():
     (span,) = tracer.spans()
     assert span.sim_start == 1.0 and span.sim_end == 7.0
     assert dict(span.attrs) == {"tenant": "a"}
+
+
+def test_noop_begin_still_takes_a_sequence_number():
+    """Trace goldens and perfbench's span counts depend on this numbering."""
+    tracer = Tracer(clock=lambda: 0.0)
+    tracer.begin("r1", "decode", sim_time=1.0)  # seq 1
+    tracer.begin("r1", "decode", sim_time=2.0)  # no-op, still seq 2
+    tracer.end("r1", 3.0)  # seq 3
+    tracer.end("r1", 4.0)  # nothing open: no sequence number
+    tracer.instant("marker", sim_time=4.0)  # seq 4
+    phase, marker = tracer.spans()
+    assert (phase.seq_start, phase.seq_end, phase.sim_start) == (1, 3, 1.0)
+    assert marker.seq_start == 4
+
+
+def test_concurrent_emitters_keep_every_span():
+    num_threads, rounds = 8, 2000
+    tracer = Tracer(clock=lambda: 0.0)
+    barrier = threading.Barrier(num_threads)
+
+    def emit(thread):
+        barrier.wait(timeout=30)
+        for i in range(rounds):
+            tracer.add_span("iteration", i, i + 1.0, track=f"engine/{thread}")
+            tracer.instant("tick", sim_time=float(i), thread=thread)
+            tracer.begin((thread, i), "phase", sim_time=float(i))
+            tracer.end((thread, i), i + 0.5)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [
+            threading.Thread(target=emit, args=(t,)) for t in range(num_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch_interval)
+
+    spans = tracer.spans()
+    assert len(spans) == len(tracer) == num_threads * rounds * 3
+    assert Counter(span.name for span in spans) == {
+        "iteration": num_threads * rounds,
+        "tick": num_threads * rounds,
+        "phase": num_threads * rounds,
+    }
+    # Sequence numbers are unique and contiguous: 2 per span, 1 per instant.
+    seqs = [span.seq_start for span in spans]
+    seqs += [span.seq_end for span in spans if span.kind == "span"]
+    assert sorted(seqs) == list(range(1, num_threads * rounds * 5 + 1))
+    keys = [(span.seq_start, span.seq_end) for span in spans]
+    assert keys == sorted(keys)
 
 
 def test_abandoned_phase_is_never_emitted():

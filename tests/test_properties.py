@@ -4,7 +4,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import scaled_chip, scaled_system
@@ -119,6 +119,14 @@ _DIT = RequestShape(model="tiny-dit", denoise_steps=8)
 _SERVING_SYSTEM = scaled_system(num_cores=32, num_chips=1)
 
 
+def _recount(batcher):
+    """(waiting, running, owed output units), recounted over the queues."""
+    waiting = [state for queue in batcher._waiting.values() for state in queue]
+    running = [state for group in batcher._running.values() for state in group]
+    owed = sum(s.spec.output_units - s.steps_done for s in waiting + running)
+    return len(waiting), len(running), owed
+
+
 @pytest.fixture(scope="module")
 def serving_session():
     """One session for every example, so bucket plans compile once."""
@@ -139,12 +147,19 @@ def serving_session():
     warmup_delay=st.sampled_from([0.0, 0.005, 0.05]),
     tenant_quota=st.none() | st.sampled_from([100.0, 1000.0]),
 )
+# A burst that scales the fleet up: the new engine's ready event drains
+# the queues of the engines already serving.
+@example(
+    num_requests=5, rate=2000.0, trace_seed=0, mixed=False, num_engines=1,
+    router="round-robin", fault_seed=None, fleet="autoscaled",
+    warmup_delay=0.0, tenant_quota=None,
+)
 def test_serving_loop_invariants(
     serving_session, num_requests, rate, trace_seed, mixed, num_engines, router,
     fault_seed, fleet, warmup_delay, tenant_quota,
 ):
-    """Accounting balances, timestamps are ordered, every output unit is
-    delivered, reruns are identical."""
+    """Accounting balances, load counters match their queues, timestamps
+    are ordered, every output unit is delivered, reruns are identical."""
     trace = poisson_trace(
         rate,
         num_requests,
@@ -197,7 +212,12 @@ def test_serving_loop_invariants(
         return simulator.run(trace)
 
     finished = []  # (request id, units delivered, units asked) per release
-    complete_step = ContinuousBatcher.complete_step
+    batchers = []  # every engine's batcher, in creation order
+    init, complete_step = ContinuousBatcher.__init__, ContinuousBatcher.complete_step
+
+    def recording_init(batcher, *args, **kwargs):
+        init(batcher, *args, **kwargs)
+        batchers.append(batcher)
 
     def recording_complete_step(batcher, batch, now):
         released = complete_step(batcher, batch, now)
@@ -206,11 +226,14 @@ def test_serving_loop_invariants(
             for state in released
             if state.finished
         )
+        for each in batchers:
+            counters = (each.waiting, each.running, each.in_flight_tokens())
+            assert counters == _recount(each)
         return released
 
     with mock.patch.object(
-        ContinuousBatcher, "complete_step", recording_complete_step
-    ):
+        ContinuousBatcher, "__init__", recording_init
+    ), mock.patch.object(ContinuousBatcher, "complete_step", recording_complete_step):
         result = run()
     assert result.num_arrivals == num_requests
     # Each finished request delivered exactly its output units, and each

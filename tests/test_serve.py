@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -600,3 +601,38 @@ def test_step_latency_model_race_compiles_once(small_system):
     assert model.stats == {"compiles": 1, "hits": num_threads - 1,
                            "compile_faults": 0, "fallbacks": 0}
     assert len(model.compiled_shapes()) == 1
+
+
+def test_step_latency_hits_are_exact_under_threads(small_system, serve_session):
+    """Lock-free cache hits from racing threads are each counted once."""
+    model = StepLatencyModel(
+        serve_session,
+        small_system,
+        "basic",
+        buckets=BatchBuckets(batch_sizes=(1, 2), context_buckets=(256,)),
+    )
+    expected = model.decode_latency("tiny-llm", 1, 100)  # compiles the shape
+    num_threads, lookups = 4, 1000
+    barrier = threading.Barrier(num_threads)
+    seen: list[float] = []
+
+    def worker():
+        barrier.wait(timeout=30)
+        for _ in range(lookups):
+            seen.append(model.decode_latency("tiny-llm", 1, 100))
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(num_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert seen == [expected] * (num_threads * lookups)
+    stats = model.stats
+    assert stats["hits"] == num_threads * lookups
+    assert stats["compiles"] == 1
+    assert model.stats == stats  # reading the counters does not move them
