@@ -93,6 +93,7 @@ def test_concurrent_emitters_keep_every_span():
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
 
     spans = tracer.spans()
     assert len(spans) == len(tracer) == num_threads * rounds * 3

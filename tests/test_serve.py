@@ -631,6 +631,7 @@ def test_step_latency_hits_are_exact_under_threads(small_system, serve_session):
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert seen == [expected] * (num_threads * lookups)
     stats = model.stats
     assert stats["hits"] == num_threads * lookups
