@@ -126,6 +126,7 @@ from repro.cluster import (
     DisaggregationConfig,
     FaultEvent,
     FaultSchedule,
+    FleetConfig,
     RetryPolicy,
     RouterPolicy,
     TenantSpec,
@@ -243,6 +244,7 @@ __all__ = [
     "DisaggregationConfig",
     "FaultEvent",
     "FaultSchedule",
+    "FleetConfig",
     "RetryPolicy",
     "RouterPolicy",
     "TenantSpec",

@@ -185,7 +185,6 @@ class CompileRequest:
     @property
     def workload_spec(self) -> WorkloadSpec:
         """The workload as a :class:`WorkloadSpec` (always, post-init)."""
-        assert isinstance(self.workload, WorkloadSpec)
         return self.workload
 
 

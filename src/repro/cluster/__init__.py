@@ -14,9 +14,10 @@ plans compile once fleet-wide.  It layers on :mod:`repro.serve`:
   stragglers, transient compile failures, store corruption) with JSON
   replay, plus the recovery semantics: retry/backoff policies, graceful
   degradation by tenant priority, and availability metrics;
-* :mod:`repro.cluster.simulator` — the fleet discrete-event loop, including
-  prefill/decode disaggregation with a hand-off queue and crash recovery
-  with balanced request accounting;
+* :mod:`repro.cluster.simulator` — the fleet discrete-event loop, configured
+  by one :class:`FleetConfig` value, including prefill/decode
+  disaggregation with a hand-off queue and crash recovery with balanced
+  request accounting;
 * :mod:`repro.cluster.scenarios` — named fleet studies registered alongside
   the single-engine serving scenarios, including two chaos scenarios, and
   :func:`simulate_cluster_scenario`, the one scenario driver.
@@ -70,6 +71,7 @@ from repro.cluster.simulator import (
     ClusterSimulator,
     DisaggregationConfig,
     EngineRecord,
+    FleetConfig,
 )
 from repro.cluster.tenancy import AdmissionController, TenantSpec, as_tenant_map
 
@@ -98,6 +100,7 @@ __all__ = [
     "EngineView",
     "FaultEvent",
     "FaultSchedule",
+    "FleetConfig",
     "RetryPolicy",
     "LeastLoadedRouter",
     "RoundRobinRouter",

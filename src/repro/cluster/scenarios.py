@@ -1,15 +1,16 @@
 """Named fleet-scale scenarios and the one scenario driver.
 
-Every :class:`~repro.serve.scenarios.ServingScenario` carries a fleet
-configuration (initial size, router policy, optional autoscaler, tenant
-quotas, prefill/decode disaggregation, faults, retries, degradation); the
-fleet studies below set theirs and register in the *same* registry as the
-single-engine scenarios, so tooling that enumerates
-:func:`~repro.serve.scenarios.available_scenarios` sees both families.
-:func:`simulate_cluster_scenario` is the one scenario driver
-(:func:`~repro.serve.scenarios.simulate_scenario` calls it with a pinned
-one-engine fleet) and accepts per-call overrides for sweeps (fleet size,
-router, disaggregation on/off).
+Every :class:`~repro.serve.scenarios.ServingScenario` may carry one
+:class:`~repro.cluster.simulator.FleetConfig` (initial size, router policy,
+optional autoscaler, tenant quotas, prefill/decode disaggregation, faults,
+retries, degradation) as its ``fleet``; the fleet studies below set theirs
+and register in the *same* registry as the single-engine scenarios, so
+tooling that enumerates :func:`~repro.serve.scenarios.available_scenarios`
+sees both families.  :func:`simulate_cluster_scenario` is the one scenario
+driver (:func:`~repro.serve.scenarios.simulate_scenario` calls it with a
+pinned one-engine fleet) and accepts per-call overrides of any
+:class:`~repro.cluster.simulator.FleetConfig` field for sweeps (fleet size,
+router, disaggregation on/off, faults, ...).
 
 Built-ins:
 
@@ -31,6 +32,7 @@ Built-ins:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING
 
 from repro.arch.chip import SystemConfig
@@ -49,6 +51,7 @@ from repro.cluster.simulator import (
     ClusterResult,
     ClusterSimulator,
     DisaggregationConfig,
+    FleetConfig,
 )
 from repro.cluster.tenancy import TenantSpec
 from repro.serve.batching import StepLatencyModel
@@ -76,8 +79,7 @@ class ClusterChatFleet(ServingScenario):
     description = "mixed LLM+DiT diurnal traffic on a 4-engine least-loaded fleet"
     slo = SLOSpec(ttft=5e-3, e2e=20e-3)
     nominal_rate = 480.0  # 4x the single-engine mixed-traffic load
-    num_engines = 4
-    router = "least-loaded"
+    fleet = FleetConfig(num_engines=4)
 
     def trace(self, num_requests=64, seed=0, rate_scale=1.0):
         return diurnal_trace(
@@ -98,12 +100,14 @@ class ClusterMultiTenant(ServingScenario):
     )
     slo = SLOSpec(ttft=5e-3)
     nominal_rate = 300.0
-    num_engines = 3
-    router = "session-affinity"
-    tenants = (
-        TenantSpec("enterprise", slo=SLOSpec(ttft=3e-3)),
-        TenantSpec("standard", quota_rps=200.0, burst=16),
-        TenantSpec("batch", quota_rps=40.0, burst=4, slo=SLOSpec()),
+    fleet = FleetConfig(
+        num_engines=3,
+        router="session-affinity",
+        tenants=(
+            TenantSpec("enterprise", slo=SLOSpec(ttft=3e-3)),
+            TenantSpec("standard", quota_rps=200.0, burst=16),
+            TenantSpec("batch", quota_rps=40.0, burst=4, slo=SLOSpec()),
+        ),
     )
 
     def trace(self, num_requests=64, seed=0, rate_scale=1.0):
@@ -131,15 +135,16 @@ class ClusterAutoscale(ServingScenario):
     description = "bursty chat against a 1..4-engine autoscaled fleet"
     slo = SLOSpec(ttft=3e-3, tpot=5e-4)
     nominal_rate = 500.0
-    num_engines = 1
-    router = "least-loaded"
-    autoscaler = AutoscalerConfig(
-        min_engines=1,
-        max_engines=4,
-        scale_up_queue_depth=4.0,
-        scale_down_queue_depth=0.5,
-        cooldown=0.1,
-        warmup_delay=0.05,
+    fleet = FleetConfig(
+        num_engines=1,
+        autoscaler=AutoscalerConfig(
+            min_engines=1,
+            max_engines=4,
+            scale_up_queue_depth=4.0,
+            scale_down_queue_depth=0.5,
+            cooldown=0.1,
+            warmup_delay=0.05,
+        ),
     )
 
     def trace(self, num_requests=64, seed=0, rate_scale=1.0):
@@ -159,9 +164,10 @@ class ClusterDisaggregated(ServingScenario):
     description = "chat on dedicated prefill/decode pools with a hand-off queue"
     slo = SLOSpec(ttft=3e-3, tpot=5e-4)
     nominal_rate = 300.0
-    router = "least-loaded"
-    disaggregation = DisaggregationConfig(
-        prefill_engines=1, decode_engines=2, handoff_delay=0.0
+    fleet = FleetConfig(
+        disaggregation=DisaggregationConfig(
+            prefill_engines=1, decode_engines=2, handoff_delay=0.0
+        )
     )
 
     def trace(self, num_requests=64, seed=0, rate_scale=1.0):
@@ -183,34 +189,35 @@ class ClusterChaosCrashes(ServingScenario):
     )
     slo = SLOSpec(ttft=5e-3, e2e=30e-3)
     nominal_rate = 400.0
-    num_engines = 4
-    router = "least-loaded"
-    autoscaler = AutoscalerConfig(
-        min_engines=2,
-        max_engines=6,
-        scale_up_queue_depth=3.0,
-        scale_down_queue_depth=0.25,
-        cooldown=0.05,
-        warmup_delay=0.02,
-    )
-    # Deterministic schedule (not a seeded generator) so the acceptance
-    # invariant — at least one applied engine crash — holds at every trace
-    # length and seed.  Times sit inside the serving window of the default
-    # 64-request trace.
-    faults = FaultSchedule(
-        "chaos-crashes",
-        (
-            FaultEvent(0.015, FAULT_ENGINE_CRASH, target=1),
-            FaultEvent(
-                0.030, FAULT_ENGINE_SLOWDOWN, target=0, duration=0.04, factor=4.0
-            ),
-            FaultEvent(0.045, FAULT_COMPILE_FAILURE, count=2),
-            FaultEvent(0.060, FAULT_ENGINE_CRASH, target=2),
-            FaultEvent(0.090, FAULT_ENGINE_CRASH, target=0),
+    fleet = FleetConfig(
+        num_engines=4,
+        autoscaler=AutoscalerConfig(
+            min_engines=2,
+            max_engines=6,
+            scale_up_queue_depth=3.0,
+            scale_down_queue_depth=0.25,
+            cooldown=0.05,
+            warmup_delay=0.02,
         ),
-    )
-    retry_policy = RetryPolicy(
-        max_attempts=3, base_backoff=0.005, max_backoff=0.05, jitter=0.1
+        # Deterministic schedule (not a seeded generator) so the acceptance
+        # invariant — at least one applied engine crash — holds at every
+        # trace length and seed.  Times sit inside the serving window of the
+        # default 64-request trace.
+        faults=FaultSchedule(
+            "chaos-crashes",
+            (
+                FaultEvent(0.015, FAULT_ENGINE_CRASH, target=1),
+                FaultEvent(
+                    0.030, FAULT_ENGINE_SLOWDOWN, target=0, duration=0.04, factor=4.0
+                ),
+                FaultEvent(0.045, FAULT_COMPILE_FAILURE, count=2),
+                FaultEvent(0.060, FAULT_ENGINE_CRASH, target=2),
+                FaultEvent(0.090, FAULT_ENGINE_CRASH, target=0),
+            ),
+        ),
+        retry_policy=RetryPolicy(
+            max_attempts=3, base_backoff=0.005, max_backoff=0.05, jitter=0.1
+        ),
     )
 
     def trace(self, num_requests=64, seed=0, rate_scale=1.0):
@@ -232,29 +239,29 @@ class ClusterChaosDegraded(ServingScenario):
     )
     slo = SLOSpec(ttft=5e-3)
     nominal_rate = 700.0
-    num_engines = 2
-    router = "least-loaded"
-    tenants = (
-        TenantSpec("interactive", slo=SLOSpec(ttft=3e-3)),
-        TenantSpec("batch", slo=SLOSpec()),
-    )
-    degradation = DegradationPolicy(
-        queue_depth_per_engine=4.0,
-        priorities=(("batch", 0), ("interactive", 2)),
-    )
-    faults = FaultSchedule(
-        "chaos-degraded",
-        (
-            FaultEvent(
-                0.010, FAULT_ENGINE_SLOWDOWN, target=0, duration=0.08, factor=6.0
-            ),
-            FaultEvent(0.020, FAULT_ENGINE_CRASH, target=1),
-            FaultEvent(
-                0.035, FAULT_ENGINE_SLOWDOWN, target=0, duration=0.05, factor=3.0
+    fleet = FleetConfig(
+        tenants=(
+            TenantSpec("interactive", slo=SLOSpec(ttft=3e-3)),
+            TenantSpec("batch", slo=SLOSpec()),
+        ),
+        degradation=DegradationPolicy(
+            queue_depth_per_engine=4.0,
+            priorities=(("batch", 0), ("interactive", 2)),
+        ),
+        faults=FaultSchedule(
+            "chaos-degraded",
+            (
+                FaultEvent(
+                    0.010, FAULT_ENGINE_SLOWDOWN, target=0, duration=0.08, factor=6.0
+                ),
+                FaultEvent(0.020, FAULT_ENGINE_CRASH, target=1),
+                FaultEvent(
+                    0.035, FAULT_ENGINE_SLOWDOWN, target=0, duration=0.05, factor=3.0
+                ),
             ),
         ),
+        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.004),
     )
-    retry_policy = RetryPolicy(max_attempts=2, base_backoff=0.004)
 
     def trace(self, num_requests=64, seed=0, rate_scale=1.0):
         shapes = tuple(
@@ -279,9 +286,6 @@ class ClusterChaosDegraded(ServingScenario):
 # --------------------------------------------------------------------------- #
 # One-call driver.
 # --------------------------------------------------------------------------- #
-_UNSET = object()  # "use the scenario's default" (None is a meaningful override)
-
-
 def simulate_cluster_scenario(
     scenario: str | ServingScenario,
     *,
@@ -292,25 +296,17 @@ def simulate_cluster_scenario(
     rate_scale: float = 1.0,
     session: Session | None = None,
     num_layers: int | None = 1,
-    num_engines: int | None = None,
-    router: str | None = None,
-    autoscaler: AutoscalerConfig | None = _UNSET,
-    tenants: tuple[TenantSpec, ...] | None = _UNSET,
-    disaggregation: DisaggregationConfig | None = _UNSET,
-    faults: FaultSchedule | None = _UNSET,
-    retry_policy: RetryPolicy | None = _UNSET,
-    degradation: DegradationPolicy | None = _UNSET,
     prewarm: bool = False,
     tracer: "Tracer | None" = None,
+    **overrides,
 ) -> ClusterResult:
     """Run one registered scenario end to end on a fleet.
 
-    The fleet parameters (``num_engines``, ``router``, ``autoscaler``,
-    ``tenants``, ``disaggregation``, ...) default to the scenario's class
-    configuration; pass any of them to override for a sweep — an explicit
-    ``None`` disables the feature (e.g. ``disaggregation=None`` runs the
-    ``cluster-disaggregated`` trace colocated).  A scenario that sets no
-    fleet configuration runs on the default 2-engine least-loaded fleet.
+    The fleet is the scenario's ``fleet`` (the default 2-engine
+    least-loaded :class:`FleetConfig` when it sets none) with ``overrides``
+    replacing its fields for a sweep — an explicit ``None`` disables the
+    feature (e.g. ``disaggregation=None`` runs the ``cluster-disaggregated``
+    trace colocated).
 
     Args:
         scenario: Registered scenario name or an instance.
@@ -323,12 +319,6 @@ def simulate_cluster_scenario(
         session: Shared compile session; pass one to dedupe bucket compiles
             across fleet sizes, routers, and rate points.
         num_layers: Layer-count override for the compiled step workloads.
-        num_engines / router / autoscaler / tenants / disaggregation /
-            faults / retry_policy / degradation:
-            Fleet-configuration overrides (default: the scenario's own);
-            e.g. ``faults=None`` runs a chaos scenario's trace on the happy
-            path, and ``faults=random_faults(...)`` injects a seeded
-            schedule into any scenario.
         prewarm: Compile the reachable bucket grid
             (:meth:`StepLatencyModel.prewarm`) up front through one
             ``compile_many`` fan-out.
@@ -336,9 +326,14 @@ def simulate_cluster_scenario(
             fleet run: compile-stage and store spans (wired onto the session
             for the duration of the run), per-engine iteration spans,
             request lifecycle phases, and cluster scale/fault instants.
+        **overrides: :class:`FleetConfig` fields replacing the scenario's;
+            e.g. ``faults=None`` runs a chaos scenario's trace on the happy
+            path, and ``faults=random_faults(...)`` injects a seeded
+            schedule into any scenario.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
+    fleet = dataclasses.replace(scenario.fleet or FleetConfig(), **overrides)
     system = system or scaled_system(num_cores=32, num_chips=1)
     session = session or make_serving_session()
     previous_tracer = session.tracer
@@ -352,23 +347,7 @@ def simulate_cluster_scenario(
         num_layers=num_layers,
         tracer=tracer,
     )
-    simulator = ClusterSimulator(
-        latency_model,
-        num_engines=num_engines if num_engines is not None else scenario.num_engines,
-        router=router if router is not None else scenario.router,
-        autoscaler=scenario.autoscaler if autoscaler is _UNSET else autoscaler,
-        tenants=scenario.tenants if tenants is _UNSET else tenants,
-        disaggregation=(
-            scenario.disaggregation if disaggregation is _UNSET else disaggregation
-        ),
-        faults=scenario.faults if faults is _UNSET else faults,
-        retry_policy=(
-            scenario.retry_policy if retry_policy is _UNSET else retry_policy
-        ),
-        degradation=scenario.degradation if degradation is _UNSET else degradation,
-        prewarm=prewarm,
-        tracer=tracer,
-    )
+    simulator = ClusterSimulator(latency_model, fleet, prewarm=prewarm, tracer=tracer)
     trace = scenario.trace(num_requests=num_requests, seed=seed, rate_scale=rate_scale)
     try:
         return simulator.run(trace, slo=scenario.slo)

@@ -5,8 +5,9 @@ fleet of :class:`~repro.serve.engine.EngineCore` engines that all share one
 :class:`~repro.serve.batching.StepLatencyModel` — and therefore one compile
 :class:`~repro.api.Session` — so every bucketed step plan compiles exactly
 once fleet-wide no matter how many engines serve it.  Its heapq event loop
-is the repo's only one; single-engine serving is
-``ClusterSimulator(latency, num_engines=1, router="round-robin")``.
+is the repo's only one.  Its settings are one frozen :class:`FleetConfig`;
+single-engine serving is
+``ClusterSimulator(latency, FleetConfig(num_engines=1, router="round-robin"))``.
 
 Each :meth:`ClusterSimulator.run` call builds a private run object that
 owns the heap, the engines, and the run's records and counters.  Every heap
@@ -77,15 +78,10 @@ from repro.cluster.faults import (
     FaultSchedule,
     RetryPolicy,
 )
-from repro.cluster.router import RouterPolicy, get_router
+from repro.cluster.router import get_router
 from repro.cluster.tenancy import AdmissionController, TenantSpec, as_tenant_map
 from repro.errors import ConfigurationError, SimulationInvariantError
-from repro.serve.batching import (
-    BatchBuckets,
-    RequestState,
-    StepLatencyModel,
-    make_states,
-)
+from repro.serve.batching import RequestState, StepLatencyModel, make_states
 from repro.serve.engine import ROLE_COLOCATED, ROLE_DECODE, ROLE_PREFILL, EngineCore
 from repro.serve.metrics import RequestRecord, ServingMetrics, SLOSpec, compute_metrics
 from repro.serve.workload import ArrivalTrace, RequestSpec
@@ -284,33 +280,77 @@ class ClusterResult:
         }
 
 
+@dataclass(frozen=True)
+class FleetConfig:
+    """Every setting of a simulated fleet, validated once at construction.
+
+    Attributes:
+        num_engines: Initial fleet size (colocated mode; ignored when
+            ``disaggregation`` is given).
+        router: Registered router-policy name.
+        autoscaler: Enables autoscaling of a colocated fleet (``None`` = a
+            fixed fleet; incompatible with ``disaggregation``).
+        tenants: Per-tenant admission quotas and SLOs (any iterable or
+            mapping of :class:`TenantSpec`, stored as a tuple).
+        disaggregation: Split the fleet into dedicated prefill and decode
+            pools with a hand-off queue (``None`` = colocated).
+        faults: Fault schedule to inject during the run (``None`` = the
+            happy path).  Crashes never remove the last engine able to
+            serve a role — such events are skipped.
+        retry_policy: Retry/backoff semantics for work a crash destroyed
+            (``None`` = :class:`RetryPolicy`'s defaults).
+        degradation: Graceful-degradation policy shedding arrivals by
+            tenant priority under overload (``None`` = never shed).
+    """
+
+    num_engines: int = 2
+    router: str = "least-loaded"
+    autoscaler: AutoscalerConfig | None = None
+    tenants: tuple[TenantSpec, ...] = ()
+    disaggregation: DisaggregationConfig | None = None
+    faults: FaultSchedule | None = None
+    retry_policy: RetryPolicy | None = None
+    degradation: DegradationPolicy | None = None
+
+    def __post_init__(self) -> None:
+        if self.num_engines < 1:
+            raise ConfigurationError("num_engines must be >= 1")
+        if self.autoscaler is not None and self.disaggregation is not None:
+            raise ConfigurationError(
+                "autoscaling disaggregated pools is not supported; pick one"
+            )
+        if not isinstance(self.router, str):
+            raise ConfigurationError(
+                f"router must be a registered name, got {self.router!r}"
+            )
+        get_router(self.router)  # an unknown name raises ConfigurationError
+        for name, kind in (
+            ("faults", FaultSchedule),
+            ("retry_policy", RetryPolicy),
+            ("degradation", DegradationPolicy),
+        ):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be a {kind.__name__} or None, got {value!r}"
+                )
+        object.__setattr__(
+            self, "tenants", tuple(as_tenant_map(self.tenants).values())
+        )
+
+
 class ClusterSimulator:
     """Discrete-event simulation of a router-fronted fleet of engines.
 
     Args:
         latency_model: Bucketed step latencies, shared by every engine in
             the fleet (this is what makes bucket plans compile once
-            fleet-wide through the underlying session).
-        num_engines: Initial fleet size (colocated mode; ignored when
-            ``disaggregation`` is given).
-        router: Registered router name or a :class:`RouterPolicy` instance.
-        buckets: Shape grid for the engines (defaults to the latency
-            model's).
-        autoscaler: Enables autoscaling of a colocated fleet
-            (incompatible with ``disaggregation``).
-        tenants: Per-tenant admission quotas and SLOs.
-        disaggregation: Split the fleet into dedicated prefill and decode
-            pools with a hand-off queue.
+            fleet-wide through the underlying session); its shape grid is
+            the engines'.
+        fleet: The fleet's settings.
         prewarm: Compile the reachable bucket grid for every (model, kind)
             group in the trace before serving, via one
             :meth:`Session.compile_many` fan-out.
-        faults: Fault schedule to inject during the run (``None`` = the
-            happy path).  Crashes never remove the last engine able to
-            serve a role — such events are skipped.
-        retry_policy: Retry/backoff semantics for work a crash destroyed
-            (defaults to :class:`RetryPolicy`'s defaults).
-        degradation: Graceful-degradation policy shedding arrivals by
-            tenant priority under overload (``None`` = never shed).
         tracer: Optional :class:`repro.obs.Tracer` placing scale, crash,
             shed, fault, and retry instants on the ``cluster`` track of the
             same timeline the engines' iteration spans and the requests'
@@ -320,53 +360,15 @@ class ClusterSimulator:
     def __init__(
         self,
         latency_model: StepLatencyModel,
+        fleet: FleetConfig = FleetConfig(),
         *,
-        num_engines: int = 2,
-        router: str | RouterPolicy = "least-loaded",
-        buckets: BatchBuckets | None = None,
-        autoscaler: AutoscalerConfig | None = None,
-        tenants=None,
-        disaggregation: DisaggregationConfig | None = None,
         prewarm: bool = False,
-        faults: FaultSchedule | None = None,
-        retry_policy: RetryPolicy | None = None,
-        degradation: DegradationPolicy | None = None,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if num_engines < 1:
-            raise ConfigurationError("num_engines must be >= 1")
-        if autoscaler is not None and disaggregation is not None:
-            raise ConfigurationError(
-                "autoscaling disaggregated pools is not supported; pick one"
-            )
         self.latency_model = latency_model
-        self.buckets = buckets or latency_model.buckets
-        self.num_engines = num_engines
-        self.router = get_router(router) if isinstance(router, str) else router
-        if not isinstance(self.router, RouterPolicy):
-            raise ConfigurationError(
-                f"router must be a name or RouterPolicy, got {self.router!r}"
-            )
-        self.autoscaler_config = autoscaler
-        self.tenants = as_tenant_map(tenants)
-        self.disaggregation = disaggregation
+        self.fleet = fleet
+        self.router = get_router(fleet.router)
         self.prewarm = prewarm
-        if faults is not None and not isinstance(faults, FaultSchedule):
-            raise ConfigurationError(
-                f"faults must be a FaultSchedule or None, got {faults!r}"
-            )
-        self.faults = faults
-        if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
-            raise ConfigurationError(
-                f"retry_policy must be a RetryPolicy or None, got {retry_policy!r}"
-            )
-        self.retry_policy = retry_policy or RetryPolicy()
-        if degradation is not None and not isinstance(degradation, DegradationPolicy):
-            raise ConfigurationError(
-                f"degradation must be a DegradationPolicy or None, "
-                f"got {degradation!r}"
-            )
-        self.degradation = degradation
         self.tracer = tracer
 
     # ----------------------------------------------------------------- running
@@ -395,15 +397,20 @@ class _FleetRun:
     def __init__(
         self, sim: ClusterSimulator, trace: ArrivalTrace, slo: SLOSpec | None
     ) -> None:
-        self.sim = sim
+        fleet = sim.fleet
         self.trace = trace
         self.slo = slo
         self.tracer = sim.tracer
-        self.admission = AdmissionController(sim.tenants)
+        self.latency_model = model = sim.latency_model
+        # Settings the handlers read per event, bound once.
+        self.router = sim.router
+        self.disaggregation = fleet.disaggregation
+        self.degradation = fleet.degradation
+        self.retry_policy = fleet.retry_policy or RetryPolicy()
+        self.tenants = fleet.tenants
+        self.admission = AdmissionController(fleet.tenants)
         self.autoscaler = (
-            Autoscaler(sim.autoscaler_config)
-            if sim.autoscaler_config is not None
-            else None
+            Autoscaler(fleet.autoscaler) if fleet.autoscaler is not None else None
         )
         # Engine ids are list positions: engines join in id order and stay.
         # ``active`` is the in-fleet, non-draining subset, in the same order.
@@ -423,22 +430,22 @@ class _FleetRun:
         # recovered and its recovery time is recorded.
         self.crash_watches: list[tuple[float, set[int]]] = []
         self.recovery_times: list[float] = []
-        self.budget_left = sim.retry_policy.retry_budget  # None = unbounded
-        self.fallback_base = sim.latency_model.stats.get("fallbacks", 0)
-        self.store_base = sim.latency_model.session.stats.store_hits
+        self.budget_left = self.retry_policy.retry_budget  # None = unbounded
+        self.fallback_base = model.stats.get("fallbacks", 0)
+        self.store_base = model.session.stats.store_hits
 
         # Seed the initial fleet, ready at t=0 (prewarmed before traffic).
-        if sim.disaggregation is not None:
-            for _ in range(sim.disaggregation.prefill_engines):
+        if fleet.disaggregation is not None:
+            for _ in range(fleet.disaggregation.prefill_engines):
                 self._add_engine(ROLE_PREFILL, 0.0, 0.0)
-            for _ in range(sim.disaggregation.decode_engines):
+            for _ in range(fleet.disaggregation.decode_engines):
                 self._add_engine(ROLE_DECODE, 0.0, 0.0)
         else:
-            for _ in range(sim.num_engines):
+            for _ in range(fleet.num_engines):
                 self._add_engine(ROLE_COLOCATED, 0.0, 0.0)
         for state in make_states(trace):
             self._push(state.spec.arrival_time, self._on_arrival, state)
-        for fault in sim.faults or ():
+        for fault in fleet.faults or ():
             self._push(fault.time, self._on_fault, fault)
 
     def run(self) -> ClusterResult:
@@ -461,7 +468,7 @@ class _FleetRun:
             )
         # Injected compile failures that never fired (no cache miss came)
         # must not leak into a later run on the same latency model.
-        self.sim.latency_model.disarm_compile_failures()
+        self.latency_model.disarm_compile_failures()
         return self._result()
 
     # ------------------------------------------------------------- handlers
@@ -475,7 +482,7 @@ class _FleetRun:
         while heap and heap[0][0] == now and heap[0][2] == self._on_arrival:
             arrivals.append(heapq.heappop(heap)[3])
         avg_queue = 0.0
-        if self.sim.degradation is not None:
+        if self.degradation is not None:
             ready = [e for e in self.active if e.ready_time <= now]
             avg_queue = sum(e.queue_depth for e in ready) / max(1, len(ready))
         self._route((s for s in arrivals if self._admit(s, now, avg_queue)), now)
@@ -493,7 +500,7 @@ class _FleetRun:
                 self._record(state, now)
             else:
                 # Prefill finished: hand off to the decode pool.
-                delay = self.sim.disaggregation.handoff_delay
+                delay = self.disaggregation.handoff_delay
                 self._push(now + delay, self._on_handoff, state)
         self._kick(engine, now)
         self._autoscale(now)
@@ -535,11 +542,11 @@ class _FleetRun:
                     duration=fault.duration,
                 )
         elif fault.kind == FAULT_COMPILE_FAILURE:
-            self.sim.latency_model.inject_compile_failures(fault.count)
+            self.latency_model.inject_compile_failures(fault.count)
             self.counts["num_compile_faults"] += fault.count
             self._instant("fault-compile-failure", now, count=fault.count)
         else:  # FAULT_STORE_CORRUPTION
-            store = self.sim.latency_model.session.store
+            store = self.latency_model.session.store
             if store is not None and store.corrupt_entry(fault.target):
                 self.counts["num_store_corruptions"] += 1
             self._instant("fault-store-corruption", now, target=fault.target)
@@ -585,8 +592,8 @@ class _FleetRun:
 
     def _add_engine(self, role: str, added: float, ready: float) -> EngineCore:
         engine = EngineCore(
-            self.sim.latency_model,
-            self.sim.buckets,
+            self.latency_model,
+            self.latency_model.buckets,
             engine_id=len(self.engines),
             role=role,
             added_time=added,
@@ -615,7 +622,7 @@ class _FleetRun:
 
     def _dispatch(self, state: RequestState, now: float) -> EngineCore:
         """Route one request to an engine's wait queue (no kick)."""
-        if self.sim.disaggregation is None:
+        if self.disaggregation is None:
             role = ROLE_COLOCATED
         elif state.prefill_pending:
             role = ROLE_PREFILL
@@ -637,11 +644,11 @@ class _FleetRun:
                 )
             chosen = min(pool, key=lambda e: (e.ready_time, e.engine_id))
         else:
-            choice = self.sim.router.choose(state, candidates, now)
+            choice = self.router.choose(state, candidates, now)
             chosen = next((e for e in candidates if e.engine_id == choice), None)
             if chosen is None:
                 raise ConfigurationError(
-                    f"router {self.sim.router.name!r} chose engine {choice}, "
+                    f"router {self.router.name!r} chose engine {choice}, "
                     f"not one of {[e.engine_id for e in candidates]}"
                 )
         chosen.batcher.enqueue(state, now)
@@ -689,7 +696,7 @@ class _FleetRun:
         if not self.admission.admit(spec.tenant, now):
             self.rejected.append(spec)
             return False
-        degradation = self.sim.degradation
+        degradation = self.degradation
         if degradation is not None and degradation.should_shed(
             spec.tenant, avg_queue
         ):
@@ -758,7 +765,7 @@ class _FleetRun:
         touched = self._requeue(victim, now, kick=False)
         # Admitted and in-flight requests lost their progress: retry from
         # scratch after a backoff, or fail when out of budget.
-        policy = self.sim.retry_policy
+        policy = self.retry_policy
         watch: set[int] = set()
         for state in victim.batcher.drain_running():
             out_of_budget = self.budget_left is not None and self.budget_left <= 0
@@ -802,7 +809,7 @@ class _FleetRun:
             f"attainment={autoscaler.attainment:.3g}"
         )
         if decision == "up":
-            warmup = self.sim.autoscaler_config.warmup_delay
+            warmup = autoscaler.config.warmup_delay
             engine = self._add_engine(ROLE_COLOCATED, now, now + warmup)
             self._push(engine.ready_time, self._on_engine_ready, engine)
             self._note_scale(now, SCALE_ADD, engine, reason)
@@ -824,7 +831,7 @@ class _FleetRun:
 
     # --------------------------------------------------------------- result
     def _result(self) -> ClusterResult:
-        sim, model, end_time = self.sim, self.sim.latency_model, self.end_time
+        model, end_time = self.latency_model, self.end_time
         records, failed = self.records, self.failed
         met_under_faults = 0
         for record in records:
@@ -872,13 +879,13 @@ class _FleetRun:
             num_iterations=sum(r.num_iterations for r in engine_records),
             compiled_shapes=tuple(model.compiled_shapes()),
             slo=self.slo,
-            router=sim.router.name,
+            router=self.router.name,
             engines=tuple(engine_records),
             scale_events=tuple(self.scale_events),
             rejected=tuple(self.rejected),
             failed=tuple(failed),
             num_arrivals=len(self.trace.requests),
             availability=availability,
-            tenants=tuple(sim.tenants.values()),
+            tenants=self.tenants,
             store_hits=model.session.stats.store_hits - self.store_base,
         )

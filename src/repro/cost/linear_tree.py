@@ -131,11 +131,8 @@ class LinearTreeRegressor:
 
     def _predict_row(self, row: np.ndarray) -> float:
         node = self._root
-        assert node is not None
         while not node.is_leaf:
             node = node.left if row[node.feature] <= node.threshold else node.right
-            assert node is not None
-        assert node.coef is not None
         return float(row @ node.coef + node.intercept)
 
     # ------------------------------------------------------------------ metrics
@@ -158,7 +155,6 @@ class LinearTreeRegressor:
         def walk(node: _Node) -> int:
             if node.is_leaf:
                 return 0
-            assert node.left is not None and node.right is not None
             return 1 + max(walk(node.left), walk(node.right))
 
         return walk(self._root)

@@ -18,9 +18,10 @@ The pieces compose individually: build a trace
 (:func:`poisson_trace` / :func:`bursty_trace` / :func:`diurnal_trace` /
 :func:`batch_trace` / :func:`replay_trace`), a
 :class:`StepLatencyModel` over your session/system/policy, and run it
-through ``repro.cluster.ClusterSimulator(latency, num_engines=1,
-router="round-robin")``.  New scenarios register by name via
-:func:`register_scenario`, exactly like compiler policies.
+through ``repro.cluster.ClusterSimulator(latency,
+FleetConfig(num_engines=1, router="round-robin"))``.  New scenarios
+register by name via :func:`register_scenario`, exactly like compiler
+policies.
 
 The event loop and the result type (:class:`repro.cluster.ClusterResult`)
 are the fleet's: :func:`simulate_scenario` runs one round-robin engine with

@@ -3,9 +3,10 @@
 A scenario bundles what a serving study needs besides the hardware: the
 request mix (:class:`~repro.serve.workload.RequestShape`), the arrival
 process, the shape grid the engines compile, the SLO goodput is judged
-against, and the fleet it runs on (size, router, autoscaler, tenants,
-disaggregation, faults, retries, degradation — all off or minimal by
-default).  Scenarios register by name in a
+against, and the fleet it runs on (one
+:class:`~repro.cluster.simulator.FleetConfig`: size, router, autoscaler,
+tenants, disaggregation, faults, retries, degradation — all off or minimal
+by default).  Scenarios register by name in a
 :class:`repro.registry.Registry`, so studies, benchmarks, and tooling can
 enumerate and extend them without touching the simulator:
 
@@ -46,10 +47,7 @@ from repro.serve.workload import (
 )
 
 if TYPE_CHECKING:
-    from repro.cluster.autoscaler import AutoscalerConfig
-    from repro.cluster.faults import DegradationPolicy, FaultSchedule, RetryPolicy
-    from repro.cluster.simulator import ClusterResult, DisaggregationConfig
-    from repro.cluster.tenancy import TenantSpec
+    from repro.cluster.simulator import ClusterResult, FleetConfig
     from repro.obs.trace import Tracer
 
 
@@ -57,26 +55,18 @@ class ServingScenario(abc.ABC):
     """One named serving study: a request mix, arrival process, SLO, fleet.
 
     Subclasses are registered with :func:`register_scenario` and instantiated
-    fresh per use, so they may keep state on ``self``.  The fleet attributes
-    configure :func:`repro.cluster.simulate_cluster_scenario`;
-    :func:`simulate_scenario` ignores them and runs one engine.
+    fresh per use, so they may keep state on ``self``.  The ``fleet``
+    configures :func:`repro.cluster.simulate_cluster_scenario`;
+    :func:`simulate_scenario` ignores it and runs one engine.
 
     Attributes:
         name: Registry name, filled in by :func:`register_scenario`.
         description: One-line summary for tooling and reports.
         slo: The SLO goodput is evaluated against.
         buckets: Shape grid the engines compile for this scenario.
-        num_engines: Initial fleet size (colocated mode).
-        router: Registered router-policy name.
-        autoscaler: Autoscaler configuration (``None`` = fixed fleet).
-        tenants: Tenant quota/SLO specs enforced at admission.
-        disaggregation: Prefill/decode pool split (``None`` = colocated).
-        faults: Fault schedule injected during the run (``None`` = happy
-            path).
-        retry_policy: Retry/backoff semantics for crash-lost work (``None``
-            = the defaults).
-        degradation: Load-shedding policy under overload (``None`` = never
-            shed).
+        fleet: The fleet's settings; ``None`` (kept here because
+            :mod:`repro.cluster` imports this module) means the default
+            :class:`~repro.cluster.simulator.FleetConfig`.
     """
 
     name: ClassVar[str] = ""
@@ -85,14 +75,7 @@ class ServingScenario(abc.ABC):
     buckets: ClassVar[BatchBuckets] = BatchBuckets(
         batch_sizes=(1, 2, 4, 8), context_buckets=(256, 512)
     )
-    num_engines: ClassVar[int] = 2
-    router: ClassVar[str] = "least-loaded"
-    autoscaler: ClassVar[AutoscalerConfig | None] = None
-    tenants: ClassVar[tuple[TenantSpec, ...]] = ()
-    disaggregation: ClassVar[DisaggregationConfig | None] = None
-    faults: ClassVar[FaultSchedule | None] = None
-    retry_policy: ClassVar[RetryPolicy | None] = None
-    degradation: ClassVar[DegradationPolicy | None] = None
+    fleet: ClassVar[FleetConfig | None] = None
 
     @abc.abstractmethod
     def trace(
@@ -254,7 +237,7 @@ def simulate_scenario(
     This is :func:`repro.cluster.simulate_cluster_scenario` with the fleet
     pinned to one round-robin engine and every fleet feature (autoscaler,
     tenants, disaggregation, faults, retries, degradation) off — whatever
-    the scenario's own fleet configuration says.
+    the scenario's own ``fleet`` says.
 
     Args:
         scenario: Registered scenario name or an instance.
@@ -279,7 +262,9 @@ def simulate_scenario(
     """
     # repro.cluster builds on this module, so import it at call time.
     from repro.cluster.scenarios import simulate_cluster_scenario
+    from repro.cluster.simulator import FleetConfig
 
+    one_engine = FleetConfig(num_engines=1, router="round-robin")
     return simulate_cluster_scenario(
         scenario,
         system=system,
@@ -289,14 +274,7 @@ def simulate_scenario(
         rate_scale=rate_scale,
         session=session,
         num_layers=num_layers,
-        num_engines=1,
-        router="round-robin",
-        autoscaler=None,
-        tenants=None,
-        disaggregation=None,
-        faults=None,
-        retry_policy=None,
-        degradation=None,
         prewarm=prewarm,
         tracer=tracer,
+        **vars(one_engine),  # every field, so none of the scenario's stays
     )

@@ -220,8 +220,36 @@ class CompileGridAdapter(SweepAdapter):
 
 
 # --------------------------------------------------------------------------- #
-# serving: one registered ServingScenario per point.
+# serving, cluster, chaos: one registered ServingScenario per point.
 # --------------------------------------------------------------------------- #
+def _simulate_point(adapter: str, config, ctx: RunContext, simulate, **overrides):
+    """Run the point's scenario through ``simulate``; return (row, result).
+
+    The row starts with the scenario and policy; the point's compiled
+    shapes are recorded on ``ctx``.
+    """
+    scenario = config.get("scenario")
+    if not isinstance(scenario, str):
+        raise ConfigurationError(
+            f"{adapter} points need a scenario name, got {scenario!r}"
+        )
+    policy = str(config.get("policy", "elk-full"))
+    result = simulate(
+        scenario,
+        system=_scenario_system(config),
+        policy=policy,
+        num_requests=int(config.get("num_requests", 64)),
+        seed=config["seed"],
+        rate_scale=float(config.get("rate_scale", 1.0)),
+        session=ctx.session,
+        num_layers=config.get("num_layers", 1),
+        prewarm=bool(config.get("prewarm", False)),
+        **overrides,
+    )
+    ctx.compiled_shapes.update((policy, *shape) for shape in result.compiled_shapes)
+    return {"scenario": scenario, "policy": policy}, result
+
+
 @register_adapter("serving")
 class ServingAdapter(SweepAdapter):
     """Run one serving scenario per point through the shared session.
@@ -234,153 +262,109 @@ class ServingAdapter(SweepAdapter):
     description = "rate/policy serving studies via simulate_scenario"
 
     def run_point(self, config, ctx):
-        scenario = config.get("scenario")
-        if not isinstance(scenario, str):
-            raise ConfigurationError(f"serving points need a scenario name, got {scenario!r}")
-        policy = str(config.get("policy", "elk-full"))
-        result = simulate_scenario(
-            scenario,
-            system=_scenario_system(config),
-            policy=policy,
-            num_requests=int(config.get("num_requests", 64)),
-            seed=config["seed"],
-            rate_scale=float(config.get("rate_scale", 1.0)),
-            session=ctx.session,
-            num_layers=config.get("num_layers", 1),
-            prewarm=bool(config.get("prewarm", False)),
-        )
-        ctx.compiled_shapes.update(
-            (policy, *shape) for shape in result.compiled_shapes
-        )
-        row = {
-            "scenario": scenario,
-            "policy": policy,
-            "rate_scale": float(config.get("rate_scale", 1.0)),
-            "iterations": result.num_iterations,
-        }
+        row, result = _simulate_point(self.name, config, ctx, simulate_scenario)
+        row["rate_scale"] = float(config.get("rate_scale", 1.0))
+        row["iterations"] = result.num_iterations
         row.update(result.metrics().summary())
         return row
 
 
-# --------------------------------------------------------------------------- #
-# cluster: fleet-scale scenarios (routers, fleet sizes, disaggregation).
-# --------------------------------------------------------------------------- #
+def _fleet_overrides(config: Mapping[str, object]) -> dict:
+    """:class:`~repro.cluster.FleetConfig` overrides from a point's keys.
+
+    The cluster and chaos adapters document the keys; absent ones keep the
+    scenario's settings.
+    """
+    overrides: dict = {}
+    if config.get("router") is not None:
+        overrides["router"] = config["router"]
+    if config.get("num_engines") is not None:
+        overrides["num_engines"] = int(config["num_engines"])
+    if "disaggregation" in config:
+        pools = config["disaggregation"]
+        overrides["disaggregation"] = (
+            None if pools is None else DisaggregationConfig(**dict(pools))
+        )
+    if "crash_rate" in config:
+        crash_rate = float(config["crash_rate"])
+        overrides["faults"] = random_faults(
+            float(config.get("fault_window", 0.25)),
+            crash_rate=crash_rate,
+            slowdown_rate=crash_rate * float(config.get("slowdown_fraction", 0.25)),
+            seed=config["seed"],
+            name=f"chaos@{crash_rate:g}",
+        )
+    retry = config.get("retry_policy")
+    if retry is not None:
+        if not isinstance(retry, Mapping):
+            raise ConfigurationError(
+                f"retry_policy must be a mapping of RetryPolicy fields, got {retry!r}"
+            )
+        fields = {k: v for k, v in retry.items() if k != "label"}
+        overrides["retry_policy"] = RetryPolicy(**fields)
+    return overrides
+
+
 @register_adapter("cluster")
 class ClusterAdapter(SweepAdapter):
     """Run one cluster scenario per point through the shared session.
 
     Config keys: ``scenario`` (required), ``policy``, ``num_requests``,
-    ``rate_scale``, ``router``, ``num_engines``, ``disaggregation`` (a
-    ``{"prefill_engines": N, "decode_engines": M}`` mapping, or explicit
-    ``null`` to force the colocated baseline; absent keeps the scenario's
-    default), ``variant`` (label suffix for comparison rows), ``prewarm``,
-    ``num_layers``, ``system``.
+    ``rate_scale``, ``router``, ``num_engines`` (``null`` keeps the
+    scenario's), ``disaggregation`` (a ``{"prefill_engines": N,
+    "decode_engines": M}`` mapping, or explicit ``null`` to force the
+    colocated baseline; absent keeps the scenario's default), ``variant``
+    (label suffix for comparison rows), ``prewarm``, ``num_layers``,
+    ``system``, and the chaos adapter's fault keys.
     """
 
     description = "fleet sweeps (router x engines x disaggregation) via simulate_cluster_scenario"
 
     def run_point(self, config, ctx):
-        scenario = config.get("scenario")
-        if not isinstance(scenario, str):
-            raise ConfigurationError(f"cluster points need a scenario name, got {scenario!r}")
-        policy = str(config.get("policy", "elk-full"))
-        kwargs: dict = {}
-        if "router" in config and config["router"] is not None:
-            kwargs["router"] = config["router"]
-        if "num_engines" in config and config["num_engines"] is not None:
-            kwargs["num_engines"] = int(config["num_engines"])
-        if "disaggregation" in config:
-            pools = config["disaggregation"]
-            kwargs["disaggregation"] = (
-                None if pools is None else DisaggregationConfig(**dict(pools))
-            )
-        kwargs.update(self._fault_kwargs(config))
-        result = simulate_cluster_scenario(
-            scenario,
-            system=_scenario_system(config),
-            policy=policy,
-            num_requests=int(config.get("num_requests", 64)),
-            seed=config["seed"],
-            rate_scale=float(config.get("rate_scale", 1.0)),
-            session=ctx.session,
-            num_layers=config.get("num_layers", 1),
-            prewarm=bool(config.get("prewarm", False)),
-            **kwargs,
-        )
-        ctx.compiled_shapes.update(
-            (policy, *shape) for shape in result.compiled_shapes
+        return self._fleet_row(config, ctx, _fleet_overrides(config))[0]
+
+    def _fleet_row(self, config, ctx, overrides):
+        row, result = _simulate_point(
+            self.name, config, ctx, simulate_cluster_scenario, **overrides
         )
         variant = config.get("variant")
-        label = f"{scenario}:{variant}" if isinstance(variant, str) else scenario
-        row = {
-            "scenario": label,
-            "policy": policy,
-            "router": result.router,
-            "num_engines": len(result.engines),
-            "iterations": result.num_iterations,
-        }
+        if isinstance(variant, str):
+            row["scenario"] = f"{row['scenario']}:{variant}"
+        row["router"] = result.router
+        row["num_engines"] = len(result.engines)
+        row["iterations"] = result.num_iterations
         row.update(result.metrics().summary())
         row.update(result.counters())
-        return self._finish_row(row, result, config)
-
-    def _fault_kwargs(self, config: Mapping[str, object]) -> dict:
-        return {}
-
-    def _finish_row(self, row: dict, result, config) -> dict:
-        return row
+        return row, result
 
 
-# --------------------------------------------------------------------------- #
-# chaos: cluster scenarios under seeded random fault schedules.
-# --------------------------------------------------------------------------- #
 @register_adapter("chaos")
 class ChaosAdapter(ClusterAdapter):
     """Cluster points with a seeded fault schedule and retry policy per cell.
 
-    Extra config keys over the cluster adapter: ``crash_rate`` (faults/s of
-    the random schedule), ``fault_window`` (seconds the schedule spans),
-    ``slowdown_fraction`` (slowdown rate as a fraction of the crash rate),
-    ``retry_policy`` (a mapping of :class:`~repro.cluster.RetryPolicy`
-    fields, plus an optional ``label`` used for the row).  Request
-    accounting must balance in every cell; an unbalanced cell raises — and
-    therefore records a typed error row — instead of journaling bad rows.
+    Fault keys over the cluster adapter's: ``crash_rate`` (faults/s of
+    the random schedule, seeded by the point's seed), ``fault_window``
+    (seconds the schedule spans), ``slowdown_fraction`` (slowdown rate as a
+    fraction of the crash rate), ``retry_policy`` (a mapping of
+    :class:`~repro.cluster.RetryPolicy` fields, plus an optional ``label``
+    used for the row).  Rows add the crash rate, the number of scheduled
+    faults, and the availability metrics.  Request accounting must balance
+    in every cell; an unbalanced cell raises — and therefore records a
+    typed error row — instead of journaling bad rows.
     """
 
     description = "crash-rate x retry-policy chaos sweeps with seeded fault schedules"
 
-    def _fault_kwargs(self, config):
-        kwargs: dict = {}
-        self._schedule = None
-        if "crash_rate" in config:
-            crash_rate = float(config["crash_rate"])
-            window = float(config.get("fault_window", 0.25))
-            slowdown_fraction = float(config.get("slowdown_fraction", 0.25))
-            self._schedule = random_faults(
-                window,
-                crash_rate=crash_rate,
-                slowdown_rate=crash_rate * slowdown_fraction,
-                seed=config["seed"],
-                name=f"chaos@{crash_rate:g}",
-            )
-            kwargs["faults"] = self._schedule
-        retry = config.get("retry_policy")
-        if retry is not None:
-            if not isinstance(retry, Mapping):
-                raise ConfigurationError(
-                    f"retry_policy must be a mapping of RetryPolicy fields, got {retry!r}"
-                )
-            fields = {k: v for k, v in retry.items() if k != "label"}
-            kwargs["retry_policy"] = RetryPolicy(**fields)
-        return kwargs
-
-    def _finish_row(self, row, result, config):
+    def run_point(self, config, ctx):
+        overrides = _fleet_overrides(config)
+        row, result = self._fleet_row(config, ctx, overrides)
         if not result.accounting_balanced:
             raise ElkError(
                 f"request accounting unbalanced in chaos cell: {result.accounting()}"
             )
         if "crash_rate" in config:
             row["crash_rate"] = float(config["crash_rate"])
-        row["scheduled_faults"] = len(self._schedule) if self._schedule is not None else 0
+        row["scheduled_faults"] = len(overrides.get("faults") or ())
         row.update(result.availability.summary())
         return row
 

@@ -2,7 +2,10 @@
 
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -269,3 +272,24 @@ def test_every_public_export_resolves():
             name for name in package.__all__ if not hasattr(package, name)
         ]
         assert not missing, f"{package.__name__}.__all__ lists {missing}"
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.serve", "repro.cluster", "repro.sweep", "repro.serve.batching"]
+)
+def test_import_order_does_not_matter(module):
+    """Each layer imports cleanly as the first module of a fresh interpreter.
+
+    ``repro.cluster`` builds on ``repro.serve``, whose scenarios name the
+    fleet types only for type checking; a runtime import of them from
+    ``repro.serve`` would close a cycle that breaks whichever side loads
+    first.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

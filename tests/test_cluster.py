@@ -17,6 +17,7 @@ from repro.cluster import (
     ClusterSimulator,
     DisaggregationConfig,
     EngineView,
+    FleetConfig,
     RouterPolicy,
     TenantSpec,
     available_routers,
@@ -265,14 +266,16 @@ def test_autoscaler_drains_idle_engine_and_work_completes(
     model = _latency_model(cluster_session, small_system)
     result = ClusterSimulator(
         model,
-        num_engines=1,
-        autoscaler=AutoscalerConfig(
-            min_engines=1,
-            max_engines=3,
-            scale_up_queue_depth=4.0,
-            scale_down_queue_depth=0.5,
-            cooldown=0.1,
-            warmup_delay=0.01,
+        FleetConfig(
+            num_engines=1,
+            autoscaler=AutoscalerConfig(
+                min_engines=1,
+                max_engines=3,
+                scale_up_queue_depth=4.0,
+                scale_down_queue_depth=0.5,
+                cooldown=0.1,
+                warmup_delay=0.01,
+            ),
         ),
     ).run(trace)
     actions = [e.action for e in result.scale_events]
@@ -283,15 +286,10 @@ def test_autoscaler_drains_idle_engine_and_work_completes(
     assert result.metrics().num_requests == len(trace)
 
 
-def test_autoscaler_and_disaggregation_are_mutually_exclusive(
-    small_system, cluster_session
-):
-    model = _latency_model(cluster_session, small_system)
+def test_autoscaler_and_disaggregation_are_mutually_exclusive():
     with pytest.raises(ConfigurationError, match="disaggregated"):
-        ClusterSimulator(
-            model,
-            autoscaler=AutoscalerConfig(),
-            disaggregation=DisaggregationConfig(),
+        FleetConfig(
+            autoscaler=AutoscalerConfig(), disaggregation=DisaggregationConfig()
         )
 
 
@@ -333,8 +331,10 @@ def test_tenant_quota_enforced_in_cluster_run(small_system, cluster_session):
     model = _latency_model(cluster_session, small_system)
     result = ClusterSimulator(
         model,
-        num_engines=2,
-        tenants=[TenantSpec("greedy", quota_rps=20.0, burst=2)],
+        FleetConfig(
+            num_engines=2,
+            tenants=[TenantSpec("greedy", quota_rps=20.0, burst=2)],
+        ),
     ).run(trace)
     rejected = result.rejections_by_tenant()
     assert rejected and set(rejected) == {"greedy"}  # only the metered tenant
@@ -353,8 +353,10 @@ def test_per_tenant_slo_goodput(small_system, cluster_session):
     )
     result = ClusterSimulator(
         model,
-        num_engines=2,
-        tenants=[TenantSpec("vip", slo=SLOSpec(ttft=1e9))],
+        FleetConfig(
+            num_engines=2,
+            tenants=[TenantSpec("vip", slo=SLOSpec(ttft=1e9))],
+        ),
     ).run(trace, slo=SLOSpec(ttft=1e-12))
     per_tenant = result.tenant_metrics()
     # The tenant's own (loose) SLO overrides the (impossible) run SLO.
@@ -411,10 +413,10 @@ def test_handoff_delay_defers_decode(small_system, cluster_session):
         50.0, 8, seed=1, shapes=RequestShape(model="tiny-llm", decode_tokens=(4, 8))
     )
     fast = ClusterSimulator(
-        model, disaggregation=DisaggregationConfig(handoff_delay=0.0)
+        model, FleetConfig(disaggregation=DisaggregationConfig(handoff_delay=0.0))
     ).run(trace)
     slow = ClusterSimulator(
-        model, disaggregation=DisaggregationConfig(handoff_delay=0.01)
+        model, FleetConfig(disaggregation=DisaggregationConfig(handoff_delay=0.01))
     ).run(trace)
     # The hand-off tax lands on e2e latency, not on TTFT (first token is
     # produced by the prefill pool before the hand-off).
@@ -477,9 +479,8 @@ def test_plain_scenario_through_the_fleet_driver(small_system, cluster_session):
         cluster_session, small_system, "basic", buckets=scenario.buckets, num_layers=1
     )
     trace = scenario.trace(num_requests=12, seed=3)
-    direct = ClusterSimulator(latency, num_engines=1, router="round-robin").run(
-        trace, slo=scenario.slo
-    )
+    one_engine = FleetConfig(num_engines=1, router="round-robin")
+    direct = ClusterSimulator(latency, one_engine).run(trace, slo=scenario.slo)
     assert single.records == direct.records
     assert single.metrics() == direct.metrics()
     assert direct.router == "round-robin" and direct.fleet_size == 1

@@ -15,6 +15,7 @@ from repro.cluster import (
     DegradationPolicy,
     FaultEvent,
     FaultSchedule,
+    FleetConfig,
     RetryPolicy,
     random_faults,
     replay_fault_schedule,
@@ -273,10 +274,12 @@ def test_crash_redispatches_lost_work_and_accounting_balances(
     faults = FaultSchedule("one-crash", (_crash(0.004, target=1),))
     result = ClusterSimulator(
         _latency_model(chaos_session, small_system),
-        num_engines=3,
-        faults=faults,
-        retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.002,
-                                 max_backoff=0.01),
+        FleetConfig(
+            num_engines=3,
+            faults=faults,
+            retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.002,
+                                     max_backoff=0.01),
+        ),
     ).run(trace)
 
     assert result.availability.num_crashes == 1
@@ -301,9 +304,11 @@ def test_crash_without_retries_records_failed_requests(
     faults = FaultSchedule("one-crash", (_crash(0.004, target=1),))
     result = ClusterSimulator(
         _latency_model(chaos_session, small_system),
-        num_engines=2,
-        faults=faults,
-        retry_policy=RetryPolicy(max_attempts=1),  # fail-fast
+        FleetConfig(
+            num_engines=2,
+            faults=faults,
+            retry_policy=RetryPolicy(max_attempts=1),  # fail-fast
+        ),
     ).run(trace)
 
     assert result.availability.num_crashes == 1
@@ -326,9 +331,11 @@ def test_exhausted_retry_budget_fails_lost_work(chaos_session, small_system):
     faults = FaultSchedule("one-crash", (_crash(0.004, target=1),))
     result = ClusterSimulator(
         _latency_model(chaos_session, small_system),
-        num_engines=2,
-        faults=faults,
-        retry_policy=RetryPolicy(max_attempts=5, retry_budget=0),
+        FleetConfig(
+            num_engines=2,
+            faults=faults,
+            retry_policy=RetryPolicy(max_attempts=5, retry_budget=0),
+        ),
     ).run(trace)
     assert result.availability.num_retries == 0  # budget trumps attempts
     assert len(result.failed) >= 1
@@ -342,8 +349,7 @@ def test_crash_never_takes_the_last_engine(chaos_session, small_system):
     ))
     result = ClusterSimulator(
         _latency_model(chaos_session, small_system),
-        num_engines=2,
-        faults=faults,
+        FleetConfig(num_engines=2, faults=faults),
     ).run(trace)
     # Only one crash can ever apply: after it, one engine remains and every
     # later crash is skipped as unappliable rather than bricking the fleet.
@@ -367,14 +373,16 @@ def test_crash_of_the_last_ready_engine_parks_work_on_a_warming_one(
     )
     result = ClusterSimulator(
         StepLatencyModel(chaos_session, small_system, "basic"),
-        num_engines=1,
-        autoscaler=AutoscalerConfig(
-            scale_up_queue_depth=1.0,
-            scale_down_queue_depth=0.1,
-            cooldown=0.0,
-            warmup_delay=0.5,
+        FleetConfig(
+            num_engines=1,
+            autoscaler=AutoscalerConfig(
+                scale_up_queue_depth=1.0,
+                scale_down_queue_depth=0.1,
+                cooldown=0.0,
+                warmup_delay=0.5,
+            ),
+            faults=FaultSchedule("last-ready", (_crash(crash_time, target=0),)),
         ),
-        faults=FaultSchedule("last-ready", (_crash(crash_time, target=0),)),
     ).run(trace)
     first, warming = result.engines[0], result.engines[1]
     assert first.removed_time == crash_time
@@ -392,14 +400,13 @@ def test_crash_of_the_last_ready_engine_parks_work_on_a_warming_one(
 def test_slowdown_stretches_the_run(chaos_session, small_system):
     trace = _trace(num_requests=12)
     baseline = ClusterSimulator(
-        _latency_model(chaos_session, small_system), num_engines=1
+        _latency_model(chaos_session, small_system), FleetConfig(num_engines=1)
     ).run(trace)
     slowdown = FaultEvent(time=0.0, kind=FAULT_ENGINE_SLOWDOWN,
                           duration=10.0, factor=8.0)
     slowed = ClusterSimulator(
         _latency_model(chaos_session, small_system),
-        num_engines=1,
-        faults=FaultSchedule("straggler", (slowdown,)),
+        FleetConfig(num_engines=1, faults=FaultSchedule("straggler", (slowdown,))),
     ).run(trace)
     assert slowed.availability.num_slowdowns == 1
     assert slowed.makespan > baseline.makespan
@@ -416,8 +423,7 @@ def test_store_corruption_fault_is_counted(small_system, tmp_path):
     )
     result = ClusterSimulator(
         _latency_model(session, small_system),
-        num_engines=2,
-        faults=faults,
+        FleetConfig(num_engines=2, faults=faults),
     ).run(trace)
     # By the fault time at least one bucket plan was persisted, so the
     # corruption had an entry to truncate; the run itself is unaffected
@@ -443,10 +449,12 @@ def test_chaos_runs_are_bit_reproducible(chaos_session, small_system):
     def run():
         return ClusterSimulator(
             _latency_model(chaos_session, small_system),
-            num_engines=3,
-            faults=faults,
-            retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.002,
-                                     max_backoff=0.01),
+            FleetConfig(
+                num_engines=3,
+                faults=faults,
+                retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.002,
+                                         max_backoff=0.01),
+            ),
         ).run(trace)
 
     first, second = run(), run()
@@ -458,14 +466,13 @@ def test_chaos_runs_are_bit_reproducible(chaos_session, small_system):
     ]
 
 
-def test_faults_and_policies_are_type_checked(chaos_session, small_system):
-    model = _latency_model(chaos_session, small_system)
+def test_faults_and_policies_are_type_checked():
     with pytest.raises(ConfigurationError, match="FaultSchedule"):
-        ClusterSimulator(model, faults=[_crash(0.1)])
+        FleetConfig(faults=[_crash(0.1)])
     with pytest.raises(ConfigurationError, match="RetryPolicy"):
-        ClusterSimulator(model, retry_policy="patient")
+        FleetConfig(retry_policy="patient")
     with pytest.raises(ConfigurationError, match="DegradationPolicy"):
-        ClusterSimulator(model, degradation="shed-everything")
+        FleetConfig(degradation="shed-everything")
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,6 @@
 """Property-based tests over core invariants of the compiler stack."""
 
+import dataclasses
 from collections import Counter
 from unittest import mock
 
@@ -12,7 +13,9 @@ from repro.cluster import (
     AutoscalerConfig,
     ClusterSimulator,
     DisaggregationConfig,
+    FleetConfig,
     TenantSpec,
+    available_routers,
     random_faults,
 )
 from repro.cost import AnalyticCostModel
@@ -133,30 +136,68 @@ def serving_session():
     return make_serving_session()
 
 
+def _autoscaler(warmup_delay):
+    return AutoscalerConfig(
+        max_engines=4,
+        scale_up_queue_depth=2.0,
+        scale_down_queue_depth=0.5,
+        cooldown=0.002,
+        warmup_delay=warmup_delay,
+    )
+
+
+_DELAYS = st.sampled_from([0.0, 0.005, 0.05])
+_TENANTS = st.just(()) | st.sampled_from([100.0, 1000.0]).map(
+    lambda quota: (
+        TenantSpec("default", quota_rps=quota, burst=2, slo=SLOSpec(ttft=5e-3)),
+    )
+)
+
+
+def _fleets(**pools):
+    return st.builds(
+        FleetConfig,
+        num_engines=st.integers(1, 3),
+        router=st.sampled_from(available_routers()),
+        tenants=_TENANTS,
+        **pools,
+    )
+
+
+# Autoscaling and disaggregation cannot be combined: draw one or neither.
+_FLEETS = st.one_of(
+    _fleets(),
+    _fleets(autoscaler=_DELAYS.map(_autoscaler)),
+    _fleets(
+        disaggregation=st.builds(
+            DisaggregationConfig,
+            prefill_engines=st.integers(1, 3),
+            decode_engines=st.integers(1, 3),
+            handoff_delay=_DELAYS,
+        )
+    ),
+)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     num_requests=st.integers(1, 24),
     rate=st.sampled_from([50.0, 400.0, 2000.0]),
     trace_seed=st.integers(0, 2**16),
     mixed=st.booleans(),
-    num_engines=st.integers(1, 3),
-    router=st.sampled_from(["round-robin", "least-loaded", "session-affinity"]),
     fault_seed=st.none() | st.integers(0, 2**16),
-    # Autoscaling and disaggregation cannot be combined: draw one or neither.
-    fleet=st.sampled_from(["fixed", "autoscaled", "disaggregated"]),
-    warmup_delay=st.sampled_from([0.0, 0.005, 0.05]),
-    tenant_quota=st.none() | st.sampled_from([100.0, 1000.0]),
+    fleet=_FLEETS,
 )
 # A burst that scales the fleet up: the new engine's ready event drains
 # the queues of the engines already serving.
 @example(
-    num_requests=5, rate=2000.0, trace_seed=0, mixed=False, num_engines=1,
-    router="round-robin", fault_seed=None, fleet="autoscaled",
-    warmup_delay=0.0, tenant_quota=None,
+    num_requests=5, rate=2000.0, trace_seed=0, mixed=False, fault_seed=None,
+    fleet=FleetConfig(
+        num_engines=1, router="round-robin", autoscaler=_autoscaler(0.0)
+    ),
 )
 def test_serving_loop_invariants(
-    serving_session, num_requests, rate, trace_seed, mixed, num_engines, router,
-    fault_seed, fleet, warmup_delay, tenant_quota,
+    serving_session, num_requests, rate, trace_seed, mixed, fault_seed, fleet
 ):
     """Accounting balances, load counters match their queues, timestamps
     are ordered, every output unit is delivered, reruns are identical."""
@@ -166,8 +207,8 @@ def test_serving_loop_invariants(
         seed=trace_seed,
         shapes=(_CHAT, _DIT) if mixed else _CHAT,
     )
-    faults = None
     if fault_seed is not None:
+        # The schedule spans the trace, so it is drawn after it.
         duration = trace.requests[-1].arrival_time + 0.01
         faults = random_faults(
             duration,
@@ -176,40 +217,13 @@ def test_serving_loop_invariants(
             compile_failure_rate=1 / duration,
             seed=fault_seed,
         )
-    fleet_options = {}
-    if fleet == "autoscaled":
-        fleet_options["autoscaler"] = AutoscalerConfig(
-            max_engines=4,
-            scale_up_queue_depth=2.0,
-            scale_down_queue_depth=0.5,
-            cooldown=0.002,
-            warmup_delay=warmup_delay,
-        )
-    elif fleet == "disaggregated":
-        fleet_options["disaggregation"] = DisaggregationConfig(
-            prefill_engines=num_engines,
-            decode_engines=num_engines,
-            handoff_delay=warmup_delay,
-        )
-    if tenant_quota is not None:
-        fleet_options["tenants"] = (
-            TenantSpec(
-                "default", quota_rps=tenant_quota, burst=2, slo=SLOSpec(ttft=5e-3)
-            ),
-        )
+        fleet = dataclasses.replace(fleet, faults=faults)
 
     def run():
         # A fresh latency model per run: compile-failure fallbacks depend on
         # what the model has compiled so far.
         model = StepLatencyModel(serving_session, _SERVING_SYSTEM, "basic")
-        simulator = ClusterSimulator(
-            model,
-            num_engines=num_engines,
-            router=router,
-            faults=faults,
-            **fleet_options,
-        )
-        return simulator.run(trace)
+        return ClusterSimulator(model, fleet).run(trace)
 
     finished = []  # (request id, units delivered, units asked) per release
     batchers = []  # every engine's batcher, in creation order

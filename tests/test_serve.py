@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.cluster import ClusterSimulator
+from repro.cluster import ClusterSimulator, FleetConfig
 from repro.errors import ConfigurationError, SimulationInvariantError
 from repro.eval import format_serving_summary, serving_summary_rows
 from repro.eval.reporting import SERVING_SUMMARY_COLUMNS
@@ -357,8 +357,7 @@ def _engine(session, system, policy="basic", **kwargs):
     )
     return ClusterSimulator(
         StepLatencyModel(session, system, policy, **kwargs),
-        num_engines=1,
-        router="round-robin",
+        FleetConfig(num_engines=1, router="round-robin"),
     )
 
 
