@@ -392,6 +392,13 @@ class _FleetRun:
     :attr:`end_time`: faults alone don't extend the makespan, so a crash
     injected after the last completion destroys nothing and stretches no
     utilization or goodput denominator.
+
+    :attr:`waiting` counts the fleet's queued (unadmitted) requests, which
+    only active engines hold, so the autoscaler needs no sum.  It moves in
+    four places: :meth:`_dispatch`, admission in :meth:`_kick`, and the
+    ``drain_waiting`` calls in :meth:`_requeue` and :meth:`_on_engine_ready`.
+    :meth:`_autoscale` leaves out the queues of :attr:`warming` engines
+    (added before their ``ready_time``) while they warm.
     """
 
     def __init__(
@@ -416,6 +423,8 @@ class _FleetRun:
         # ``active`` is the in-fleet, non-draining subset, in the same order.
         self.engines: list[EngineCore] = []
         self.active: list[EngineCore] = []
+        self.waiting = 0
+        self.warming: list[EngineCore] = []
         self.heap: list[tuple[float, int, Callable, object]] = []
         self.sequence = itertools.count()
         self.records: list[RequestRecord] = []
@@ -495,8 +504,10 @@ class _FleetRun:
             # Stale completion: the crash destroyed this iteration's work
             # and already re-dispatched (or failed) its requests.
             return
-        for state in engine.complete_iteration(batch, now):
+        engine.busy = False
+        for state in engine.batcher.complete_step(batch, now):
             if state.finished:
+                engine.completed += 1
                 self._record(state, now)
             else:
                 # Prefill finished: hand off to the decode pool.
@@ -515,6 +526,7 @@ class _FleetRun:
         for other in self.active:
             if other.ready_time <= now:
                 pending.extend(other.batcher.drain_waiting())
+        self.waiting -= len(pending)
         pending.sort(key=lambda s: (s.spec.arrival_time, s.spec.request_id))
         self._route(pending, now, {engine.engine_id: engine})
         self._autoscale(now)
@@ -592,7 +604,6 @@ class _FleetRun:
 
     def _add_engine(self, role: str, added: float, ready: float) -> EngineCore:
         engine = EngineCore(
-            self.latency_model,
             self.latency_model.buckets,
             engine_id=len(self.engines),
             role=role,
@@ -608,17 +619,44 @@ class _FleetRun:
         """Start the engine's next iteration, or finalize a drain."""
         if engine.busy or engine.removed_time is not None or engine.ready_time > now:
             return
-        started = engine.start_iteration(now)
-        if started is not None:
-            batch, latency = started
-            # The hot path: push inline rather than through _push.
-            heapq.heappush(
-                self.heap,
-                (now + latency, next(self.sequence), self._on_step_done, (engine, batch)),
+        batcher = engine.batcher
+        waiting = batcher.waiting
+        batch = batcher.form_batch(now)
+        self.waiting -= waiting - batcher.waiting  # admitted this iteration
+        if batch is None:
+            if engine.draining and not batcher.has_work():
+                engine.removed_time = now
+                self._note_scale(now, SCALE_REMOVE, engine, "drained empty")
+            return
+        latency = batcher.batch_latency(batch, self.latency_model)
+        if latency <= 0:
+            raise ConfigurationError(
+                f"non-positive step latency for batch {batch.group}"
             )
-        elif engine.draining and not engine.batcher.has_work():
-            engine.removed_time = now
-            self._note_scale(now, SCALE_REMOVE, engine, "drained empty")
+        if now < engine.slow_until:
+            latency *= engine.slow_factor
+        engine.iterations += 1
+        engine.busy_time += latency
+        engine.busy = True
+        if self.tracer is not None:
+            tenant, model, kind = batch.group
+            self.tracer.add_span(
+                "iteration",
+                now,
+                now + latency,
+                category="engine",
+                track=engine.track,
+                model=model,
+                kind=kind,
+                tenant=tenant,
+                batch_size=len(batch.requests),
+                prefills=len(batch.prefills),
+            )
+        # The hot path: push inline rather than through _push.
+        heapq.heappush(
+            self.heap,
+            (now + latency, next(self.sequence), self._on_step_done, (engine, batch)),
+        )
 
     def _dispatch(self, state: RequestState, now: float) -> EngineCore:
         """Route one request to an engine's wait queue (no kick)."""
@@ -652,6 +690,7 @@ class _FleetRun:
                     f"not one of {[e.engine_id for e in candidates]}"
                 )
         chosen.batcher.enqueue(state, now)
+        self.waiting += 1
         return chosen
 
     def _route(
@@ -687,6 +726,7 @@ class _FleetRun:
         fresh arrivals.
         """
         waiting = engine.batcher.drain_waiting()
+        self.waiting -= len(waiting)
         self.counts["num_redispatches"] += len(waiting)
         return self._route(waiting, now, kick=kick)
 
@@ -798,9 +838,10 @@ class _FleetRun:
         if autoscaler is None:
             return
         active = self.active
-        total_waiting = sum(
-            e.batcher.waiting for e in active if e.ready_time <= now
-        )
+        total_waiting = self.waiting
+        if self.warming:  # queues parked on warming engines send no signal
+            self.warming = [e for e in self.warming if e.ready_time > now]
+            total_waiting -= sum(e.batcher.waiting for e in self.warming)
         decision = autoscaler.decide(now, len(active), total_waiting)
         if decision is None:
             return
@@ -811,6 +852,8 @@ class _FleetRun:
         if decision == "up":
             warmup = autoscaler.config.warmup_delay
             engine = self._add_engine(ROLE_COLOCATED, now, now + warmup)
+            if engine.ready_time > now:
+                self.warming.append(engine)
             self._push(engine.ready_time, self._on_engine_ready, engine)
             self._note_scale(now, SCALE_ADD, engine, reason)
             return

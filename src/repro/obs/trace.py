@@ -204,6 +204,17 @@ class Tracer:
             key, (name, category, track, next(self._seq), sim_time, attrs)
         )
 
+    def skip_open(self, key: Hashable) -> bool:
+        """Take a no-op :meth:`begin`'s sequence number if ``key`` is open.
+
+        Returns whether it was open, so a hot caller builds ``begin``'s
+        arguments only for keys that are not.
+        """
+        if key in self._open:
+            next(self._seq)
+            return True
+        return False
+
     def end(self, key: Hashable, sim_time: float, **attrs: Any) -> None:
         """Close the phase opened under ``key``; no-op if none is open."""
         phase = self._open.pop(key, None)

@@ -27,7 +27,7 @@ import bisect
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
@@ -107,11 +107,15 @@ class BatchBuckets:
         index = self._batch_index
         return index[n] if n < len(index) else self.batch_sizes[-1]
 
+    @cached_property
+    def _context_index(self) -> tuple[int, ...]:
+        """``context_bucket`` at each ``bisect_left`` position (clamped)."""
+        return self.context_buckets + self.context_buckets[-1:]
+
     def context_bucket(self, tokens: int) -> int:
         """Smallest context bucket holding ``tokens`` (clamped to the largest)."""
-        buckets = self.context_buckets  # all >= 1, so tokens < 1 maps to the first
-        index = bisect.bisect_left(buckets, tokens)
-        return buckets[index] if index < len(buckets) else buckets[-1]
+        # All buckets are >= 1, so tokens < 1 maps to the first.
+        return self._context_index[bisect.bisect_left(self.context_buckets, tokens)]
 
 
 class StepLatencyModel:
@@ -181,11 +185,17 @@ class StepLatencyModel:
 
     def decode_latency(self, model: str, batch_size: int, context_tokens: int) -> float:
         """Latency of one decode step at the bucketed batch and KV length."""
+        buckets = self.buckets  # the hot lookup: bucket both inline
+        index = buckets._batch_index
         return self._step_latency(
             model,
             "decode",
-            self.buckets.batch_bucket(batch_size),
-            self.buckets.context_bucket(context_tokens),
+            index[batch_size]
+            if 0 < batch_size < len(index)
+            else buckets.batch_bucket(batch_size),
+            buckets._context_index[
+                bisect.bisect_left(buckets.context_buckets, context_tokens)
+            ],
         )
 
     def prefill_latency(self, model: str, batch_size: int, prompt_tokens: int) -> float:
@@ -292,12 +302,13 @@ class StepLatencyModel:
         # "compiles" count may land — losers record hits, never duplicate
         # entries.  The winner is decided by key presence, not object
         # identity: racing threads can receive the SAME float object from the
-        # session's cached artifact.
-        key = (model.lower(), phase, batch_bucket, context_bucket)
-        cached = self._latencies.get(key)
+        # session's cached artifact.  Keys hold the lowercased model, which
+        # the batcher's groups already carry, so a hit needs no lower().
+        cached = self._latencies.get((model, phase, batch_bucket, context_bucket))
         if cached is not None:
             next(self._hits)
             return cached
+        key = (model.lower(), phase, batch_bucket, context_bucket)
         with self._lock:
             cached = self._latencies.get(key)
             if cached is not None:
@@ -462,14 +473,20 @@ class Batch:
         group: The (tenant, model, kind) group the batch was formed from.
         requests: The running requests scheduled this iteration.
         prefills: The subset doing their prefill pass this iteration.
+        decoding: How many LLM requests are past their prefill (0 for
+            diffusion); they share one decode step.
+        longest: The longest KV length among them (prompt plus generated
+            tokens), which that step compiles at.
+
+    :meth:`ContinuousBatcher.form_batch` fills all three subset fields in
+    its one pass over the members.
     """
 
     group: tuple[str, str, str]
     requests: list[RequestState]
-    prefills: list[RequestState] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.requests)
+    prefills: list[RequestState]
+    decoding: int
+    longest: int
 
 
 class ContinuousBatcher:
@@ -625,30 +642,45 @@ class ContinuousBatcher:
         """
         if self.waiting:
             self._admit(now)
-        candidates = [key for key, members in self._running.items() if members]
-        if not candidates:
+        running = self._running
+        if len(running) == 1:  # one group: nothing to rotate between
+            [chosen] = running
+        else:
+            chosen = min(
+                (key for key, members in running.items() if members),
+                key=lambda key: (
+                    self._last_served.get(key, -1),
+                    self._first_seen[key],
+                ),
+                default=None,
+            )
+        members = running.get(chosen)
+        if not members:
             return None
-        chosen = candidates[0] if len(candidates) == 1 else min(
-            candidates,
-            key=lambda key: (
-                self._last_served.get(key, -1),
-                self._first_seen[key],
-            ),
-        )
         self._iteration += 1
         self._last_served[chosen] = self._iteration
-        members = list(self._running[chosen])
+        members = list(members)
         llm = chosen[2] != DIFFUSION
         tracer = self.tracer
         prefills = []
+        decoding = longest = 0
         for state in members:
             # "Started" means first *scheduled* iteration, not admission:
             # a request admitted while another group holds the engine has
             # not started, and its per-step metrics must exclude that wait.
             if state.started_time is None:
                 state.started_time = now
-            prefill = llm and state.steps_done == 0  # prefill_pending
-            if prefill:
+            steps = state.steps_done
+            if not llm:
+                phase = "denoise"
+            elif steps:
+                phase = "decode"
+                decoding += 1
+                context = state.spec.prefill_tokens + steps
+                if context > longest:
+                    longest = context
+            else:  # prefill_pending
+                phase = "prefill"
                 prefills.append(state)
             if tracer is not None:
                 # First-publisher-wins begin: the span opens at the first
@@ -656,17 +688,17 @@ class ContinuousBatcher:
                 # are no-ops, so one begin call per scheduled member covers
                 # prefill, decode (including post-hand-off decode on a
                 # disaggregated fleet), and denoise alike.
-                rid = state.spec.request_id
-                phase = "prefill" if prefill else "decode" if llm else "denoise"
-                tracer.begin(
-                    (rid, state.retries, phase),
-                    phase,
-                    sim_time=now,
-                    category="request",
-                    track=f"req/{rid}",
-                    engine=self.engine_id,
-                )
-        return Batch(group=chosen, requests=members, prefills=prefills)
+                key = (state.spec.request_id, state.retries, phase)
+                if not tracer.skip_open(key):
+                    tracer.begin(
+                        key,
+                        phase,
+                        sim_time=now,
+                        category="request",
+                        track=f"req/{key[0]}",
+                        engine=self.engine_id,
+                    )
+        return Batch(chosen, members, prefills, decoding, longest)
 
     def _admit(self, now: float) -> None:
         """FCFS admission from each group's wait queue into its running set."""
@@ -707,11 +739,12 @@ class ContinuousBatcher:
         handoff = self.phase == PHASE_PREFILL  # every step ends the prefill
         self._owed -= len(batch.requests)
         for state in batch.requests:
-            first_output = state.steps_done == 0
+            prefilled = llm and state.steps_done == 0
             state.steps_done += 1
-            if first_output and llm:
+            if prefilled:
                 state.first_token_time = now
-            if state.steps_done >= state.spec.output_units:
+            done = state.steps_done >= state.spec.output_units
+            if done:
                 state.completion_time = now
                 if state.first_token_time is None:
                     state.first_token_time = now
@@ -719,15 +752,14 @@ class ContinuousBatcher:
             elif handoff:
                 released.append(state)  # prefill done: hand off to decode
                 self._owed -= state.spec.output_units - state.steps_done
-            if tracer is not None:
+            if tracer is not None and (prefilled or done or handoff):
                 rid = state.spec.request_id
-                key = (rid, state.retries)
-                if first_output and llm:
-                    tracer.end(key + ("prefill",), now)
-                if state.finished:
+                if prefilled:
+                    tracer.end((rid, state.retries, "prefill"), now)
+                if done:
                     # Only one of these is open; end() ignores the other.
-                    tracer.end(key + ("decode",), now)
-                    tracer.end(key + ("denoise",), now)
+                    tracer.end((rid, state.retries, "decode"), now)
+                    tracer.end((rid, state.retries, "denoise"), now)
                     tracer.instant(
                         "done",
                         sim_time=now,
@@ -763,7 +795,7 @@ class ContinuousBatcher:
         """
         _tenant, model, kind = batch.group
         if kind == DIFFUSION:
-            return latency_model.diffusion_latency(model, len(batch))
+            return latency_model.diffusion_latency(model, len(batch.requests))
         latency = 0.0
         for chunk in self._prefill_chunks(batch.prefills) if batch.prefills else ():
             latency += latency_model.prefill_latency(
@@ -771,15 +803,10 @@ class ContinuousBatcher:
                 len(chunk),
                 max(state.spec.prefill_tokens for state in chunk),
             )
-        decoding = longest = 0  # requests past their prefill, longest KV
-        for state in batch.requests:
-            if state.steps_done:
-                decoding += 1
-                context = state.spec.prefill_tokens + state.steps_done
-                if context > longest:
-                    longest = context
-        if decoding:
-            latency += latency_model.decode_latency(model, decoding, longest)
+        if batch.decoding:
+            latency += latency_model.decode_latency(
+                model, batch.decoding, batch.longest
+            )
         return latency
 
     def _prefill_chunks(

@@ -7,6 +7,8 @@ the compile *session* is shared module-wide, which is exactly the supported
 reproducibility contract.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.cluster import (
@@ -36,6 +38,7 @@ from repro.serve import (
     BatchBuckets,
     RequestShape,
     StepLatencyModel,
+    get_scenario,
     make_serving_session,
     poisson_trace,
 )
@@ -490,6 +493,27 @@ def test_chaos_crash_scenario_is_deterministic():
     assert first.accounting_balanced
     assert first.metrics() == second.metrics()
     assert first.availability == second.availability
+
+
+def test_every_latency_lookup_is_one_counted_step_latency_call(small_system):
+    """Each lookup ends as exactly one hit, compile or fallback, all inside
+    ``_step_latency`` — the call the benchmark counts as a lookup."""
+    scenario = get_scenario("cluster-chaos-crashes")
+    model = StepLatencyModel(
+        make_serving_session(), small_system, "basic", buckets=scenario.buckets
+    )
+    with mock.patch.object(
+        StepLatencyModel,
+        "_step_latency",
+        autospec=True,
+        side_effect=StepLatencyModel._step_latency,
+    ) as lookups:
+        result = ClusterSimulator(model, scenario.fleet).run(
+            scenario.trace(num_requests=24, seed=5)  # two compile faults fire
+        )
+    stats = model.stats
+    assert result.availability.compile_fallbacks == stats["fallbacks"] > 0
+    assert stats["hits"] + stats["compiles"] + stats["fallbacks"] == lookups.call_count
 
 
 def test_chaos_degraded_scenario_sheds_low_priority_first():

@@ -68,6 +68,16 @@ def test_noop_begin_still_takes_a_sequence_number():
     assert marker.seq_start == 4
 
 
+def test_skip_open_numbers_like_a_noop_begin():
+    tracer = Tracer(clock=lambda: 0.0)
+    assert not tracer.skip_open("r1")  # not open: takes no sequence number
+    tracer.begin("r1", "decode", sim_time=1.0)  # seq 1
+    assert tracer.skip_open("r1")  # seq 2, as a no-op begin would take
+    tracer.end("r1", 3.0)  # seq 3
+    (phase,) = tracer.spans()
+    assert (phase.seq_start, phase.seq_end, phase.sim_start) == (1, 3, 1.0)
+
+
 def test_concurrent_emitters_keep_every_span():
     num_threads, rounds = 8, 2000
     tracer = Tracer(clock=lambda: 0.0)

@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 
 from repro.arch import scaled_chip, scaled_system
 from repro.cluster import (
+    Autoscaler,
     AutoscalerConfig,
     ClusterSimulator,
     DisaggregationConfig,
+    FaultEvent,
+    FaultSchedule,
     FleetConfig,
     TenantSpec,
     available_routers,
     random_faults,
 )
+from repro.cluster.simulator import _FleetRun
 from repro.cost import AnalyticCostModel
 from repro.ir import FP16, TensorSpec, make_matmul
 from repro.ir.models.config import TransformerConfig
@@ -31,6 +35,7 @@ from repro.serve import (
     make_serving_session,
     poisson_trace,
 )
+from repro.serve.workload import DIFFUSION
 
 CHIP = scaled_chip(num_cores=16)
 COST = AnalyticCostModel(CHIP)
@@ -196,6 +201,19 @@ _FLEETS = st.one_of(
         num_engines=1, router="round-robin", autoscaler=_autoscaler(0.0)
     ),
 )
+# A crash takes the only ready engine while a scaled-up one warms: arrivals
+# park on the warming engine, whose queue the autoscaler must not count.
+@example(
+    num_requests=24, rate=2000.0, trace_seed=0, mixed=False, fault_seed=None,
+    fleet=FleetConfig(
+        num_engines=1,
+        router="round-robin",
+        autoscaler=_autoscaler(0.05),
+        faults=FaultSchedule(
+            "last-ready", (FaultEvent(time=0.005, kind="engine-crash", target=0),)
+        ),
+    ),
+)
 def test_serving_loop_invariants(
     serving_session, num_requests, rate, trace_seed, mixed, fault_seed, fleet
 ):
@@ -228,6 +246,9 @@ def test_serving_loop_invariants(
     finished = []  # (request id, units delivered, units asked) per release
     batchers = []  # every engine's batcher, in creation order
     init, complete_step = ContinuousBatcher.__init__, ContinuousBatcher.complete_step
+    batch_latency = ContinuousBatcher.batch_latency
+    autoscale, decide = _FleetRun._autoscale, Autoscaler.decide
+    deciding = []  # the fleet run whose autoscaler is deciding
 
     def recording_init(batcher, *args, **kwargs):
         init(batcher, *args, **kwargs)
@@ -245,9 +266,38 @@ def test_serving_loop_invariants(
             assert counters == _recount(each)
         return released
 
+    def recounting_batch_latency(batcher, batch, latency_model):
+        # form_batch's one pass must count what a second walk would.
+        llm = batch.group[2] != DIFFUSION
+        decoding = [s for s in batch.requests if llm and s.steps_done]
+        assert batch.prefills == [s for s in batch.requests if s.prefill_pending]
+        assert batch.decoding == len(decoding)
+        assert batch.longest == max((s.context_tokens for s in decoding), default=0)
+        return batch_latency(batcher, batch, latency_model)
+
+    def recounting_autoscale(fleet_run, now):
+        # Only active engines hold queues, so the fleet counter is the sum
+        # over every engine's batcher.
+        assert fleet_run.waiting == sum(e.batcher.waiting for e in fleet_run.engines)
+        deciding[:] = [fleet_run]
+        return autoscale(fleet_run, now)
+
+    def recounting_decide(autoscaler, now, active_engines, total_waiting):
+        # The signal is the counter less the queues of warming engines.
+        (fleet_run,) = deciding
+        ready = [e for e in fleet_run.active if e.ready_time <= now]
+        assert total_waiting == sum(e.batcher.waiting for e in ready)
+        return decide(autoscaler, now, active_engines, total_waiting)
+
     with mock.patch.object(
         ContinuousBatcher, "__init__", recording_init
-    ), mock.patch.object(ContinuousBatcher, "complete_step", recording_complete_step):
+    ), mock.patch.object(
+        ContinuousBatcher, "complete_step", recording_complete_step
+    ), mock.patch.object(
+        ContinuousBatcher, "batch_latency", recounting_batch_latency
+    ), mock.patch.object(
+        _FleetRun, "_autoscale", recounting_autoscale
+    ), mock.patch.object(Autoscaler, "decide", recounting_decide):
         result = run()
     assert result.num_arrivals == num_requests
     # Each finished request delivered exactly its output units, and each

@@ -37,7 +37,6 @@ from repro.serve import (
     unregister_scenario,
 )
 from repro.serve.batching import RequestState, make_states
-from repro.serve.engine import EngineCore
 from repro.serve.metrics import RequestRecord
 
 
@@ -390,7 +389,7 @@ def test_unfinished_requests_raise_a_typed_invariant_error(
 ):
     # An engine that never starts an iteration strands its queue; the check
     # is an explicit raise, so it holds under ``python -O`` too.
-    monkeypatch.setattr(EngineCore, "start_iteration", lambda self, now: None)
+    monkeypatch.setattr(ContinuousBatcher, "form_batch", lambda self, now: None)
     trace = ArrivalTrace("stuck", (_llm(0, 0.0),))
     with pytest.raises(SimulationInvariantError, match="unfinished requests"):
         _engine(serve_session, small_system).run(trace)
