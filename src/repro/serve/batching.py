@@ -478,8 +478,8 @@ class Batch:
         longest: The longest KV length among them (prompt plus generated
             tokens), which that step compiles at.
 
-    :meth:`ContinuousBatcher.form_batch` fills all three subset fields in
-    its one pass over the members.
+    :meth:`ContinuousBatcher.form_batch` fills ``prefills``, ``decoding``
+    and ``longest`` in its one pass over the members.
     """
 
     group: tuple[str, str, str]
