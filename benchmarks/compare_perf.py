@@ -29,14 +29,16 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Metrics that must be bit-identical between entries.  ``api.artifact_bytes``
-#: is left out: stored artifacts carry ``compile_seconds``, whose float repr
-#: varies in length from run to run.
+#: Metrics that must be bit-identical between entries.  ``obs.export_bytes``
+#: is the size of the deterministic trace exports, so it catches export-format
+#: drift.  ``api.artifact_bytes`` is left out: stored artifacts carry
+#: ``compile_seconds``, whose float repr varies in length from run to run.
 EXACT = (
     "success_fraction",
     "roofline_fraction",
     "serve.iterations",
     "obs.spans",
+    "obs.export_bytes",
     "partition.profiles",
 )
 

@@ -26,62 +26,56 @@ from .trace import Span, Tracer
 
 __all__ = ["trace_events", "to_chrome_trace", "to_jsonl"]
 
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
+#: JSONL row keys: the tracer's record fields, in order.
+_FIELDS = tuple(field.name for field in dataclasses.fields(Span))
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _timestamp(span: Span, tracer: Tracer, deterministic: bool) -> tuple[float, float]:
-    """(ts, dur) in Chrome-trace units for one span."""
-    if span.sim_start is not None:
-        ts = round(span.sim_start * 1e6, 3)
-        dur = round((span.sim_end - span.sim_start) * 1e6, 3)
-        return ts, dur
-    if deterministic:
-        return float(span.seq_start), float(span.seq_end - span.seq_start)
-    ts = round((span.wall_start - tracer.wall_origin) * 1e6, 3)
-    dur = round((span.wall_end - span.wall_start) * 1e6, 3)
-    return ts, dur
+def _write(text: str, path: str | None) -> str:
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    return text
 
 
 def trace_events(tracer: Tracer, *, deterministic: bool = True) -> list[dict[str, Any]]:
     """Chrome-trace-event dicts for every finished span, sequence-ordered."""
-    spans = tracer.spans()
+    records = tracer.records()
     tracks: dict[str, int] = {}
-    events: list[dict[str, Any]] = []
-    for span in spans:
-        if span.track not in tracks:
-            tracks[span.track] = len(tracks) + 1
+    for record in records:
+        if record[2] not in tracks:
+            tracks[record[2]] = len(tracks) + 1
     pid = 1
-    events.append(
-        {
-            "args": {"name": "repro"},
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-        }
-    )
-    for track, tid in tracks.items():
-        events.append(
-            {
-                "args": {"name": track},
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-            }
+    events: list[dict[str, Any]] = [
+        {"args": {"name": label}, "name": meta, "ph": "M", "pid": pid, "tid": tid}
+        for meta, label, tid in (
+            ("process_name", "repro", 0),
+            *(("thread_name", track, tid) for track, tid in tracks.items()),
         )
-    for span in spans:
-        ts, dur = _timestamp(span, tracer, deterministic)
+    ]
+    origin = tracer.wall_origin
+    for (name, category, track, kind, seq_start, seq_end, _depth,
+         sim_start, sim_end, wall_start, wall_end, attrs) in records:
+        if sim_start is not None:
+            ts = round(sim_start * 1e6, 3)
+            dur = round((sim_end - sim_start) * 1e6, 3)
+        elif deterministic:
+            ts, dur = float(seq_start), float(seq_end - seq_start)
+        else:
+            ts = round((wall_start - origin) * 1e6, 3)
+            dur = round((wall_end - wall_start) * 1e6, 3)
+        # A copy: the returned events must not alias the tracer's attrs.
         event: dict[str, Any] = {
-            "args": dict(span.attrs),
-            "cat": span.category,
-            "name": span.name,
-            "ph": "i" if span.kind == "instant" else "X",
+            "args": dict(attrs),
+            "cat": category,
+            "name": name,
+            "ph": "i" if kind == "instant" else "X",
             "pid": pid,
-            "tid": tracks[span.track],
+            "tid": tracks[track],
             "ts": ts,
         }
-        if span.kind == "instant":
+        if kind == "instant":
             event["s"] = "t"
         else:
             event["dur"] = dur
@@ -101,11 +95,7 @@ def to_chrome_trace(
         "displayTimeUnit": "ms",
         "traceEvents": trace_events(tracer, deterministic=deterministic),
     }
-    text = json.dumps(payload, **_JSON_KW) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return text
+    return _write(_encode(payload) + "\n", path)
 
 
 def to_jsonl(
@@ -118,20 +108,15 @@ def to_jsonl(
     numbers fully order the events); otherwise they are rebased to the
     tracer's wall origin.
     """
+    origin = tracer.wall_origin
     lines = []
-    for span in tracer.spans():
-        record = dataclasses.asdict(span)
-        record["attrs"] = dict(span.attrs)
+    for record in tracer.records():
+        row = dict(zip(_FIELDS, record))
         if deterministic:
-            del record["wall_start"]
-            del record["wall_end"]
+            del row["wall_start"], row["wall_end"]
         else:
             for field in ("wall_start", "wall_end"):
-                if record[field] is not None:
-                    record[field] = round(record[field] - tracer.wall_origin, 9)
-        lines.append(json.dumps(record, **_JSON_KW))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return text
+                if row[field] is not None:
+                    row[field] = round(row[field] - origin, 9)
+        lines.append(_encode(row))
+    return _write("\n".join(lines) + ("\n" if lines else ""), path)

@@ -34,10 +34,6 @@ from typing import Any, Callable, ContextManager, Hashable
 __all__ = ["Span", "Tracer", "maybe_span"]
 
 
-def _freeze_attrs(attrs: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
-    return tuple(sorted(attrs.items()))
-
-
 @dataclasses.dataclass(frozen=True)
 class Span:
     """One finished trace event (a duration span or an instant).
@@ -84,8 +80,9 @@ class Tracer:
     one list, and ``begin``/``end`` claim and release open phases with one
     ``dict.setdefault``/``dict.pop`` — each a single atomic operation under
     the GIL, so concurrent emitters never lose a span or share a sequence
-    number.  The wall-span nesting stack is thread-local.  :meth:`spans`
-    builds the :class:`Span` objects.  Note that *ordering* determinism is
+    number.  The wall-span nesting stack is thread-local.  The exporters
+    read the flat tuples through :meth:`records`; :meth:`spans` builds
+    :class:`Span` objects from them.  Note that *ordering* determinism is
     only guaranteed for serial emission (the single-threaded simulator
     event loops and the serial compile path); spans emitted from
     `compile_many` worker pools interleave nondeterministically.
@@ -227,11 +224,19 @@ class Tracer:
             sim_start, sim_time, None, None, merged,
         ))
 
+    def records(self) -> list[tuple]:
+        """All finished spans as flat tuples in deterministic (sequence) order.
+
+        Each tuple holds the :class:`Span` fields in declaration order, but
+        ``attrs`` is still the emitter's dict: read it, do not mutate it.
+        """
+        return sorted(self._records, key=lambda r: (r[4], r[5]))
+
     def spans(self) -> tuple[Span, ...]:
         """All finished spans in deterministic (sequence) order."""
-        records = sorted(self._records, key=lambda r: (r[4], r[5]))
         return tuple(
-            Span(*fields, attrs=_freeze_attrs(attrs)) for *fields, attrs in records
+            Span(*fields, attrs=tuple(sorted(attrs.items())))
+            for *fields, attrs in self.records()
         )
 
     def __len__(self) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import sys
 import threading
@@ -17,6 +19,7 @@ from repro.obs import (
     Tracer,
     to_chrome_trace,
     to_jsonl,
+    trace_events,
 )
 from repro.serve import make_serving_session, simulate_scenario
 
@@ -193,6 +196,59 @@ def test_jsonl_round_trips_span_fields():
     assert [r["name"] for r in records] == ["compile-stage", "iteration", "crash"]
     assert records[1]["track"] == "engine/0"
     assert records[2]["kind"] == "instant"
+
+
+def _mixed_trace() -> Tracer:
+    """Nested wall spans, a wall instant and sim events, with rich attrs."""
+    ticks = itertools.count()
+    tracer = Tracer(clock=lambda: 7.0 + next(ticks) * 0.0012345)
+    with tracer.span("outer", shape=(4, 2), plan={"b": 1, "a": (1, 2)}) as extra:
+        with tracer.span("inner", category="store", track="store", key="k"):
+            tracer.instant("wall-mark", note="x")
+        extra["late"] = {"z": [3]}
+    tracer.add_span("iteration", 0.001, 0.0025, track="engine/0", batch=(1, 2))
+    tracer.begin("r0", "queued", sim_time=0.0005, tenant={"id": 3})
+    tracer.end("r0", 0.002, tokens=5)
+    return tracer
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_exports_agree_with_spans_field_for_field(deterministic):
+    tracer = _mixed_trace()
+    spans = tracer.spans()
+    assert {span.kind for span in spans} == {"span", "instant"}
+    lines = to_jsonl(tracer, deterministic=deterministic).splitlines()
+    assert len(lines) == len(spans)
+    for line, span in zip(lines, spans):
+        expected = dataclasses.asdict(span)
+        expected["attrs"] = dict(span.attrs)
+        for field in ("wall_start", "wall_end"):
+            if deterministic:
+                del expected[field]
+            elif expected[field] is not None:
+                expected[field] = round(expected[field] - tracer.wall_origin, 9)
+        # JSON has no tuples: compare against the expected row's JSON form.
+        assert json.loads(line) == json.loads(json.dumps(expected))
+    events = [
+        e for e in trace_events(tracer, deterministic=deterministic) if e["ph"] != "M"
+    ]
+    assert [(e["name"], e["cat"]) for e in events] == [
+        (span.name, span.category) for span in spans
+    ]
+    for event, span in zip(events, spans):
+        assert event["args"] == dict(span.attrs)
+
+
+def test_exports_do_not_alias_tracer_state():
+    tracer = _mixed_trace()
+    jsonl = to_jsonl(tracer)
+    events = trace_events(tracer)
+    pristine = trace_events(tracer)
+    for event in events:
+        event["args"].clear()
+        event["args"]["injected"] = True
+    assert to_jsonl(tracer) == jsonl
+    assert trace_events(tracer) == pristine
 
 
 # --------------------------------------------------------------------------- #
