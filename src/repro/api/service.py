@@ -36,7 +36,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as PoolTimeout
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro.api.artifacts import CompileArtifact, save_artifacts
@@ -167,8 +167,6 @@ class CompileRequest:
         policy: Registered compiler policy name.
         elk_options: Per-request Elk knobs (``None`` uses the session's).
         static_options: Per-request Static knobs (``None`` uses the session's).
-        enumeration: Per-request enumeration limits layered on top of the
-            effective Elk options.
     """
 
     workload: WorkloadSpec | str
@@ -176,7 +174,6 @@ class CompileRequest:
     policy: str = "elk-full"
     elk_options: ElkOptions | None = None
     static_options: StaticOptions | None = None
-    enumeration: EnumerationLimits | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", _as_workload(self.workload))
@@ -238,7 +235,6 @@ class Session:
     Args:
         elk_options: Default Elk knobs for requests that bring none.
         static_options: Default Static knobs.
-        enumeration: Default enumeration limits layered onto the Elk options.
         cost_model_factory: Builds the cost model for each distinct chip
             (defaults to :class:`~repro.cost.model.AnalyticCostModel`).
         max_workers: Default worker count of :meth:`compile_many`.
@@ -265,7 +261,6 @@ class Session:
         self,
         elk_options: ElkOptions | None = None,
         static_options: StaticOptions | None = None,
-        enumeration: EnumerationLimits | None = None,
         cost_model_factory: Callable[[ChipConfig], CostModel] = AnalyticCostModel,
         max_workers: int | None = None,
         store: ArtifactStore | str | None = None,
@@ -275,8 +270,6 @@ class Session:
         tracer: "Tracer | None" = None,
     ) -> None:
         self.elk_options = elk_options or ElkOptions()
-        if enumeration is not None:
-            self.elk_options = replace(self.elk_options, enumeration=enumeration)
         self.static_options = static_options or StaticOptions()
         self.cost_model_factory = cost_model_factory
         self.max_workers = max_workers
@@ -311,15 +304,12 @@ class Session:
         Options left unset on the request are resolved at compile time by
         whichever session compiles it; nothing from this session is baked
         into the returned request.  Pass explicit ``elk_options=`` /
-        ``static_options=`` / ``enumeration=`` to pin them.
+        ``static_options=`` to pin them.
         """
         return CompileRequest(workload, system, policy, **options)
 
     def _effective_elk(self, request: CompileRequest) -> ElkOptions:
-        options = request.elk_options or self.elk_options
-        if request.enumeration is not None:
-            options = replace(options, enumeration=request.enumeration)
-        return options
+        return request.elk_options or self.elk_options
 
     def _effective_static(self, request: CompileRequest) -> StaticOptions:
         return request.static_options or self.static_options

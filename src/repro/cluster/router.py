@@ -41,20 +41,20 @@ class EngineView:
 
     Attributes:
         engine_id: Stable engine identifier within the fleet.
-        queue_depth: Requests queued but not yet admitted.
+        waiting: Requests queued but not yet admitted.
         running: Requests admitted and unfinished.
         in_flight_tokens: Output units still owed to the engine's requests.
     """
 
     engine_id: int
-    queue_depth: int
+    waiting: int
     running: int
     in_flight_tokens: int
 
     @property
     def load(self) -> int:
         """Requests the engine currently owns (queued plus running)."""
-        return self.queue_depth + self.running
+        return self.waiting + self.running
 
 
 class RouterPolicy(abc.ABC):

@@ -1,7 +1,7 @@
 """The fleet-scale serving simulator: N engines, one trace, one session.
 
 :class:`ClusterSimulator` dispatches one :class:`ArrivalTrace` across a
-fleet of :class:`~repro.serve.engine.EngineCore` engines that all share one
+fleet of :class:`~repro.serve.batching.EngineCore` engines that all share one
 :class:`~repro.serve.batching.StepLatencyModel` — and therefore one compile
 :class:`~repro.api.Session` — so every bucketed step plan compiles exactly
 once fleet-wide no matter how many engines serve it.  Its heapq event loop
@@ -81,8 +81,15 @@ from repro.cluster.faults import (
 from repro.cluster.router import get_router
 from repro.cluster.tenancy import AdmissionController, TenantSpec, as_tenant_map
 from repro.errors import ConfigurationError, SimulationInvariantError
-from repro.serve.batching import RequestState, StepLatencyModel, make_states
-from repro.serve.engine import ROLE_COLOCATED, ROLE_DECODE, ROLE_PREFILL, EngineCore
+from repro.serve.batching import (
+    ROLE_COLOCATED,
+    ROLE_DECODE,
+    ROLE_PREFILL,
+    EngineCore,
+    RequestState,
+    StepLatencyModel,
+    make_states,
+)
 from repro.serve.metrics import RequestRecord, ServingMetrics, SLOSpec, compute_metrics
 from repro.serve.workload import ArrivalTrace, RequestSpec
 
@@ -463,7 +470,7 @@ class _FleetRun:
         while heap:
             now, _, handler, payload = heapq.heappop(heap)
             handler(now, payload)
-        if any(engine.batcher.has_work() for engine in self.engines):
+        if any(engine.has_work() for engine in self.engines):
             raise SimulationInvariantError(
                 "cluster simulation ended with unfinished requests"
             )
@@ -493,7 +500,7 @@ class _FleetRun:
         avg_queue = 0.0
         if self.degradation is not None:
             ready = [e for e in self.active if e.ready_time <= now]
-            avg_queue = sum(e.queue_depth for e in ready) / max(1, len(ready))
+            avg_queue = sum(e.waiting for e in ready) / max(1, len(ready))
         self._route((s for s in arrivals if self._admit(s, now, avg_queue)), now)
         self._autoscale(now)
 
@@ -505,7 +512,7 @@ class _FleetRun:
             # and already re-dispatched (or failed) its requests.
             return
         engine.busy = False
-        for state in engine.batcher.complete_step(batch, now):
+        for state in engine.complete_step(batch, now):
             if state.finished:
                 engine.completed += 1
                 self._record(state, now)
@@ -525,7 +532,7 @@ class _FleetRun:
         pending: list[RequestState] = []
         for other in self.active:
             if other.ready_time <= now:
-                pending.extend(other.batcher.drain_waiting())
+                pending.extend(other.drain_waiting())
         self.waiting -= len(pending)
         pending.sort(key=lambda s: (s.spec.arrival_time, s.spec.request_id))
         self._route(pending, now, {engine.engine_id: engine})
@@ -619,16 +626,15 @@ class _FleetRun:
         """Start the engine's next iteration, or finalize a drain."""
         if engine.busy or engine.removed_time is not None or engine.ready_time > now:
             return
-        batcher = engine.batcher
-        waiting = batcher.waiting
-        batch = batcher.form_batch(now)
-        self.waiting -= waiting - batcher.waiting  # admitted this iteration
+        waiting = engine.waiting
+        batch = engine.form_batch(now)
+        self.waiting -= waiting - engine.waiting  # admitted this iteration
         if batch is None:
-            if engine.draining and not batcher.has_work():
+            if engine.draining and not engine.has_work():
                 engine.removed_time = now
                 self._note_scale(now, SCALE_REMOVE, engine, "drained empty")
             return
-        latency = batcher.batch_latency(batch, self.latency_model)
+        latency = engine.batch_latency(batch, self.latency_model)
         if latency <= 0:
             raise ConfigurationError(
                 f"non-positive step latency for batch {batch.group}"
@@ -689,7 +695,7 @@ class _FleetRun:
                     f"router {self.router.name!r} chose engine {choice}, "
                     f"not one of {[e.engine_id for e in candidates]}"
                 )
-        chosen.batcher.enqueue(state, now)
+        chosen.enqueue(state, now)
         self.waiting += 1
         return chosen
 
@@ -725,7 +731,7 @@ class _FleetRun:
         first arrival, with no double-counting) and are routed exactly like
         fresh arrivals.
         """
-        waiting = engine.batcher.drain_waiting()
+        waiting = engine.drain_waiting()
         self.waiting -= len(waiting)
         self.counts["num_redispatches"] += len(waiting)
         return self._route(waiting, now, kick=kick)
@@ -807,7 +813,7 @@ class _FleetRun:
         # scratch after a backoff, or fail when out of budget.
         policy = self.retry_policy
         watch: set[int] = set()
-        for state in victim.batcher.drain_running():
+        for state in victim.drain_running():
             out_of_budget = self.budget_left is not None and self.budget_left <= 0
             if state.retries + 1 >= policy.max_attempts or out_of_budget:
                 self._fail(state, now)
@@ -841,7 +847,7 @@ class _FleetRun:
         total_waiting = self.waiting
         if self.warming:  # queues parked on warming engines send no signal
             self.warming = [e for e in self.warming if e.ready_time > now]
-            total_waiting -= sum(e.batcher.waiting for e in self.warming)
+            total_waiting -= sum(e.waiting for e in self.warming)
         decision = autoscaler.decide(now, len(active), total_waiting)
         if decision is None:
             return

@@ -15,7 +15,7 @@ consumes the same single-operator partition plans (§6.1).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -30,7 +30,6 @@ from repro.compiler.registry import available_policies, get_policy
 from repro.cost.model import AnalyticCostModel, CostModel
 from repro.errors import SchedulingError
 from repro.obs.trace import maybe_span
-from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.plan import ExecutionPlan
 from repro.scheduler.preload_order import OrderSearchStats
@@ -107,7 +106,6 @@ class ModelCompiler:
             analytic model of the system's chip).
         elk_options: Knobs for the Elk policies.
         static_options: Knobs for the Static baseline.
-        enumeration: Partition-plan enumeration limits.
         frontend: Precomputed frontend result (e.g. from a
             :class:`repro.api.Session` cache); built lazily when omitted.
         profiles: Precomputed operator profiles; built lazily when omitted.
@@ -122,7 +120,6 @@ class ModelCompiler:
         cost_model: CostModel | None = None,
         elk_options: ElkOptions | None = None,
         static_options: StaticOptions | None = None,
-        enumeration: EnumerationLimits | None = None,
         frontend: FrontendResult | None = None,
         profiles: Sequence[OperatorProfile] | None = None,
         tracer: "Tracer | None" = None,
@@ -132,9 +129,6 @@ class ModelCompiler:
         self.chip = system.chip
         self.cost_model = cost_model or AnalyticCostModel(self.chip)
         self.elk_options = elk_options or ElkOptions()
-        if enumeration is not None:
-            # Don't mutate the caller's options object.
-            self.elk_options = replace(self.elk_options, enumeration=enumeration)
         self.static_options = static_options or StaticOptions()
         self._frontend = frontend
         self._profiles = list(profiles) if profiles is not None else None

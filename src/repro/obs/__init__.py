@@ -7,7 +7,7 @@ layers of the reproduction:
   threaded (opt-in, ``tracer=None`` no-op fast path) through the compile
   pipeline (frontend / partition enumeration / scheduler / codegen stages),
   the caching :class:`~repro.api.Session` and :class:`~repro.api.ArtifactStore`
-  (hit/miss/round-trip spans), the continuous batcher (request lifecycle:
+  (hit/miss/round-trip spans), each serving engine (request lifecycle:
   queued → admitted → prefill → decode → done, including retry hops after a
   crash), and the cluster simulator (scale/crash/shed instants).
 - :func:`to_chrome_trace` / :func:`to_jsonl` — exporters whose deterministic

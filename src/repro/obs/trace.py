@@ -3,7 +3,7 @@
 One :class:`Tracer` collects :class:`Span` records from every layer of the
 stack — compile-pipeline stages (wall-clocked, nested via the
 :meth:`Tracer.span` context manager), artifact-store round trips, request
-lifecycle phases in the continuous batcher (sim-clocked, opened and closed
+lifecycle phases in each serving engine (sim-clocked, opened and closed
 asynchronously via :meth:`Tracer.begin` / :meth:`Tracer.end`), engine
 iterations (:meth:`Tracer.add_span`), and cluster scale/fault events
 (:meth:`Tracer.instant`).
@@ -18,7 +18,7 @@ profiling but live in separate fields that the deterministic exporters
 Tracing is strictly opt-in.  Every instrumented call site takes
 ``tracer=None`` and guards with ``if tracer is not None`` (or, around a
 wall-clocked block, :func:`maybe_span`) — the no-op fast path is one
-attribute load and branch, benchmarked in ``benchmarks/bench_obs_trace.py``.
+attribute load and branch, not yet timed on its own (see ROADMAP item 2(c)).
 """
 
 from __future__ import annotations

@@ -25,21 +25,21 @@ policies.
 
 The event loop and the result type (:class:`repro.cluster.ClusterResult`)
 are the fleet's: :func:`simulate_scenario` runs one round-robin engine with
-every fleet feature off.
+every fleet feature off.  Each engine is one :class:`EngineCore` — its
+queues, load counters and lifecycle, with a role from :data:`ENGINE_ROLES`.
 """
 
 from repro.serve.batching import (
-    ENGINE_PHASES,
-    PHASE_BOTH,
-    PHASE_DECODE,
-    PHASE_PREFILL,
+    ENGINE_ROLES,
+    ROLE_COLOCATED,
+    ROLE_DECODE,
+    ROLE_PREFILL,
     Batch,
     BatchBuckets,
-    ContinuousBatcher,
+    EngineCore,
     RequestState,
     StepLatencyModel,
 )
-from repro.serve.engine import EngineCore
 from repro.serve.metrics import (
     RequestRecord,
     ServingMetrics,
@@ -73,13 +73,12 @@ from repro.serve.workload import (
 )
 
 __all__ = [
-    "ENGINE_PHASES",
-    "PHASE_BOTH",
-    "PHASE_DECODE",
-    "PHASE_PREFILL",
+    "ENGINE_ROLES",
+    "ROLE_COLOCATED",
+    "ROLE_DECODE",
+    "ROLE_PREFILL",
     "Batch",
     "BatchBuckets",
-    "ContinuousBatcher",
     "EngineCore",
     "RequestState",
     "StepLatencyModel",

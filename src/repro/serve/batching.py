@@ -10,15 +10,17 @@ rate × policy sweep never recompiles a duplicate (workload, policy, bucket)
 request — and reads the per-step latency off the simulation persisted on
 each compiled artifact.
 
-:class:`ContinuousBatcher` is the queueing mechanism: FCFS admission into a
-bounded running set, iteration-boundary scheduling (requests join and leave
-between steps, never mid-step), and least-recently-served rotation between
+:class:`EngineCore` is one serving engine: FCFS admission into a bounded
+running set, iteration-boundary scheduling (requests join and leave between
+steps, never mid-step), and least-recently-served rotation between
 ``(tenant, model, kind)`` groups so mixed traffic (e.g. an LLM and a DiT
 sharing an engine, or two tenants sharing a model) cannot starve any side.
-A batcher can also run as one half of a disaggregated fleet: a
-``phase="prefill"`` batcher releases LLM requests to a hand-off queue the
-moment their prefill completes, and a ``phase="decode"`` batcher accepts
-only requests whose prefill already ran elsewhere.
+It also carries the engine's load counters, busy accounting and fleet
+lifecycle (warm-up, drain, crash, straggler window).  An engine can run as
+one half of a disaggregated fleet: a ``role="prefill"`` engine releases LLM
+requests to a hand-off queue the moment their prefill completes, and a
+``role="decode"`` engine accepts only requests whose prefill already ran
+elsewhere.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from repro.errors import ConfigurationError
 from repro.ir.models.registry import DIT_CONFIGS
 from repro.serve.workload import DIFFUSION, RequestSpec
 
-#: Engine phases: a colocated engine runs both phases with chunked prefill;
-#: a disaggregated fleet splits them across dedicated pools.
-PHASE_BOTH = "both"
-PHASE_PREFILL = "prefill"
-PHASE_DECODE = "decode"
-ENGINE_PHASES = (PHASE_BOTH, PHASE_PREFILL, PHASE_DECODE)
+#: Engine roles within a fleet: a colocated engine runs both phases with
+#: chunked prefill; a disaggregated fleet splits them across dedicated pools.
+ROLE_COLOCATED = "colocated"
+ROLE_PREFILL = "prefill"
+ROLE_DECODE = "decode"
+ENGINE_ROLES = (ROLE_COLOCATED, ROLE_PREFILL, ROLE_DECODE)
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,7 @@ class StepLatencyModel:
         # entries.  The winner is decided by key presence, not object
         # identity: racing threads can receive the SAME float object from the
         # session's cached artifact.  Keys hold the lowercased model, which
-        # the batcher's groups already carry, so a hit needs no lower().
+        # the engines' groups already carry, so a hit needs no lower().
         cached = self._latencies.get((model, phase, batch_bucket, context_bucket))
         if cached is not None:
             next(self._hits)
@@ -478,7 +480,7 @@ class Batch:
         longest: The longest KV length among them (prompt plus generated
             tokens), which that step compiles at.
 
-    :meth:`ContinuousBatcher.form_batch` fills ``prefills``, ``decoding``
+    :meth:`EngineCore.form_batch` fills ``prefills``, ``decoding``
     and ``longest`` in its one pass over the members.
     """
 
@@ -489,51 +491,87 @@ class Batch:
     longest: int
 
 
-class ContinuousBatcher:
-    """Iteration-boundary admission and batch formation.
+class EngineCore:
+    """One continuously-batched serving engine: its queues and its lifecycle.
 
-    Requests wait FCFS; at every iteration boundary the batcher admits
+    Requests wait FCFS; at every iteration boundary the engine admits
     waiting requests into their group's running set (bounded by the largest
     batch bucket per group) and schedules the least-recently-served group
     that has runnable work.  All decisions are deterministic functions of
-    the arrival order, so a seeded trace always serves identically.
+    the arrival order, so a seeded trace always serves identically.  The
+    fleet simulator in :mod:`repro.cluster` — the only event loop — starts
+    and completes every engine's iterations, timing them with the shared
+    :class:`StepLatencyModel`, and hands the live engines to routers, which
+    read them in the :class:`~repro.cluster.router.EngineView` shape; a
+    single-engine run is a one-engine fleet.
 
     Args:
-        buckets: The compiled shape grid admission is bounded by.
-        phase: ``"both"`` (colocated engine, the default), ``"prefill"``
-            (dedicated prefill pool: LLM requests are released for hand-off
-            the moment their prefill pass completes), or ``"decode"``
-            (dedicated decode pool: only accepts requests whose prefill
-            already ran, plus diffusion work, which has no prefill).
+        buckets: The compiled shape grid admission is bounded by (the fleet
+            passes its latency model's, so admission caps and compiled
+            shapes agree).
+        engine_id: Stable identifier within a fleet (0 for solo engines).
+        role: ``"colocated"`` (both phases with chunked prefill, the
+            default), ``"prefill"`` (dedicated prefill pool: LLM requests
+            are released for hand-off the moment their prefill pass
+            completes), or ``"decode"`` (dedicated decode pool: only accepts
+            requests whose prefill already ran, plus diffusion work, which
+            has no prefill).
+        added_time: When the engine joined the fleet.
+        ready_time: When it finishes warming and may take traffic.
+        tracer: Optional :class:`repro.obs.Tracer` receiving request
+            lifecycle events: per-request ``queued`` →
+            ``prefill``/``decode``/``denoise`` phase spans keyed by (request
+            id, retry attempt, phase), plus ``admitted`` / ``done`` /
+            ``handoff`` instants.  Phases of an attempt abandoned by an
+            engine crash are simply never closed, so the exported trace
+            shows only work that really ran.  The fleet loop adds one
+            ``iteration`` span per executed iteration on :attr:`track`.
 
     Attributes:
         waiting: Requests queued but not yet admitted.
         running: Requests admitted and unfinished.
+        in_flight_tokens: Output units still owed to waiting and admitted
+            requests — the work behind the heads the other two count.
+        track: The engine's trace track, ``engine/<id>``.
+        busy: Whether an iteration is in flight.
+        busy_time: Total time spent executing iterations.
+        iterations: Iterations executed.
+        completed: Requests finished on this engine.
+        draining: Whether the autoscaler is draining the engine away.
+        removed_time: When it left the fleet, drained or crashed (``None``
+            while it serves).
+        crashed: Whether a fault crashed it.
+        slow_until / slow_factor: A straggler window: iterations *started*
+            before ``slow_until`` stretch by ``slow_factor``; the stretched
+            time is real wall-clock the engine spends busy, so
+            ``busy_time`` scales with it.
 
-    ``waiting``, ``running`` and the owed output units
-    :meth:`in_flight_tokens` returns are counters, updated by every
-    operation that moves a request, so load reads cost nothing.
-
-    The ``tracer`` and ``engine_id`` attributes (set by the owning
-    :class:`~repro.serve.engine.EngineCore`) opt the batcher into request
-    lifecycle tracing: per-request ``queued`` → ``prefill``/``decode``/
-    ``denoise`` phase spans keyed by (request id, retry attempt, phase),
-    plus ``admitted`` / ``done`` / ``handoff`` instants.  Phases of an
-    attempt abandoned by an engine crash are simply never closed, so the
-    exported trace shows only work that really ran.
+    The three load counters are updated by every operation that moves a
+    request (:meth:`enqueue`, admission, :meth:`complete_step` and the two
+    drains), so a load read costs the same at any queue depth.
     """
 
     def __init__(
-        self, buckets: BatchBuckets | None = None, phase: str = PHASE_BOTH
+        self,
+        buckets: BatchBuckets | None = None,
+        *,
+        engine_id: int = 0,
+        role: str = ROLE_COLOCATED,
+        added_time: float = 0.0,
+        ready_time: float = 0.0,
+        tracer: "Tracer | None" = None,
     ) -> None:
-        if phase not in ENGINE_PHASES:
+        if role not in ENGINE_ROLES:
             raise ConfigurationError(
-                f"unknown engine phase {phase!r}; expected one of {ENGINE_PHASES}"
+                f"unknown engine role {role!r}; expected one of {ENGINE_ROLES}"
             )
         self.buckets = buckets or BatchBuckets()
-        self.phase = phase
-        self.tracer: "Tracer | None" = None
-        self.engine_id = 0
+        self.engine_id = engine_id
+        self.role = role
+        self.added_time = added_time
+        self.ready_time = ready_time
+        self.tracer = tracer
+        self.track = f"engine/{engine_id}"
         # Per-group FCFS wait queues: requests only compete for admission
         # slots within their own group, and per-group queues keep each
         # iteration's admission work proportional to what is admitted
@@ -545,20 +583,26 @@ class ContinuousBatcher:
         self._iteration = 0
         self.waiting = 0
         self.running = 0
-        self._owed = 0
+        self.in_flight_tokens = 0
+        self.busy = False
+        self.busy_time = 0.0
+        self.iterations = 0
+        self.completed = 0
+        self.draining = False
+        self.removed_time: float | None = None
+        self.crashed = False
+        self.slow_until = 0.0
+        self.slow_factor = 1.0
 
     # ------------------------------------------------------------------ state
+    @property
+    def load(self) -> int:
+        """Requests the engine currently owns (queued plus running)."""
+        return self.waiting + self.running
+
     def has_work(self) -> bool:
         """Whether any request is waiting or running."""
         return self.waiting > 0 or self.running > 0
-
-    def in_flight_tokens(self) -> int:
-        """Output units still owed to waiting and admitted requests.
-
-        The load signal least-loaded routing and autoscaling read: queue
-        depth counts heads, this counts the work behind them.
-        """
-        return self._owed
 
     # ------------------------------------------------------------- operations
     def enqueue(self, state: RequestState, now: float | None = None) -> None:
@@ -568,12 +612,12 @@ class ContinuousBatcher:
         request's arrival time, which is correct for fresh arrivals but not
         for crash requeues or disaggregation hand-offs).
         """
-        if self.phase == PHASE_PREFILL and state.spec.kind == DIFFUSION:
+        if self.role == ROLE_PREFILL and state.spec.kind == DIFFUSION:
             raise ConfigurationError(
                 "diffusion requests have no prefill pass; route them to a "
                 "decode (or colocated) engine"
             )
-        if self.phase == PHASE_DECODE and state.prefill_pending:
+        if self.role == ROLE_DECODE and state.prefill_pending:
             raise ConfigurationError(
                 "a decode-pool engine only accepts requests whose prefill "
                 "already ran; route fresh LLM requests to a prefill engine"
@@ -582,7 +626,7 @@ class ContinuousBatcher:
         self._first_seen.setdefault(group, len(self._first_seen))
         self._waiting.setdefault(group, deque()).append(state)
         self.waiting += 1
-        self._owed += state.spec.output_units - state.steps_done
+        self.in_flight_tokens += state.spec.output_units - state.steps_done
         if self.tracer is not None:
             rid = state.spec.request_id
             self.tracer.begin(
@@ -607,7 +651,7 @@ class ContinuousBatcher:
             drained.extend(queue)
             queue.clear()
         self.waiting -= len(drained)
-        self._owed -= sum(s.spec.output_units - s.steps_done for s in drained)
+        self.in_flight_tokens -= sum(s.spec.output_units - s.steps_done for s in drained)
         return drained
 
     def drain_running(self) -> list[RequestState]:
@@ -627,7 +671,7 @@ class ContinuousBatcher:
             members.clear()
         self.running -= len(drained)
         for state in drained:
-            self._owed -= state.spec.output_units - state.steps_done
+            self.in_flight_tokens -= state.spec.output_units - state.steps_done
             state.reset_progress()
         return drained
 
@@ -728,7 +772,7 @@ class ContinuousBatcher:
         Every request in the batch produced one output unit (the prefill
         pass also yields the first token).  Released requests leave their
         running set immediately, freeing admission slots for the next
-        iteration.  On a colocated (``"both"``) or decode engine every
+        iteration.  On a colocated or decode engine every
         released request is finished; a prefill engine additionally
         releases unfinished requests whose prefill pass just completed —
         check :attr:`RequestState.finished` to tell hand-offs apart.
@@ -736,8 +780,8 @@ class ContinuousBatcher:
         released = []
         tracer = self.tracer
         llm = batch.group[2] != DIFFUSION
-        handoff = self.phase == PHASE_PREFILL  # every step ends the prefill
-        self._owed -= len(batch.requests)
+        handoff = self.role == ROLE_PREFILL  # every step ends the prefill
+        self.in_flight_tokens -= len(batch.requests)
         for state in batch.requests:
             prefilled = llm and state.steps_done == 0
             state.steps_done += 1
@@ -751,7 +795,7 @@ class ContinuousBatcher:
                 released.append(state)
             elif handoff:
                 released.append(state)  # prefill done: hand off to decode
-                self._owed -= state.spec.output_units - state.steps_done
+                self.in_flight_tokens -= state.spec.output_units - state.steps_done
             if tracer is not None and (prefilled or done or handoff):
                 rid = state.spec.request_id
                 if prefilled:

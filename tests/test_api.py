@@ -100,17 +100,8 @@ def test_toy_policy_pluggable_without_touching_pipeline(small_system):
 
 
 # --------------------------------------------------------------------------- #
-# Satellite fixes: options immutability, public profile injection
+# Public profile injection
 # --------------------------------------------------------------------------- #
-def test_model_compiler_does_not_mutate_caller_options(small_system):
-    options = ElkOptions()
-    original = options.enumeration
-    limits = EnumerationLimits(max_plans=3)
-    compiler = ModelCompiler(TINY, small_system, elk_options=options, enumeration=limits)
-    assert options.enumeration is original
-    assert compiler.elk_options.enumeration is limits
-
-
 def test_elk_scheduler_accepts_precomputed_profiles(small_system):
     compiler = ModelCompiler(TINY, small_system)
     shared = compiler.profiles
@@ -164,7 +155,10 @@ def test_session_distinguishes_option_variants(small_system):
     base = session.compile(TINY, small_system, "elk-full")
     narrowed = session.compile(
         CompileRequest(
-            TINY, small_system, "elk-full", enumeration=EnumerationLimits(max_plans=2)
+            TINY,
+            small_system,
+            "elk-full",
+            elk_options=ElkOptions(enumeration=EnumerationLimits(max_plans=2)),
         )
     )
     assert narrowed is not base

@@ -15,6 +15,8 @@ from repro.cluster import (
     AutoscalerConfig,
     AvailabilityMetrics,
     ClusterSimulator,
+    ROLE_DECODE,
+    ROLE_PREFILL,
     DisaggregationConfig,
     EngineView,
     FleetConfig,
@@ -31,6 +33,7 @@ from repro.errors import ConfigurationError
 from repro.serve import (
     ArrivalTrace,
     BatchBuckets,
+    EngineCore,
     RequestShape,
     RequestSpec,
     SLOSpec,
@@ -40,6 +43,7 @@ from repro.serve import (
     poisson_trace,
     simulate_scenario,
 )
+from repro.serve.batching import make_states
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +60,12 @@ def _latency_model(session, system, **kwargs):
 
 def _views(*loads):
     return [
-        EngineView(engine_id=i, queue_depth=q, running=r, in_flight_tokens=t)
+        EngineView(engine_id=i, waiting=q, running=r, in_flight_tokens=t)
         for i, (q, r, t) in enumerate(loads)
     ]
 
 
 def _state(tenant="default", request_id=0):
-    from repro.serve.batching import make_states
-
     spec = RequestSpec(request_id, 0.0, "tiny-llm", 64, 8, tenant=tenant)
     return make_states([spec])[0]
 
@@ -121,6 +123,55 @@ def test_session_affinity_is_sticky_and_spreads_tenants():
         for tenant in ("acme", "globex", "initech", "umbrella", "hooli")
     }
     assert len(spread) > 1  # different tenants do not all collapse together
+
+
+def test_engine_role_is_validated_and_gates_enqueue():
+    with pytest.raises(ConfigurationError, match="unknown engine role"):
+        EngineCore(role="bogus")
+    with pytest.raises(ConfigurationError, match="prefill"):
+        EngineCore(role=ROLE_DECODE).enqueue(_state())  # prefill still pending
+    dit = RequestSpec(0, 0.0, "tiny-dit", denoise_steps=4)
+    with pytest.raises(ConfigurationError, match="diffusion"):
+        EngineCore(role=ROLE_PREFILL).enqueue(make_states([dit])[0])
+
+
+def test_engine_view_matches_live_engine_for_every_router():
+    """Routers read a live engine and an EngineView of it the same way."""
+    buckets = BatchBuckets(batch_sizes=(1, 2), context_buckets=(256,))
+    engines = [EngineCore(buckets, engine_id=i) for i in range(3)]
+    states = make_states(
+        [RequestSpec(i, 0.0, "tiny-llm", 64, 4 + i) for i in range(6)]
+    )
+    for state in states[:3]:
+        engines[0].enqueue(state)
+    engines[0].complete_step(engines[0].form_batch(0.0), 1.0)
+    for state in states[3:5]:
+        engines[1].enqueue(state)
+    engines[1].form_batch(0.0)
+    engines[2].enqueue(states[5])
+    assert [(e.waiting, e.running, e.in_flight_tokens) for e in engines] == [
+        (1, 2, 13),
+        (0, 2, 15),
+        (1, 0, 9),
+    ]
+    views = [
+        EngineView(
+            engine_id=e.engine_id,
+            waiting=e.waiting,
+            running=e.running,
+            in_flight_tokens=e.in_flight_tokens,
+        )
+        for e in engines
+    ]
+    assert [view.load for view in views] == [e.load for e in engines] == [3, 2, 1]
+    tenants = ("acme", "globex", "initech", "umbrella")
+    for name in available_routers():
+        on_views, on_engines = get_router(name), get_router(name)
+        for i, tenant in enumerate(tenants):
+            state = _state(tenant, i)
+            assert on_views.choose(state, views, 0.0) == on_engines.choose(
+                state, engines, 0.0
+            ), name
 
 
 @pytest.mark.parametrize("router", ["round-robin", "least-loaded", "session-affinity"])

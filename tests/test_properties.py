@@ -28,7 +28,7 @@ from repro.ir.models.config import TransformerConfig
 from repro.ir.models.transformer import build_decode_graph
 from repro.partition import enumerate_execute_plans, enumerate_preload_plans
 from repro.serve import (
-    ContinuousBatcher,
+    EngineCore,
     RequestShape,
     SLOSpec,
     StepLatencyModel,
@@ -127,10 +127,10 @@ _DIT = RequestShape(model="tiny-dit", denoise_steps=8)
 _SERVING_SYSTEM = scaled_system(num_cores=32, num_chips=1)
 
 
-def _recount(batcher):
+def _recount(engine):
     """(waiting, running, owed output units), recounted over the queues."""
-    waiting = [state for queue in batcher._waiting.values() for state in queue]
-    running = [state for group in batcher._running.values() for state in group]
+    waiting = [state for queue in engine._waiting.values() for state in queue]
+    running = [state for group in engine._running.values() for state in group]
     owed = sum(s.spec.output_units - s.steps_done for s in waiting + running)
     return len(waiting), len(running), owed
 
@@ -244,41 +244,41 @@ def test_serving_loop_invariants(
         return ClusterSimulator(model, fleet).run(trace)
 
     finished = []  # (request id, units delivered, units asked) per release
-    batchers = []  # every engine's batcher, in creation order
-    init, complete_step = ContinuousBatcher.__init__, ContinuousBatcher.complete_step
-    batch_latency = ContinuousBatcher.batch_latency
+    engines = []  # every engine, in creation order
+    init, complete_step = EngineCore.__init__, EngineCore.complete_step
+    batch_latency = EngineCore.batch_latency
     autoscale, decide = _FleetRun._autoscale, Autoscaler.decide
     deciding = []  # the fleet run whose autoscaler is deciding
 
-    def recording_init(batcher, *args, **kwargs):
-        init(batcher, *args, **kwargs)
-        batchers.append(batcher)
+    def recording_init(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        engines.append(engine)
 
-    def recording_complete_step(batcher, batch, now):
-        released = complete_step(batcher, batch, now)
+    def recording_complete_step(engine, batch, now):
+        released = complete_step(engine, batch, now)
         finished.extend(
             (state.spec.request_id, state.steps_done, state.spec.output_units)
             for state in released
             if state.finished
         )
-        for each in batchers:
-            counters = (each.waiting, each.running, each.in_flight_tokens())
+        for each in engines:
+            counters = (each.waiting, each.running, each.in_flight_tokens)
             assert counters == _recount(each)
         return released
 
-    def recounting_batch_latency(batcher, batch, latency_model):
+    def recounting_batch_latency(engine, batch, latency_model):
         # form_batch's one pass must count what a second walk would.
         llm = batch.group[2] != DIFFUSION
         decoding = [s for s in batch.requests if llm and s.steps_done]
         assert batch.prefills == [s for s in batch.requests if s.prefill_pending]
         assert batch.decoding == len(decoding)
         assert batch.longest == max((s.context_tokens for s in decoding), default=0)
-        return batch_latency(batcher, batch, latency_model)
+        return batch_latency(engine, batch, latency_model)
 
     def recounting_autoscale(fleet_run, now):
         # Only active engines hold queues, so the fleet counter is the sum
-        # over every engine's batcher.
-        assert fleet_run.waiting == sum(e.batcher.waiting for e in fleet_run.engines)
+        # over every engine.
+        assert fleet_run.waiting == sum(e.waiting for e in fleet_run.engines)
         deciding[:] = [fleet_run]
         return autoscale(fleet_run, now)
 
@@ -286,15 +286,15 @@ def test_serving_loop_invariants(
         # The signal is the counter less the queues of warming engines.
         (fleet_run,) = deciding
         ready = [e for e in fleet_run.active if e.ready_time <= now]
-        assert total_waiting == sum(e.batcher.waiting for e in ready)
+        assert total_waiting == sum(e.waiting for e in ready)
         return decide(autoscaler, now, active_engines, total_waiting)
 
     with mock.patch.object(
-        ContinuousBatcher, "__init__", recording_init
+        EngineCore, "__init__", recording_init
     ), mock.patch.object(
-        ContinuousBatcher, "complete_step", recording_complete_step
+        EngineCore, "complete_step", recording_complete_step
     ), mock.patch.object(
-        ContinuousBatcher, "batch_latency", recounting_batch_latency
+        EngineCore, "batch_latency", recounting_batch_latency
     ), mock.patch.object(
         _FleetRun, "_autoscale", recounting_autoscale
     ), mock.patch.object(Autoscaler, "decide", recounting_decide):

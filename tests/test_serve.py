@@ -14,7 +14,7 @@ from repro.eval.reporting import SERVING_SUMMARY_COLUMNS
 from repro.serve import (
     ArrivalTrace,
     BatchBuckets,
-    ContinuousBatcher,
+    EngineCore,
     RequestShape,
     RequestSpec,
     ServingScenario,
@@ -216,7 +216,7 @@ def test_slo_components_enforced_independently():
 
 
 # --------------------------------------------------------------------------- #
-# Buckets and the continuous batcher
+# Buckets and continuous batching
 # --------------------------------------------------------------------------- #
 def test_batch_buckets():
     buckets = BatchBuckets(batch_sizes=(1, 2, 4), context_buckets=(128, 512))
@@ -237,7 +237,7 @@ def test_batch_buckets():
 
 def test_batcher_admission_cap_and_group_rotation():
     buckets = BatchBuckets(batch_sizes=(1, 2), context_buckets=(256,))
-    batcher = ContinuousBatcher(buckets)
+    engine = EngineCore(buckets)
     specs = [
         _llm(0, 0.0, decode=1),
         _llm(1, 0.0, decode=1),
@@ -245,20 +245,20 @@ def test_batcher_admission_cap_and_group_rotation():
         _dit(3, 0.0),
     ]
     for state in make_states(specs):
-        batcher.enqueue(state)
+        engine.enqueue(state)
 
-    first = batcher.form_batch(0.0)
+    first = engine.form_batch(0.0)
     # FCFS: two tiny-llm requests admitted (cap 2), third waits; groups
     # rotate, so the second batch serves the DiT group.
     assert first.group == ("default", "tiny-llm", "llm")
     assert [s.spec.request_id for s in first.requests] == [0, 1]
-    assert batcher.waiting == 1
-    completed = batcher.complete_step(first, 1.0)
+    assert engine.waiting == 1
+    completed = engine.complete_step(first, 1.0)
     assert {s.spec.request_id for s in completed} == {0, 1}
-    second = batcher.form_batch(1.0)
+    second = engine.form_batch(1.0)
     assert second.group == ("default", "tiny-dit", "diffusion")
-    batcher.complete_step(second, 2.0)
-    third = batcher.form_batch(2.0)
+    engine.complete_step(second, 2.0)
+    third = engine.form_batch(2.0)
     # The freed slots admit the waiting request on the next llm turn.
     assert third.group == ("default", "tiny-llm", "llm")
     assert {s.spec.request_id for s in third.requests} == {2}
@@ -270,34 +270,34 @@ def test_prefill_chunks_respect_attention_budget():
         context_buckets=(256, 512),
         prefill_attention_budget=2 * 512 * 512,
     )
-    batcher = ContinuousBatcher(buckets)
+    engine = EngineCore(buckets)
     states = make_states(
         [_llm(i, 0.0, prefill=400) for i in range(4)]  # bucket to 512 each
     )
-    chunks = batcher._prefill_chunks(states)
+    chunks = engine._prefill_chunks(states)
     assert [len(chunk) for chunk in chunks] == [2, 2]
     for chunk in chunks:
         footprint = buckets.batch_bucket(len(chunk)) * 512 * 512
         assert footprint <= buckets.prefill_attention_budget
     # A single oversized prompt still gets its own chunk.
     lone = make_states([_llm(0, 0.0, prefill=2000)])
-    assert [len(c) for c in batcher._prefill_chunks(lone)] == [1]
+    assert [len(c) for c in engine._prefill_chunks(lone)] == [1]
 
 
 def test_started_time_marks_first_scheduled_iteration_not_admission():
     """A request admitted while another group holds the engine has not
     started: its per-step metrics must exclude the cross-group wait."""
     buckets = BatchBuckets(batch_sizes=(1, 2), context_buckets=(256,))
-    batcher = ContinuousBatcher(buckets)
+    engine = EngineCore(buckets)
     llm_state, dit_state = make_states([_llm(0, 0.0, decode=1), _dit(1, 0.0)])
-    batcher.enqueue(llm_state)
-    batcher.enqueue(dit_state)
-    first = batcher.form_batch(0.0)
+    engine.enqueue(llm_state)
+    engine.enqueue(dit_state)
+    first = engine.form_batch(0.0)
     assert first.group == ("default", "tiny-llm", "llm")
     assert llm_state.started_time == 0.0
     assert dit_state.started_time is None  # admitted, but not yet scheduled
-    batcher.complete_step(first, 1.5)
-    second = batcher.form_batch(1.5)
+    engine.complete_step(first, 1.5)
+    second = engine.form_batch(1.5)
     assert second.group == ("default", "tiny-dit", "diffusion")
     assert dit_state.started_time == 1.5
 
@@ -389,7 +389,7 @@ def test_unfinished_requests_raise_a_typed_invariant_error(
 ):
     # An engine that never starts an iteration strands its queue; the check
     # is an explicit raise, so it holds under ``python -O`` too.
-    monkeypatch.setattr(ContinuousBatcher, "form_batch", lambda self, now: None)
+    monkeypatch.setattr(EngineCore, "form_batch", lambda self, now: None)
     trace = ArrivalTrace("stuck", (_llm(0, 0.0),))
     with pytest.raises(SimulationInvariantError, match="unfinished requests"):
         _engine(serve_session, small_system).run(trace)
