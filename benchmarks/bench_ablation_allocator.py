@@ -8,6 +8,7 @@ transformer layer.
 
 from _common import BENCH_CONFIG, SESSION, report
 
+from repro.api import CompileRequest
 from repro.arch import ipu_pod4
 from repro.compiler import WorkloadSpec
 from repro.scheduler.allocation import MemoryAllocator
@@ -20,7 +21,7 @@ def _rows():
         seq_len=BENCH_CONFIG.seq_len,
         num_layers=1,
     )
-    compiler = SESSION.compiler(SESSION.request(workload, ipu_pod4()))
+    compiler = SESSION.compiler(CompileRequest(workload, ipu_pod4()))
     profiles = compiler.profiles
     allocator = MemoryAllocator(
         compiler.cost_model,

@@ -8,6 +8,7 @@ plus the Basic and Static baselines, on one workload.
 
 from _common import BENCH_CONFIG, SESSION, report
 
+from repro.api import CompileRequest
 from repro.arch import ipu_pod4
 from repro.compiler import WorkloadSpec
 from repro.scheduler import InductiveScheduler, SchedulerOptions
@@ -21,7 +22,7 @@ def _rows():
         seq_len=BENCH_CONFIG.seq_len,
         num_layers=BENCH_CONFIG.num_layers,
     )
-    compiler = SESSION.compiler(SESSION.request(workload, ipu_pod4()))
+    compiler = SESSION.compiler(CompileRequest(workload, ipu_pod4()))
     rows = []
 
     # Variant: inductive scheduling with preload-ahead disabled entirely.

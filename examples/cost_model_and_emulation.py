@@ -16,7 +16,8 @@ Run with::
 from __future__ import annotations
 
 from repro.arch import ipu_pod4
-from repro.compiler import ModelCompiler, WorkloadSpec
+from repro.api import Session
+from repro.compiler import WorkloadSpec
 from repro.cost import FittedCostModel
 from repro.emu import EmulationFramework
 
@@ -35,22 +36,23 @@ def main() -> None:
 
     workload = WorkloadSpec("gemma2-27b", batch_size=32, seq_len=2048, num_layers=2)
     print(f"\nCompiling {workload.model_name} with the fitted cost model ...")
-    compiler = ModelCompiler(workload, system, cost_model=fitted)
-    result = compiler.compile("elk-full")
-    print(f"  planned per-token latency : {result.latency * 1e3:.3f} ms")
-    print(f"  planned HBM utilization   : {result.hbm_utilization:.2f}")
+    session = Session(cost_model_factory=lambda chip: fitted)
+    artifact = session.compile(workload, system, policy="elk-full")
+    frontend = session.frontend(workload, system)
+    print(f"  planned per-token latency : {artifact.latency * 1e3:.3f} ms")
+    print(f"  planned HBM utilization   : {artifact.hbm_utilization:.2f}")
 
     print("\nReplaying the plan on the emulation framework (device profile + DRAM sim) ...")
     emulator = EmulationFramework(system, noise=0.08)
     emulated = emulator.emulate_system(
-        result.plan,
-        compiler.frontend.per_chip_graph,
-        compiler.frontend.full_graph_flops,
-        compiler.frontend.interchip_bytes_per_step,
+        artifact.result.plan,
+        frontend.per_chip_graph,
+        frontend.full_graph_flops,
+        frontend.interchip_bytes_per_step,
     )
     print(f"  emulated per-token latency: {emulated.total_time * 1e3:.3f} ms")
     print(f"  emulated TFLOPS           : {emulated.achieved_tflops:.1f}")
-    gap = abs(emulated.total_time - result.latency) / emulated.total_time * 100
+    gap = abs(emulated.total_time - artifact.latency) / emulated.total_time * 100
     print(f"  compiler-vs-emulation gap : {gap:.1f}%")
 
 

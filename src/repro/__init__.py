@@ -40,8 +40,10 @@ the registry without touching the pipeline::
             return PolicyOutput(plan=plan,
                                 timeline=compiler.evaluator().evaluate(plan))
 
-For one-shot use, ``ModelCompiler(workload, system).compile("elk-full")``
-still works and serves every registered policy.
+A policy plans inside the :class:`ModelCompiler` that
+``session.compiler(CompileRequest(workload, system))`` returns; the session
+builds its frontend result, profiles and cost model, so every policy plans
+from the same inputs.
 
 Above the per-step world, :mod:`repro.serve` simulates *request-level*
 serving: seeded arrival traces (Poisson, bursty, diurnal, replay) run
@@ -114,7 +116,6 @@ from repro.compiler import (
     PolicyOutput,
     WorkloadSpec,
     available_policies,
-    compile_model,
     register_policy,
 )
 from repro.cluster import (
@@ -198,7 +199,6 @@ __all__ = [
     "PolicyOutput",
     "WorkloadSpec",
     "available_policies",
-    "compile_model",
     "register_policy",
     "ArtifactStore",
     "CompileArtifact",

@@ -14,9 +14,10 @@ sweep-shaped work (the evaluation harness, sweeps, benchmarks):
   with ``store=`` resolves equal requests from disk across processes and
   runs, recompiling only what no process has compiled before.
 
-One-shot use stays on :class:`repro.compiler.ModelCompiler`; anything that
-compiles the same workload or system more than once should go through a
-:class:`Session`.
+A :class:`Session` is also the only builder of a compile's inputs:
+:meth:`Session.compiler` hands policies a
+:class:`repro.compiler.ModelCompiler` holding the session's frontend result,
+profiles and cost model.
 
 The request-level serving layer (:mod:`repro.serve`) is the service's
 largest client: :class:`StepLatencyModel` compiles one bucketed step plan

@@ -168,21 +168,6 @@ class CompileArtifact:
             system=system,
         )
 
-    # ---------------------------------------------------------------- reports
-    def summary(self) -> dict[str, object]:
-        """Flat dictionary for result tables."""
-        return {
-            "model": self.model,
-            "batch_size": self.batch_size,
-            "seq_len": self.seq_len,
-            "policy": self.policy,
-            "latency_ms": self.latency * 1e3,
-            "hbm_utilization": self.hbm_utilization,
-            "noc_utilization": self.noc_utilization,
-            "achieved_tflops": self.achieved_tflops,
-            "compile_seconds": self.compile_seconds,
-        }
-
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, object]:
         """Serializable dictionary (runtime references dropped)."""

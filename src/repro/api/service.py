@@ -9,7 +9,7 @@ profiles, cost models, and whole compile results keyed by
 batch of :class:`CompileRequest`\\ s across a thread pool (shared caches) or
 a process pool (true parallelism for the GIL-bound compile path).
 
-Cache keys are *structural* (:func:`_freeze`): equal configurations freeze
+Cache keys are *structural* (:func:`frozen_key`): equal configurations freeze
 to identical nested tuples of primitives, which also makes them stable
 across processes — a session given a ``store`` therefore extends its result
 cache to a content-addressed on-disk
@@ -61,7 +61,7 @@ from repro.scheduler.elk import ElkOptions
 from repro.scheduler.profiles import OperatorProfile, build_operator_profiles
 
 
-def _freeze(obj: object) -> Hashable:
+def frozen_key(obj: object) -> Hashable:
     """Canonical hashable key for (possibly nested, mutable) config objects.
 
     Keys are *structural* — built purely from field names and primitive
@@ -72,41 +72,32 @@ def _freeze(obj: object) -> Hashable:
     does not understand are rejected rather than falling back to ``repr``:
     a default ``repr`` embeds the object's memory address, which silently
     misses the cache within a process and can never be stable across
-    processes.
+    processes.  The sweep harness and journal tooling hash configurations
+    with it too, so "equal configs" means one thing across the whole repo.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return (type(obj).__qualname__,) + tuple(
-            (f.name, _freeze(getattr(obj, f.name))) for f in dataclasses.fields(obj)
+            (f.name, frozen_key(getattr(obj, f.name))) for f in dataclasses.fields(obj)
         )
     if isinstance(obj, dict):
         # Sort by the frozen pair's repr: deterministic even for mixed-type
         # keys, which Python's default comparison would refuse to order.
         return tuple(
             sorted(
-                ((_freeze(key), _freeze(value)) for key, value in obj.items()),
+                ((frozen_key(key), frozen_key(value)) for key, value in obj.items()),
                 key=repr,
             )
         )
     if isinstance(obj, (list, tuple)):
-        return tuple(_freeze(value) for value in obj)
+        return tuple(frozen_key(value) for value in obj)
     if isinstance(obj, (set, frozenset)):
-        return ("set",) + tuple(sorted((_freeze(value) for value in obj), key=repr))
+        return ("set",) + tuple(sorted((frozen_key(value) for value in obj), key=repr))
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     raise ConfigurationError(
         f"cannot build a stable cache key from {type(obj).__qualname__!r} "
         f"({obj!r}); use dataclasses, dicts, sequences, sets, or primitives"
     )
-
-
-def frozen_key(obj: object) -> Hashable:
-    """Public alias of the session's structural cache-key builder.
-
-    The sweep harness and journal tooling hash configurations with the same
-    canonicalization the compile caches use, so "equal configs" means one
-    thing across the whole repo: equal frozen keys.
-    """
-    return _freeze(obj)
 
 
 #: Dispatch backends understood by :meth:`Session.compile_many`.
@@ -183,6 +174,23 @@ class CompileRequest:
     def workload_spec(self) -> WorkloadSpec:
         """The workload as a :class:`WorkloadSpec` (always, post-init)."""
         return self.workload
+
+
+def _as_request(
+    method: str,
+    request: CompileRequest | WorkloadSpec | str,
+    system: SystemConfig | None,
+    policy: str,
+    options: dict[str, object],
+) -> CompileRequest:
+    """``request`` itself, or a :class:`CompileRequest` built from the triple."""
+    if isinstance(request, CompileRequest):
+        return request
+    if system is None:
+        raise ConfigurationError(
+            f"Session.{method} needs a CompileRequest or (workload, system)"
+        )
+    return CompileRequest(request, system, policy, **options)
 
 
 @dataclass
@@ -292,22 +300,6 @@ class Session:
         self._results: dict[Hashable, CompileArtifact] = {}
 
     # -------------------------------------------------------------- requests
-    def request(
-        self,
-        workload: WorkloadSpec | str,
-        system: SystemConfig,
-        policy: str = "elk-full",
-        **options,
-    ) -> CompileRequest:
-        """Build a :class:`CompileRequest` (convenience constructor).
-
-        Options left unset on the request are resolved at compile time by
-        whichever session compiles it; nothing from this session is baked
-        into the returned request.  Pass explicit ``elk_options=`` /
-        ``static_options=`` to pin them.
-        """
-        return CompileRequest(workload, system, policy, **options)
-
     def _effective_elk(self, request: CompileRequest) -> ElkOptions:
         return request.elk_options or self.elk_options
 
@@ -316,22 +308,22 @@ class Session:
 
     def _result_key(self, request: CompileRequest) -> Hashable:
         return (
-            _freeze(request.workload_spec),
-            _freeze(request.system),
+            frozen_key(request.workload_spec),
+            frozen_key(request.system),
             request.policy,
-            _freeze(self._effective_elk(request)),
-            _freeze(self._effective_static(request)),
+            frozen_key(self._effective_elk(request)),
+            frozen_key(self._effective_static(request)),
         )
 
     def _profile_key(
         self, workload: WorkloadSpec, system: SystemConfig, limits: EnumerationLimits
     ) -> Hashable:
-        return (_freeze(workload), _freeze(system), _freeze(limits))
+        return (frozen_key(workload), frozen_key(system), frozen_key(limits))
 
     # ------------------------------------------------------- shared artifacts
     def cost_model(self, chip: ChipConfig) -> CostModel:
         """The (cached) cost model of ``chip``."""
-        key = _freeze(chip)
+        key = frozen_key(chip)
         with self._lock:
             cached = self._cost_models.get(key)
         if cached is not None:
@@ -345,7 +337,7 @@ class Session:
     ) -> FrontendResult:
         """The (cached) frontend result of a workload on a system."""
         workload = _as_workload(workload)
-        key = (_freeze(workload), _freeze(system))
+        key = (frozen_key(workload), frozen_key(system))
         with self._lock:
             cached = self._frontends.get(key)
             if cached is not None:
@@ -402,7 +394,12 @@ class Session:
 
     # ---------------------------------------------------------------- compile
     def compiler(self, request: CompileRequest) -> ModelCompiler:
-        """A :class:`ModelCompiler` wired to this session's shared caches."""
+        """A :class:`ModelCompiler` holding this session's cached inputs.
+
+        The frontend result, the operator profiles and the cost model come
+        from :meth:`frontend`, :meth:`profiles` and :meth:`cost_model`; the
+        session is the only place that builds them.
+        """
         elk = self._effective_elk(request)
         workload = request.workload_spec
         return ModelCompiler(
@@ -459,12 +456,7 @@ class Session:
         compiled exactly once" — the lookup counts as a cache hit in
         :attr:`stats` but never triggers work.
         """
-        if not isinstance(request, CompileRequest):
-            if system is None:
-                raise ConfigurationError(
-                    "Session.cached needs a CompileRequest or (workload, system)"
-                )
-            request = CompileRequest(request, system, policy, **options)
+        request = _as_request("cached", request, system, policy, options)
         return self._lookup(self._result_key(request))
 
     def compile(
@@ -482,12 +474,7 @@ class Session:
         real compile — whose artifact is persisted to the store for future
         sessions and processes.
         """
-        if not isinstance(request, CompileRequest):
-            if system is None:
-                raise ConfigurationError(
-                    "Session.compile needs a CompileRequest or (workload, system)"
-                )
-            request = CompileRequest(request, system, policy, **options)
+        request = _as_request("compile", request, system, policy, options)
         key = self._result_key(request)
         cached = self._lookup(key)
         if cached is not None:

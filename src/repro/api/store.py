@@ -71,7 +71,7 @@ def artifact_digest(key: Hashable) -> str:
     The digest hashes the ``repr`` of the key together with
     :data:`ARTIFACT_SCHEMA_VERSION`.  Frozen keys are nested tuples of
     primitives with sets and dicts canonically ordered (see
-    :func:`repro.api.service._freeze`), so the text — and therefore the
+    :func:`repro.api.frozen_key`), so the text — and therefore the
     digest — is identical across processes and machines; bumping the schema
     version re-addresses every key, which is how stale layouts invalidate.
     """

@@ -8,12 +8,7 @@ from repro.compiler.frontend import (
     shard_dit_config,
     shard_transformer_config,
 )
-from repro.compiler.pipeline import (
-    POLICIES,
-    CompileResult,
-    ModelCompiler,
-    compile_model,
-)
+from repro.compiler.pipeline import POLICIES, CompileResult, ModelCompiler
 from repro.compiler.registry import (
     CompilerPolicy,
     PolicyOutput,
@@ -35,7 +30,6 @@ __all__ = [
     "POLICIES",
     "CompileResult",
     "ModelCompiler",
-    "compile_model",
     "CompilerPolicy",
     "PolicyOutput",
     "available_policies",

@@ -1,15 +1,18 @@
 """End-to-end compilation pipeline.
 
-:class:`ModelCompiler` ties the frontend, the plan generators (Elk and the
-baselines), and the timeline evaluator together behind one call:
+:class:`ModelCompiler` is the per-request context a policy plans in: it holds
+the frontend result, the per-operator profiles and the cost model that
+:meth:`repro.api.Session.compiler` built (or fetched from its caches), and
+packages each policy's plan into a :class:`CompileResult`:
 
->>> compiler = ModelCompiler(WorkloadSpec("llama2-13b", 32, 2048), ipu_pod4())
+>>> session = Session()
+>>> compiler = session.compiler(CompileRequest("llama2-13b", ipu_pod4()))
 >>> result = compiler.compile("elk-full")
 >>> result.latency            # per-token latency in seconds
 
-Per-operator profiles (plan enumeration + costing) are built once and shared
-across policies, which mirrors the paper's ablation setup where every design
-consumes the same single-operator partition plans (§6.1).
+Every policy plans from the same profiles, which mirrors the paper's ablation
+setup where every design consumes the same single-operator partition plans
+(§6.1).
 """
 
 from __future__ import annotations
@@ -25,15 +28,15 @@ import repro.compiler.policies  # noqa: F401  (registers the paper's policies)
 from repro.arch.chip import SystemConfig
 from repro.baselines.ideal import IdealResult
 from repro.baselines.static import StaticOptions
-from repro.compiler.frontend import FrontendResult, WorkloadSpec, build_frontend_result
+from repro.compiler.frontend import FrontendResult, WorkloadSpec
 from repro.compiler.registry import available_policies, get_policy
-from repro.cost.model import AnalyticCostModel, CostModel
+from repro.cost.model import CostModel
 from repro.errors import SchedulingError
 from repro.obs.trace import maybe_span
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.plan import ExecutionPlan
 from repro.scheduler.preload_order import OrderSearchStats
-from repro.scheduler.profiles import OperatorProfile, build_operator_profiles
+from repro.scheduler.profiles import OperatorProfile
 from repro.scheduler.timeline import TimelineEvaluator, TimelineResult
 
 #: Designs compared throughout the evaluation (§6.1), derived from the
@@ -81,93 +84,46 @@ class CompileResult:
     compile_seconds: float
     search_stats: OrderSearchStats | None = None
 
-    def summary(self) -> dict[str, object]:
-        """Flat dictionary for result tables."""
-        return {
-            "model": self.workload.model_name,
-            "batch_size": self.workload.batch_size,
-            "seq_len": self.workload.seq_len,
-            "policy": self.policy,
-            "latency_ms": self.latency * 1e3,
-            "hbm_utilization": self.hbm_utilization,
-            "noc_utilization": self.noc_utilization,
-            "achieved_tflops": self.achieved_tflops,
-            "compile_seconds": self.compile_seconds,
-        }
-
 
 class ModelCompiler:
-    """Compiles one workload for one system under any of the paper's policies.
+    """Compiles one workload for one system under any registered policy.
+
+    Built by :meth:`repro.api.Session.compiler`, which owns (and caches) every
+    input below; policies read them as plain attributes.
 
     Args:
         workload: Model + serving configuration.
         system: Target multi-chip system.
-        cost_model: Cost model for the per-chip planning (defaults to the
-            analytic model of the system's chip).
+        frontend: Frontend result (per-chip graph + sharding metadata).
+        profiles: Per-operator planning profiles of the per-chip graph.
+        cost_model: Cost model of the system's chip.
         elk_options: Knobs for the Elk policies.
         static_options: Knobs for the Static baseline.
-        frontend: Precomputed frontend result (e.g. from a
-            :class:`repro.api.Session` cache); built lazily when omitted.
-        profiles: Precomputed operator profiles; built lazily when omitted.
-        tracer: Optional :class:`repro.obs.Tracer` receiving per-stage spans
-            (``frontend``, ``partition-enumeration``, ``schedule``).
+        tracer: Optional :class:`repro.obs.Tracer` receiving one ``schedule``
+            span per :meth:`compile`.
     """
 
     def __init__(
         self,
         workload: WorkloadSpec,
         system: SystemConfig,
-        cost_model: CostModel | None = None,
-        elk_options: ElkOptions | None = None,
-        static_options: StaticOptions | None = None,
-        frontend: FrontendResult | None = None,
-        profiles: Sequence[OperatorProfile] | None = None,
+        *,
+        frontend: FrontendResult,
+        profiles: Sequence[OperatorProfile],
+        cost_model: CostModel,
+        elk_options: ElkOptions,
+        static_options: StaticOptions,
         tracer: "Tracer | None" = None,
     ) -> None:
         self.workload = workload
         self.system = system
         self.chip = system.chip
-        self.cost_model = cost_model or AnalyticCostModel(self.chip)
-        self.elk_options = elk_options or ElkOptions()
-        self.static_options = static_options or StaticOptions()
-        self._frontend = frontend
-        self._profiles = list(profiles) if profiles is not None else None
+        self.frontend = frontend
+        self.profiles = profiles
+        self.cost_model = cost_model
+        self.elk_options = elk_options
+        self.static_options = static_options
         self.tracer = tracer
-
-    # ------------------------------------------------------------------ shared
-    @property
-    def frontend(self) -> FrontendResult:
-        """Frontend result (per-chip graph + sharding metadata), cached."""
-        if self._frontend is None:
-            with maybe_span(
-                self.tracer,
-                "frontend",
-                category="compile",
-                model=self.workload.model_name,
-                system=self.system.name,
-            ):
-                self._frontend = build_frontend_result(self.workload, self.system)
-        return self._frontend
-
-    @property
-    def profiles(self) -> list[OperatorProfile]:
-        """Per-operator planning profiles for the per-chip graph, cached."""
-        if self._profiles is None:
-            frontend = self.frontend  # build outside the enumeration span
-            with maybe_span(
-                self.tracer,
-                "partition-enumeration",
-                category="compile",
-                model=self.workload.model_name,
-            ) as attrs:
-                self._profiles = build_operator_profiles(
-                    frontend.per_chip_graph,
-                    self.chip,
-                    self.cost_model,
-                    self.elk_options.enumeration,
-                )
-                attrs["num_profiles"] = len(self._profiles)
-        return self._profiles
 
     @property
     def interchip_time(self) -> float:
@@ -216,12 +172,6 @@ class ModelCompiler:
             output.search_stats,
         )
 
-    def compile_all(
-        self, policies: Sequence[str] = POLICIES
-    ) -> dict[str, CompileResult]:
-        """Compile the workload with several policies, sharing the profiles."""
-        return {policy: self.compile(policy) for policy in policies}
-
     # ------------------------------------------------------------------ package
     def _package(
         self,
@@ -269,25 +219,3 @@ class ModelCompiler:
             search_stats=search_stats,
         )
 
-
-def compile_model(
-    workload: WorkloadSpec | str,
-    system: SystemConfig,
-    policy: str = "elk-full",
-    **kwargs,
-) -> CompileResult:
-    """One-shot convenience wrapper around :class:`ModelCompiler`.
-
-    Args:
-        workload: A :class:`WorkloadSpec` or a registered model name (compiled
-            with default batch size 32 and sequence length 2048).
-        system: Target system.
-        policy: One of :data:`POLICIES`.
-        **kwargs: Forwarded to :class:`ModelCompiler`.
-
-    Returns:
-        The :class:`CompileResult`.
-    """
-    if isinstance(workload, str):
-        workload = WorkloadSpec(model=workload)
-    return ModelCompiler(workload, system, **kwargs).compile(policy)

@@ -2,10 +2,10 @@
 
 Each class adapts one design — the Basic and Static baselines, the two Elk
 variants, and the Ideal roofline — to the :class:`~repro.compiler.registry.
-CompilerPolicy` interface.  All of them consume the
-:class:`~repro.compiler.pipeline.ModelCompiler`'s cached operator profiles,
-matching the paper's ablation setup where every design plans from the same
-single-operator partition plans.
+CompilerPolicy` interface.  All of them consume the operator profiles the
+:class:`~repro.compiler.pipeline.ModelCompiler` holds, matching the paper's
+ablation setup where every design plans from the same single-operator
+partition plans.
 
 Importing this module populates the registry; the pipeline imports it for
 that side effect.

@@ -13,11 +13,11 @@ extensions, experimental schedulers — plug in without touching
 ...         plan = ...                      # build an ExecutionPlan
 ...         timeline = compiler.evaluator().evaluate(plan)
 ...         return PolicyOutput(plan=plan, timeline=timeline)
->>> ModelCompiler(workload, system).compile("my-ablation")
+>>> Session().compile(workload, system, policy="my-ablation")
 
 A policy receives the :class:`~repro.compiler.pipeline.ModelCompiler` driving
-the compilation and reads the shared cached artifacts (frontend result,
-operator profiles, cost model) from it, which mirrors the paper's ablation
+the compilation and reads the inputs the :class:`~repro.api.Session` built
+for it (frontend result, operator profiles, cost model), which mirrors the paper's ablation
 setup where every design consumes the same single-operator partition plans.
 """
 

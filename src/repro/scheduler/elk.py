@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.arch.chip import ChipConfig
-from repro.cost.model import AnalyticCostModel, CostModel
+from repro.cost.model import CostModel
 from repro.errors import SchedulingError
 from repro.ir.graph import OperatorGraph
 from repro.partition.enumerate import EnumerationLimits
@@ -24,7 +24,7 @@ from repro.scheduler.preload_order import (
     OrderSearchStats,
     PreloadOrderGenerator,
 )
-from repro.scheduler.profiles import OperatorProfile, build_operator_profiles
+from repro.scheduler.profiles import OperatorProfile
 from repro.scheduler.timeline import TimelineEvaluator, TimelineResult
 
 
@@ -69,36 +69,27 @@ class ElkScheduler:
     Args:
         graph: The (per-chip) model graph.
         chip: Target chip configuration.
-        cost_model: Cost model (defaults to the analytic model of the chip).
+        cost_model: Cost model of the chip.
         options: Scheduler knobs.
-        profiles: Precomputed per-operator profiles for ``graph`` (e.g. shared
-            across policies by the compile pipeline); built lazily if omitted.
+        profiles: Per-operator profiles of ``graph`` (the compile pipeline
+            shares one list across policies).
     """
 
     def __init__(
         self,
         graph: OperatorGraph,
         chip: ChipConfig,
-        cost_model: CostModel | None = None,
-        options: ElkOptions | None = None,
-        profiles: Sequence[OperatorProfile] | None = None,
+        cost_model: CostModel,
+        options: ElkOptions,
+        profiles: Sequence[OperatorProfile],
     ) -> None:
         self.graph = graph
         self.chip = chip
-        self.cost_model = cost_model or AnalyticCostModel(chip)
-        self.options = options or ElkOptions()
-        self._profiles = list(profiles) if profiles is not None else None
+        self.cost_model = cost_model
+        self.options = options
+        self.profiles = profiles
 
     # ------------------------------------------------------------------ stages
-    @property
-    def profiles(self) -> list[OperatorProfile]:
-        """Per-operator planning profiles (built lazily, cached)."""
-        if self._profiles is None:
-            self._profiles = build_operator_profiles(
-                self.graph, self.chip, self.cost_model, self.options.enumeration
-            )
-        return self._profiles
-
     def order_generator(self) -> PreloadOrderGenerator:
         """The §4.4 candidate-order generator for this model."""
         return PreloadOrderGenerator(

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.arch import ipu_pod4, scaled_chip, scaled_system
-from repro.compiler import ModelCompiler, WorkloadSpec
+from repro.api import CompileRequest, Session
+from repro.compiler import WorkloadSpec
 from repro.cost import AnalyticCostModel
 from repro.ir.models import build_model
 from repro.scheduler import build_operator_profiles
@@ -55,9 +56,9 @@ def tiny_profiles(tiny_graph, small_chip, small_cost_model):
 
 @pytest.fixture(scope="session")
 def tiny_compiler(small_system):
-    """A ModelCompiler for the tiny workload on the small system."""
+    """A session's ModelCompiler for the tiny workload on the small system."""
     workload = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=2)
-    return ModelCompiler(workload, small_system)
+    return Session().compiler(CompileRequest(workload, small_system))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from repro.baselines.basic import BasicCompiler
 from repro.compiler import (
     POLICIES,
     CompilerPolicy,
-    ModelCompiler,
     PolicyOutput,
     WorkloadSpec,
     available_policies,
@@ -85,7 +84,8 @@ def test_toy_policy_pluggable_without_touching_pipeline(small_system):
 
     try:
         assert "toy-basic" in available_policies()
-        result = ModelCompiler(TINY, small_system).compile("toy-basic")
+        request = CompileRequest(TINY, small_system, "toy-basic")
+        result = Session().compiler(request).compile("toy-basic")
         assert result.policy == "toy-basic"
         assert result.latency > 0
 
@@ -103,15 +103,16 @@ def test_toy_policy_pluggable_without_touching_pipeline(small_system):
 # Public profile injection
 # --------------------------------------------------------------------------- #
 def test_elk_scheduler_accepts_precomputed_profiles(small_system):
-    compiler = ModelCompiler(TINY, small_system)
+    compiler = Session().compiler(CompileRequest(TINY, small_system))
     shared = compiler.profiles
     scheduler = ElkScheduler(
         compiler.frontend.per_chip_graph,
         compiler.chip,
         compiler.cost_model,
+        compiler.elk_options,
         profiles=shared,
     )
-    assert scheduler.profiles == shared
+    assert scheduler.profiles is shared
     assert scheduler.run().plan is not None
 
 

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.arch import ipu_pod4, scaled_system
+from repro.api import CompileRequest, Session
 from repro.compiler import (
     POLICIES,
-    ModelCompiler,
     WorkloadSpec,
     build_frontend_result,
-    compile_model,
     shard_transformer_config,
 )
 from repro.errors import ConfigurationError
@@ -41,7 +40,7 @@ def test_frontend_reduces_per_chip_hbm_volume(pod4_system):
 
 
 def test_compile_all_policies(tiny_compiler):
-    results = tiny_compiler.compile_all(POLICIES)
+    results = {policy: tiny_compiler.compile(policy) for policy in POLICIES}
     assert set(results) == set(POLICIES)
     latencies = {policy: result.latency for policy, result in results.items()}
     assert all(latency > 0 for latency in latencies.values())
@@ -53,10 +52,9 @@ def test_compile_all_policies(tiny_compiler):
     assert latencies["elk-full"] <= latencies["elk-dyn"] * 1.001
 
 
-def test_compile_result_summary_fields(tiny_elk_result):
-    summary = tiny_elk_result.summary()
-    assert summary["policy"] == "elk-full"
-    assert summary["latency_ms"] > 0
+def test_compile_result_fields(tiny_elk_result):
+    assert tiny_elk_result.policy == "elk-full"
+    assert tiny_elk_result.latency > 0
     assert 0 <= tiny_elk_result.hbm_utilization <= 1
     assert tiny_elk_result.plan is not None
     assert tiny_elk_result.search_stats is not None
@@ -67,20 +65,10 @@ def test_unknown_policy_rejected(tiny_compiler):
         tiny_compiler.compile("magic")
 
 
-def test_compile_model_convenience(small_system):
-    result = compile_model(
-        WorkloadSpec("tiny-llm", batch_size=2, seq_len=128, num_layers=1),
-        small_system,
-        policy="basic",
-    )
-    assert result.policy == "basic"
-    assert result.latency > 0
-
-
 def test_interchip_time_only_for_multichip(tiny_compiler):
     assert tiny_compiler.interchip_time == 0.0
     workload = WorkloadSpec("tiny-llm", batch_size=2, seq_len=128, num_layers=1)
-    pod = ModelCompiler(workload, ipu_pod4())
+    pod = Session().compiler(CompileRequest(workload, ipu_pod4()))
     assert pod.interchip_time > 0.0
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.arch import ipu_pod4, mesh_pod4
 from repro.codegen import DeviceRuntime, generate_device_program
-from repro.compiler import ModelCompiler, WorkloadSpec
+from repro.api import CompileRequest, Session
+from repro.compiler import POLICIES, WorkloadSpec
 from repro.emu import EmulationFramework
 from repro.eval import ExperimentConfig, evaluate_artifact, make_request, make_session
 from repro.sim import simulate_system
@@ -16,8 +17,8 @@ from repro.units import TB
 def llama_pod4_results():
     """All designs compiled for 2 layers of Llama2-13B on the POD4 system."""
     workload = WorkloadSpec("llama2-13b", batch_size=32, seq_len=2048, num_layers=2)
-    compiler = ModelCompiler(workload, ipu_pod4())
-    results = compiler.compile_all()
+    compiler = Session().compiler(CompileRequest(workload, ipu_pod4()))
+    results = {policy: compiler.compile(policy) for policy in POLICIES}
     simulated = {}
     for policy, result in results.items():
         if result.plan is None:

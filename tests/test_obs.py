@@ -11,8 +11,10 @@ from collections import Counter
 
 import pytest
 
-from repro.api import ArtifactStore
+from repro.api import ArtifactStore, Session
+from repro.arch import scaled_system
 from repro.cluster import simulate_cluster_scenario
+from repro.compiler import POLICIES, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.obs import (
     MetricsRegistry,
@@ -283,6 +285,20 @@ def test_same_seed_cluster_trace_is_bit_identical(tmp_path):
     names = {span.name for span in tracer_a.spans()}
     assert {"frontend", "schedule", "codegen", "store.get", "store.put",
             "queued", "prefill", "decode", "done", "scale-crash"} <= names
+
+
+def test_cold_session_builds_each_compile_input_once():
+    """Five policies of one workload: one frontend, one enumeration, five plans."""
+    tracer = Tracer()
+    session = Session(tracer=tracer)
+    workload = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=1)
+    system = scaled_system(num_cores=32, num_chips=1)
+    for policy in POLICIES:
+        session.compile(workload, system, policy)
+    names = Counter(span.name for span in tracer.spans())
+    assert names["frontend"] == 1
+    assert names["partition-enumeration"] == 1
+    assert names["schedule"] == len(POLICIES) == 5
 
 
 def test_tracing_does_not_change_serving_metrics():

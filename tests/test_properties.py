@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.arch import scaled_chip, scaled_system
 from repro.cluster import (
     Autoscaler,
@@ -22,6 +23,7 @@ from repro.cluster import (
     random_faults,
 )
 from repro.cluster.simulator import _FleetRun
+from repro.compiler import POLICIES, WorkloadSpec
 from repro.cost import AnalyticCostModel
 from repro.ir import FP16, TensorSpec, make_matmul
 from repro.ir.models.config import TransformerConfig
@@ -90,19 +92,14 @@ def test_preload_plan_conservation(m, n, k):
         assert p.hbm_bytes_total == op.hbm_load_bytes
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    hidden=st.sampled_from([256, 512, 768]),
-    heads=st.sampled_from([4, 8]),
-    kv_heads=st.sampled_from([1, 2, 4]),
-    batch=st.integers(1, 8),
-    seq=st.sampled_from([64, 256, 1024]),
-)
-def test_generated_transformers_are_valid(hidden, heads, kv_heads, batch, seq):
-    """Any generated decoder graph is a valid DAG with positive work."""
+@st.composite
+def _decoder_configs(draw):
+    hidden = draw(st.sampled_from([256, 512, 768]))
+    heads = draw(st.sampled_from([4, 8]))
+    kv_heads = draw(st.sampled_from([1, 2, 4]))
     if heads % kv_heads != 0:
         kv_heads = 1
-    config = TransformerConfig(
+    return TransformerConfig(
         name="prop-llm",
         hidden_size=hidden,
         num_layers=2,
@@ -111,12 +108,51 @@ def test_generated_transformers_are_valid(hidden, heads, kv_heads, batch, seq):
         ffn_dim=hidden * 2,
         vocab_size=1024,
     )
+
+
+_BATCHES = st.integers(1, 8)
+_SEQ_LENS = st.sampled_from([64, 256, 1024])
+
+
+@settings(max_examples=10, deadline=None)
+@given(config=_decoder_configs(), batch=_BATCHES, seq=_SEQ_LENS)
+def test_generated_transformers_are_valid(config, batch, seq):
+    """Any generated decoder graph is a valid DAG with positive work."""
     graph = build_decode_graph(config, batch, seq, num_layers=1, include_lm_head=False)
     graph.validate()
     assert graph.total_flops > 0
     assert graph.total_hbm_load_bytes > 0
     heavy = graph.hbm_heavy_indices()
     assert all(graph[i].hbm_load_bytes > graph.hbm_heavy_threshold() for i in heavy)
+
+
+_COMPILE_SYSTEM = scaled_system(num_cores=32, num_chips=1)
+#: Compiles every draw of the test below, so each draw meets a session that
+#: has already served other workloads.
+_SHARED_SESSION = Session()
+
+
+def _comparable(artifact):
+    data = artifact.to_dict()
+    del data["compile_seconds"]
+    return data
+
+
+@settings(max_examples=10, deadline=None)
+@given(config=_decoder_configs(), batch=_BATCHES, seq=_SEQ_LENS)
+def test_shared_session_compiles_like_a_fresh_one(config, batch, seq):
+    """A compile made after other requests equals the same compile made cold.
+
+    Anything a session keeps between requests (its caches, or a memo a
+    policy shares through it) must not leak one workload's answers into
+    another's plan.
+    """
+    workload = WorkloadSpec(config, batch_size=batch, seq_len=seq, num_layers=1)
+    fresh = Session()
+    for policy in POLICIES:
+        cold = fresh.compile(workload, _COMPILE_SYSTEM, policy)
+        shared = _SHARED_SESSION.compile(workload, _COMPILE_SYSTEM, policy)
+        assert _comparable(shared) == _comparable(cold), policy
 
 
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ from repro.api import (
     default_cache_dir,
 )
 from repro.api import service as api_service
-from repro.api.service import _freeze
+from repro.api.service import frozen_key
 from repro.compiler import POLICIES, WorkloadSpec
 from repro.cost.model import AnalyticCostModel
 from repro.errors import CompileFailedError, ConfigurationError, ElkError
@@ -30,34 +30,34 @@ TINY = WorkloadSpec("tiny-llm", batch_size=4, seq_len=256, num_layers=1)
 
 
 # --------------------------------------------------------------------------- #
-# _freeze: structural, deterministic, process-stable cache keys
+# frozen_key: structural, deterministic, process-stable cache keys
 # --------------------------------------------------------------------------- #
 def test_freeze_equal_configs_freeze_identically():
     a = ElkOptions(max_preload_ahead=8, order_search=OrderSearchConfig(max_candidates=8))
     b = ElkOptions(max_preload_ahead=8, order_search=OrderSearchConfig(max_candidates=8))
     assert a is not b
-    assert _freeze(a) == _freeze(b)
-    assert _freeze(WorkloadSpec("tiny-llm")) == _freeze(WorkloadSpec("tiny-llm"))
+    assert frozen_key(a) == frozen_key(b)
+    assert frozen_key(WorkloadSpec("tiny-llm")) == frozen_key(WorkloadSpec("tiny-llm"))
 
 
 def test_freeze_is_structural_not_repr():
     # The frozen key must contain no trace of object identity.
-    frozen = repr(_freeze(ElkOptions()))
+    frozen = repr(frozen_key(ElkOptions()))
     assert " object at 0x" not in frozen
 
 
 def test_freeze_sets_are_order_insensitive():
-    assert _freeze({3, 1, 2}) == _freeze({2, 3, 1}) == ("set", 1, 2, 3)
-    assert _freeze(frozenset(("b", "a"))) == ("set", "a", "b")
+    assert frozen_key({3, 1, 2}) == frozen_key({2, 3, 1}) == ("set", 1, 2, 3)
+    assert frozen_key(frozenset(("b", "a"))) == ("set", "a", "b")
     # Tagged, so a set never collides with the equal-content sequence.
-    assert _freeze({1, 2}) != _freeze((1, 2))
+    assert frozen_key({1, 2}) != frozen_key((1, 2))
 
 
 def test_freeze_dicts_sort_mixed_keys():
-    assert _freeze({"b": 1, "a": 2}) == _freeze({"a": 2, "b": 1})
+    assert frozen_key({"b": 1, "a": 2}) == frozen_key({"a": 2, "b": 1})
     # Mixed-type keys would crash Python's default ordering; repr-keyed
     # sorting keeps them deterministic.
-    assert _freeze({1: "x", "1": "y"}) == _freeze({"1": "y", 1: "x"})
+    assert frozen_key({1: "x", "1": "y"}) == frozen_key({"1": "y", 1: "x"})
 
 
 def test_freeze_rejects_unknown_objects():
@@ -65,9 +65,9 @@ def test_freeze_rejects_unknown_objects():
         pass
 
     with pytest.raises(ConfigurationError, match="stable cache key"):
-        _freeze(NotAConfig())
+        frozen_key(NotAConfig())
     with pytest.raises(ConfigurationError, match="stable cache key"):
-        _freeze({"nested": [NotAConfig()]})
+        frozen_key({"nested": [NotAConfig()]})
 
 
 def test_artifact_digest_stable_and_schema_versioned(small_system):

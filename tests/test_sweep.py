@@ -108,7 +108,7 @@ def test_spec_round_trip_and_digest_stable_under_key_order(
     )
     assert SweepSpec.from_json(spec.to_json()) == spec
 
-    # _freeze canonicalization: permuting the insertion order of the fixed
+    # frozen_key canonicalization: permuting the insertion order of the fixed
     # config must not change the digest (the journal identity of the run).
     keys = list(fixed)
     permuted_order = data.draw(st.permutations(keys)) if keys else []
