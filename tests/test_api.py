@@ -84,8 +84,8 @@ def test_toy_policy_pluggable_without_touching_pipeline(small_system):
 
     try:
         assert "toy-basic" in available_policies()
-        request = CompileRequest(TINY, small_system, "toy-basic")
-        result = Session().compiler(request).compile("toy-basic")
+        compiler = Session().compiler(CompileRequest(TINY, small_system))
+        result = compiler.compile("toy-basic")
         assert result.policy == "toy-basic"
         assert result.latency > 0
 
