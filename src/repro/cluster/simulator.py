@@ -415,6 +415,7 @@ class _FleetRun:
         self.trace = trace
         self.slo = slo
         self.tracer = sim.tracer
+        self.iteration_attrs: dict[tuple, dict] = {}
         self.latency_model = model = sim.latency_model
         # Settings the handlers read per event, bound once.
         self.router = sim.router
@@ -645,18 +646,18 @@ class _FleetRun:
         engine.busy_time += latency
         engine.busy = True
         if self.tracer is not None:
-            tenant, model, kind = batch.group
+            # One attrs dict per (group, size, prefills), shared by every
+            # iteration span with those attributes (the exporters copy it).
+            shape = (batch.group, len(batch.requests), len(batch.prefills))
+            attrs = self.iteration_attrs.get(shape)
+            if attrs is None:
+                (tenant, model, kind), size, prefills = shape
+                attrs = self.iteration_attrs[shape] = {
+                    "model": model, "kind": kind, "tenant": tenant,
+                    "batch_size": size, "prefills": prefills,
+                }
             self.tracer.add_span(
-                "iteration",
-                now,
-                now + latency,
-                category="engine",
-                track=engine.track,
-                model=model,
-                kind=kind,
-                tenant=tenant,
-                batch_size=len(batch.requests),
-                prefills=len(batch.prefills),
+                "iteration", now, now + latency, "engine", engine.track, attrs
             )
         # The hot path: push inline rather than through _push.
         heapq.heappush(

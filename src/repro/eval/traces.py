@@ -128,12 +128,13 @@ def memory_occupancy_trace(
     values = np.zeros(num_samples)
     for timing in timeline.timings:
         schedule = plan.schedules[timing.index]
-        # Preload space is occupied from preload start until execution ends.
+        # Preload space is occupied from preload start until execution
+        # starts: from then on the preloaded data is the execution space.
         _accumulate(
             times,
             values,
             timing.preload_start,
-            timing.exec_end,
+            timing.exec_start,
             float(schedule.preload_space_bytes),
         )
         # Execution space is occupied during the execution window.

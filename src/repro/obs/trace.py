@@ -18,7 +18,13 @@ profiling but live in separate fields that the deterministic exporters
 Tracing is strictly opt-in.  Every instrumented call site takes
 ``tracer=None`` and guards with ``if tracer is not None`` (or, around a
 wall-clocked block, :func:`maybe_span`) — the no-op fast path is one
-attribute load and branch, not yet timed on its own (see ROADMAP item 2(c)).
+attribute load and branch, not yet timed on its own (see ROADMAP item 6(b)).
+
+A long traced replay holds one record per span, so records are laid out for
+the garbage collector: each is a tuple of atomic fields with its ``attrs``
+dict stored *beside* it, not inside it.  CPython untracks a tuple only when
+none of its items is a container, and a dict of atomic values is never
+tracked, so finished records cost the collector nothing.
 """
 
 from __future__ import annotations
@@ -76,13 +82,14 @@ class Tracer:
     """Collects spans from all layers onto one deterministic timeline.
 
     Thread-safe without a lock per event: every emitter takes its sequence
-    numbers from one :func:`itertools.count` and appends one flat tuple to
-    one list, and ``begin``/``end`` claim and release open phases with one
+    numbers from one :func:`itertools.count` and adds its record to one
+    list as a ``(fields, attrs)`` pair with one ``list.extend``, and
+    ``begin``/``end`` claim and release open phases with one
     ``dict.setdefault``/``dict.pop`` — each a single atomic operation under
-    the GIL, so concurrent emitters never lose a span or share a sequence
-    number.  The wall-span nesting stack is thread-local.  The exporters
-    read the flat tuples through :meth:`records`; :meth:`spans` builds
-    :class:`Span` objects from them.  Note that *ordering* determinism is
+    the GIL, so concurrent emitters never lose a span, share a sequence
+    number or split a pair.  The wall-span nesting stack is thread-local.
+    The exporters read the records through :meth:`records`; :meth:`spans`
+    builds :class:`Span` objects from them.  Note that *ordering* determinism is
     only guaranteed for serial emission (the single-threaded simulator
     event loops and the serial compile path); spans emitted from
     `compile_many` worker pools interleave nondeterministically.
@@ -95,8 +102,9 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock if clock is not None else time.perf_counter
         self._seq = itertools.count(1)
-        # Span fields in declaration order, with ``attrs`` still a dict.
-        self._records: list[tuple] = []
+        # Alternating slots: a tuple of the Span fields before ``attrs``
+        # (atomic values only, so the collector untracks it), then ``attrs``.
+        self._records: list = []
         # key -> (name, category, track, seq_start, sim_start, attrs)
         self._open: dict[Hashable, tuple] = {}
         self._local = threading.local()
@@ -136,9 +144,10 @@ class Tracer:
             wall_end = self._clock()
             seq_end = next(self._seq)
             stack.pop()
-            self._records.append((
-                name, category, track, "span", seq_start, seq_end, depth,
-                None, None, wall_start, wall_end, {**attrs, **extra},
+            self._records.extend((
+                (name, category, track, "span", seq_start, seq_end, depth,
+                 None, None, wall_start, wall_end),
+                {**attrs, **extra},
             ))
 
     def add_span(
@@ -146,16 +155,20 @@ class Tracer:
         name: str,
         sim_start: float,
         sim_end: float,
-        *,
         category: str = "engine",
         track: str = "engine",
-        **attrs: Any,
+        attrs: dict[str, Any] | None = None,
     ) -> None:
-        """Record a completed sim-clocked span (e.g. one engine iteration)."""
+        """Record a completed sim-clocked span (e.g. one engine iteration).
+
+        ``attrs`` is stored as given, not copied, so a hot caller may hand
+        the same dict to many spans; it must not mutate it afterwards.
+        """
         seq = self._seq
-        self._records.append((
-            name, category, track, "span", next(seq), next(seq), 0,
-            sim_start, sim_end, None, None, attrs,
+        self._records.extend((
+            (name, category, track, "span", next(seq), next(seq), 0,
+             sim_start, sim_end, None, None),
+            {} if attrs is None else attrs,
         ))
 
     def instant(
@@ -173,9 +186,10 @@ class Tracer:
         """
         seq = next(self._seq)
         wall = self._clock() if sim_time is None else None
-        self._records.append((
-            name, category, track, "instant", seq, seq, 0,
-            sim_time, sim_time, wall, wall, attrs,
+        self._records.extend((
+            (name, category, track, "instant", seq, seq, 0,
+             sim_time, sim_time, wall, wall),
+            attrs,
         ))
 
     def begin(
@@ -219,18 +233,25 @@ class Tracer:
             return
         name, category, track, seq_start, sim_start, opened = phase
         merged = {**opened, **attrs} if attrs else opened
-        self._records.append((
-            name, category, track, "span", seq_start, next(self._seq), 0,
-            sim_start, sim_time, None, None, merged,
+        self._records.extend((
+            (name, category, track, "span", seq_start, next(self._seq), 0,
+             sim_start, sim_time, None, None),
+            merged,
         ))
 
     def records(self) -> list[tuple]:
         """All finished spans as flat tuples in deterministic (sequence) order.
 
-        Each tuple holds the :class:`Span` fields in declaration order, but
-        ``attrs`` is still the emitter's dict: read it, do not mutate it.
+        Each tuple rejoins a record's fields and its ``attrs``: the
+        :class:`Span` fields in declaration order, but ``attrs`` is still
+        the emitter's dict (possibly shared by many spans): read it, do not
+        mutate it.
         """
-        return sorted(self._records, key=lambda r: (r[4], r[5]))
+        pairs = iter(self._records)
+        return sorted(
+            ((*fields, attrs) for fields, attrs in zip(pairs, pairs)),
+            key=lambda r: (r[4], r[5]),
+        )
 
     def spans(self) -> tuple[Span, ...]:
         """All finished spans in deterministic (sequence) order."""
@@ -240,7 +261,7 @@ class Tracer:
         )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) // 2
 
 
 def maybe_span(

@@ -55,9 +55,9 @@ def test_runtime_matches_timeline(program, tiny_elk_result):
     runtime = DeviceRuntime(tiny_elk_result.plan).run(program)
     # The runtime interpreter and the timeline evaluator implement the same
     # §4.5 synchronization rules, so without contention corrections their
-    # totals must agree closely.
-    timeline_total = tiny_elk_result.timeline.total_time - tiny_elk_result.timeline.interconnect_time
-    assert runtime.total_time == pytest.approx(timeline_total, rel=0.05)
+    # totals agree exactly.
+    timeline = tiny_elk_result.timeline
+    assert runtime.total_time == timeline.total_time - timeline.interconnect_time
     assert runtime.hbm_busy_time > 0
     assert runtime.cores_busy_time > 0
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 import sys
@@ -91,8 +92,14 @@ def test_concurrent_emitters_keep_every_span():
     def emit(thread):
         barrier.wait(timeout=30)
         for i in range(rounds):
-            tracer.add_span("iteration", i, i + 1.0, track=f"engine/{thread}")
-            tracer.instant("tick", sim_time=float(i), thread=thread)
+            tracer.add_span(
+                "iteration", i, i + 1.0, track=f"engine/{thread}",
+                attrs={"thread": thread, "round": i},
+            )
+            tracer.instant(
+                "tick", sim_time=float(i), track=f"tick/{thread}",
+                thread=thread, round=i,
+            )
             tracer.begin((thread, i), "phase", sim_time=float(i))
             tracer.end((thread, i), i + 0.5)
 
@@ -123,6 +130,35 @@ def test_concurrent_emitters_keep_every_span():
     assert sorted(seqs) == list(range(1, num_threads * rounds * 5 + 1))
     keys = [(span.seq_start, span.seq_end) for span in spans]
     assert keys == sorted(keys)
+    # Every exported record kept its own attrs: they name the thread on its
+    # track and the round in its sim time.
+    for line in to_jsonl(tracer).splitlines():
+        row = json.loads(line)
+        if row["name"] == "phase":
+            assert row["attrs"] == {}
+            continue
+        prefix = "engine" if row["name"] == "iteration" else "tick"
+        assert row["track"] == f"{prefix}/{row['attrs']['thread']}"
+        assert row["sim_start"] == row["attrs"]["round"]
+
+
+def test_finished_records_stay_untracked_by_the_collector():
+    """A long traced run must not grow the collector's work per span."""
+    num = 10_000
+    tracer = Tracer(clock=lambda: 0.0)
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(num):
+        tracer.add_span(
+            "iteration", float(i), i + 1.0, track="engine/0",
+            attrs={"batch_size": i, "model": "m"},
+        )
+        tracer.instant("tick", sim_time=float(i), engine=0)
+        tracer.begin(i, "phase", sim_time=float(i), engine=0)
+        tracer.end(i, i + 0.5, tokens=i)
+    gc.collect()
+    assert len(tracer) == 3 * num
+    assert len(gc.get_objects()) - before < 100
 
 
 def test_abandoned_phase_is_never_emitted():
@@ -134,7 +170,7 @@ def test_abandoned_phase_is_never_emitted():
 
 def test_instants_and_add_span_record_sim_times():
     tracer = Tracer(clock=lambda: 2.5)
-    tracer.add_span("iteration", 0.5, 0.75, track="engine/0", batch_size=4)
+    tracer.add_span("iteration", 0.5, 0.75, track="engine/0", attrs={"batch_size": 4})
     tracer.instant("scale-add", sim_time=0.6, engine=1)
     tracer.instant("wall-marker")  # wall-clocked instant
     iteration, scale, marker = tracer.spans()
@@ -208,7 +244,9 @@ def _mixed_trace() -> Tracer:
         with tracer.span("inner", category="store", track="store", key="k"):
             tracer.instant("wall-mark", note="x")
         extra["late"] = {"z": [3]}
-    tracer.add_span("iteration", 0.001, 0.0025, track="engine/0", batch=(1, 2))
+    tracer.add_span(
+        "iteration", 0.001, 0.0025, track="engine/0", attrs={"batch": (1, 2)}
+    )
     tracer.begin("r0", "queued", sim_time=0.0005, tenant={"id": 3})
     tracer.end("r0", 0.002, tokens=5)
     return tracer
