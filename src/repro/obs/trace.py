@@ -20,11 +20,10 @@ Tracing is strictly opt-in.  Every instrumented call site takes
 wall-clocked block, :func:`maybe_span`) — the no-op fast path is one
 attribute load and branch, not yet timed on its own (see ROADMAP item 6(b)).
 
-A long traced replay holds one record per span, so records are laid out for
-the garbage collector: each is a tuple of atomic fields with its ``attrs``
-dict stored *beside* it, not inside it.  CPython untracks a tuple only when
-none of its items is a container, and a dict of atomic values is never
-tracked, so finished records cost the collector nothing.
+A long run holds one record per span, so each is a tuple of atomic fields
+with its ``attrs`` dict stored *beside* it: CPython untracks a tuple only if
+it holds no container, and never tracks a dict of atomic values, so finished
+records cost the garbage collector nothing.
 """
 
 from __future__ import annotations
@@ -89,9 +88,9 @@ class Tracer:
     the GIL, so concurrent emitters never lose a span, share a sequence
     number or split a pair.  The wall-span nesting stack is thread-local.
     The exporters read the records through :meth:`records`; :meth:`spans`
-    builds :class:`Span` objects from them.  Note that *ordering* determinism is
-    only guaranteed for serial emission (the single-threaded simulator
-    event loops and the serial compile path); spans emitted from
+    builds :class:`Span` objects from them.  Note that *ordering*
+    determinism is only guaranteed for serial emission (the single-threaded
+    simulator event loops and the serial compile path); spans emitted from
     `compile_many` worker pools interleave nondeterministically.
 
     Args:
@@ -242,16 +241,14 @@ class Tracer:
     def records(self) -> list[tuple]:
         """All finished spans as flat tuples in deterministic (sequence) order.
 
-        Each tuple rejoins a record's fields and its ``attrs``: the
-        :class:`Span` fields in declaration order, but ``attrs`` is still
-        the emitter's dict (possibly shared by many spans): read it, do not
-        mutate it.
+        Each tuple rejoins the :class:`Span` fields in declaration order, but
+        ``attrs`` is still the emitter's (possibly shared) dict: read it, do
+        not mutate it.
         """
         pairs = iter(self._records)
-        return sorted(
-            ((*fields, attrs) for fields, attrs in zip(pairs, pairs)),
-            key=lambda r: (r[4], r[5]),
-        )
+        records = [(*fields, attrs) for fields, attrs in zip(pairs, pairs)]
+        records.sort(key=lambda r: (r[4], r[5]))
+        return records
 
     def spans(self) -> tuple[Span, ...]:
         """All finished spans in deterministic (sequence) order."""
