@@ -652,10 +652,9 @@ class _FleetRun:
             attrs = self.iteration_attrs.get(shape)
             if attrs is None:
                 (tenant, model, kind), size, prefills = shape
-                attrs = self.iteration_attrs[shape] = {
-                    "model": model, "kind": kind, "tenant": tenant,
-                    "batch_size": size, "prefills": prefills,
-                }
+                attrs = self.iteration_attrs[shape] = dict(
+                    model=model, kind=kind, tenant=tenant, batch_size=size, prefills=prefills
+                )
             self.tracer.add_span(
                 "iteration", now, now + latency, "engine", engine.track, attrs
             )

@@ -41,7 +41,7 @@ def _write(text: str, path: str | None) -> str:
 
 def trace_events(tracer: Tracer, *, deterministic: bool = True) -> list[dict[str, Any]]:
     """Chrome-trace-event dicts for every finished span, sequence-ordered."""
-    records = tracer.records()
+    records, attrs_of = tracer.records()
     tracks: dict[str, int] = {}
     for record in records:
         if record[2] not in tracks:
@@ -56,7 +56,7 @@ def trace_events(tracer: Tracer, *, deterministic: bool = True) -> list[dict[str
     ]
     origin = tracer.wall_origin
     for (name, category, track, kind, seq_start, seq_end, _depth,
-         sim_start, sim_end, wall_start, wall_end, attrs) in records:
+         sim_start, sim_end, wall_start, wall_end), attrs in zip(records, attrs_of):
         if sim_start is not None:
             ts = round(sim_start * 1e6, 3)
             dur = round((sim_end - sim_start) * 1e6, 3)
@@ -110,8 +110,8 @@ def to_jsonl(
     """
     origin = tracer.wall_origin
     lines = []
-    for record in tracer.records():
-        row = dict(zip(_FIELDS, record))
+    for record, attrs in zip(*tracer.records()):
+        row = dict(zip(_FIELDS, record), attrs=attrs)
         if deterministic:
             del row["wall_start"], row["wall_end"]
         else:

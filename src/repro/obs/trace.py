@@ -238,23 +238,24 @@ class Tracer:
             merged,
         ))
 
-    def records(self) -> list[tuple]:
-        """All finished spans as flat tuples in deterministic (sequence) order.
+    def records(self) -> tuple[list[tuple], list[dict[str, Any]]]:
+        """All finished spans in deterministic (sequence) order, as two lists.
 
-        Each tuple rejoins the :class:`Span` fields in declaration order, but
-        ``attrs`` is still the emitter's (possibly shared) dict: read it, do
-        not mutate it.
+        The first holds each span's :class:`Span` fields before ``attrs``;
+        the second its ``attrs``, the emitter's (possibly shared) dict: read
+        it, do not mutate it.  Rejoining them would make every record
+        GC-tracked again during an export.  ``seq_start`` is unique per
+        record, so it alone gives the ``(seq_start, seq_end)`` order.
         """
-        pairs = iter(self._records)
-        records = [(*fields, attrs) for fields, attrs in zip(pairs, pairs)]
-        records.sort(key=lambda r: (r[4], r[5]))
-        return records
+        fields, attrs = self._records[0::2], self._records[1::2]
+        order = sorted(range(len(fields)), key=[f[4] for f in fields].__getitem__)
+        return [fields[i] for i in order], [attrs[i] for i in order]
 
     def spans(self) -> tuple[Span, ...]:
         """All finished spans in deterministic (sequence) order."""
         return tuple(
             Span(*fields, attrs=tuple(sorted(attrs.items())))
-            for *fields, attrs in self.records()
+            for fields, attrs in zip(*self.records())
         )
 
     def __len__(self) -> int:
