@@ -2,13 +2,13 @@
 
 Usage, from the repository root::
 
-    python benchmarks/perf_pairs.py PARENT CHANGE --workload serve-chat \\
-        --pairs 10 --seconds 25
+    python benchmarks/perf_pairs.py PARENT CHANGE --workload serve-chat --pairs 10
 
 Both commits are exported with ``git archive`` into one temporary directory,
 so the working tree is never touched and both sides run identical benchmark
 code from their own checkout.  Each pair runs ``perfbench/run.py --trace 0``
-once per side, alternating which side goes first.  For every end-to-end
+once per side for ``BENCHMARK.json``'s ``run_seconds``, alternating which
+side goes first.  For every end-to-end
 metric of ``BENCHMARK.json`` the script prints each side's median and
 quartiles, the change's wins (ties count for neither side) and a verdict:
 
@@ -17,11 +17,13 @@ quartiles, the change's wins (ties count for neither side) and a verdict:
   range;
 * ``worse``: the change's median is worse than the parent's by more than
   the metric's ``BENCHMARK.json`` bound;
-* ``-``: neither.
+* ``unresolved``: the parent's interquartile range is wider than that bound,
+  and not every change run reads better than every parent run, so the pairs
+  cannot tell "unchanged" from a regression within the spread;
+* ``-``: none of these, i.e. no worse than the bound.
 
-The last line per workload is a one-line summary for a journal note;
-``--json PATH`` also keeps every run's readings.  Exits 1 if a run fails or
-reports a failed output check.
+The last line per workload is a one-line summary for a journal note.  Exits 1
+if a run fails or reports a failed output check.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIN_PAIRS = 10
-WIN_SHARE = 0.9
 
 
 def export(commit: str, dest: str) -> str:
@@ -54,7 +55,7 @@ def export(commit: str, dest: str) -> str:
     return short
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict[str, float]:
     """One ``--trace 0`` run from ``tree``: metric name -> value."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -88,14 +89,18 @@ def judge(
     p_q1, p_median, p_q3 = quartiles(parent)
     c_q1, c_median, c_q3 = quartiles(change)
     gap = sign * (p_median - c_median)  # > 0: the change is better
+    # Every change run reads better than every parent run.
+    separated = max(sign * c for c in change) < min(sign * p for p in parent)
     if (
         len(parent) >= MIN_PAIRS
-        and wins >= WIN_SHARE * len(parent)
+        and 10 * wins >= 9 * len(parent)
         and gap > p_q3 - p_q1
     ):
         verdict = "gain"
     elif -gap > bound * abs(p_median):
         verdict = "worse"
+    elif p_q3 - p_q1 > bound * abs(p_median) and not separated:
+        verdict = "unresolved"
     else:
         verdict = "-"
     return {
@@ -152,14 +157,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="also write every run's metrics to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
-    summaries, readings = [], {}
+    seconds = benchmark["run_seconds"]
+    summaries = []
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
         trees = {}
         for side in ("parent", "change"):
@@ -173,18 +176,13 @@ def main(argv: list[str] | None = None) -> int:
                 for side in order:
                     try:
                         runs[side].append(
-                            run_once(trees[side], workload, args.seed, args.seconds)
+                            run_once(trees[side], workload, args.seed, seconds)
                         )
                     except RuntimeError as error:
                         print(error, file=sys.stderr)
                         return 1
                 print(f"{workload} pair {pair + 1}/{args.pairs} done", file=sys.stderr)
             summaries.append(report(workload, args.seed, runs, benchmark["end_to_end"]))
-            readings[workload] = runs
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump({"seed": args.seed, "seconds": args.seconds, "runs": readings},
-                      handle, indent=1)
     print()
     for line in summaries:
         print(line)

@@ -54,3 +54,32 @@ def test_worse_beyond_bound_respects_direction(perf_pairs):
     assert perf_pairs.judge(PARENT, higher, "lower", 0.6)["verdict"] == "-"
     # For a higher-is-better metric the same readings are a gain.
     assert perf_pairs.judge(PARENT, higher, "higher", 0.25)["verdict"] == "gain"
+
+
+def test_exactly_nine_wins_in_ten_is_a_gain(perf_pairs):
+    change = [value - 0.3 for value in PARENT]
+    change[3] = PARENT[3] + 0.01
+    result = perf_pairs.judge(PARENT, change, "lower", 0.25)
+    assert (result["wins"], result["losses"], result["verdict"]) == (9, 1, "gain")
+    # Nine tenths of all pairs run, not nine pairs: 17 of 20 is not enough.
+    parent, change = PARENT * 2, change * 2
+    change[0] = PARENT[0] + 0.01
+    result = perf_pairs.judge(parent, change, "lower", 0.25)
+    assert (result["wins"], result["verdict"]) == (17, "-")
+    change[0] = PARENT[0] - 0.3
+    assert perf_pairs.judge(parent, change, "lower", 0.25)["verdict"] == "gain"
+
+
+def test_spread_wider_than_the_bound_is_unresolved_not_unchanged(perf_pairs):
+    # Parent IQR about 0.3 on a median of 1.0: wider than a 10% bound.
+    noisy = [0.6, 0.8, 0.85, 0.9, 1.0, 1.0, 1.1, 1.15, 1.2, 1.4]
+    same = list(reversed(noisy))
+    assert perf_pairs.judge(noisy, same, "lower", 0.1)["verdict"] == "unresolved"
+    assert perf_pairs.judge(noisy, same, "lower", 0.5)["verdict"] == "-"
+    # Unless every change run reads better than every parent run (five
+    # pairs, too few to claim a gain).
+    few = noisy[:5]
+    assert perf_pairs.judge(few, few[::-1], "lower", 0.1)["verdict"] == "unresolved"
+    assert perf_pairs.judge(few, [0.5] * 5, "lower", 0.1)["verdict"] == "-"
+    assert perf_pairs.judge(few, [0.5] * 5, "higher", 0.1)["verdict"] == "worse"
+    assert perf_pairs.judge(few, [1.5] * 5, "higher", 0.1)["verdict"] == "-"
