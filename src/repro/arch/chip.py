@@ -175,6 +175,15 @@ class SystemConfig:
         """Total on-chip interconnect bandwidth across all chips, bytes/s."""
         return self.num_chips * self.chip.interconnect_bandwidth
 
+    def interchip_time(self, bytes_per_step: int) -> float:
+        """Per-step time to all-reduce ``bytes_per_step`` over the inter-chip links.
+
+        Zero on a single chip or when nothing crosses the links.
+        """
+        if self.num_chips <= 1 or bytes_per_step <= 0:
+            return 0.0
+        return bytes_per_step / self.inter_chip_bandwidth + self.inter_chip_latency
+
     # ------------------------------------------------------------- transforms
     def with_total_hbm_bandwidth(self, total_bandwidth: float) -> "SystemConfig":
         """Return a copy whose *system-wide* HBM bandwidth is ``total_bandwidth``."""

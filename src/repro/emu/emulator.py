@@ -127,13 +127,7 @@ class EmulationFramework:
     ) -> EmulationResult:
         """Replay a per-chip plan across the model-parallel system."""
         timeline = self.emulate(plan, graph)
-        if self.system.num_chips > 1 and interchip_bytes_per_step > 0:
-            interchip = (
-                interchip_bytes_per_step / self.system.inter_chip_bandwidth
-                + self.system.inter_chip_latency
-            )
-        else:
-            interchip = 0.0
+        interchip = self.system.interchip_time(interchip_bytes_per_step)
         total = timeline.total_time + interchip
         if total <= 0:
             raise SimulationError("emulated latency must be positive")

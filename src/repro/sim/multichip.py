@@ -60,13 +60,7 @@ def simulate_system(
         The :class:`SystemSimulationResult`.
     """
     chip_result = ChipSimulator(system.chip, total_flops=per_chip_flops).simulate(plan)
-    if system.num_chips > 1 and interchip_bytes_per_step > 0:
-        interchip = (
-            interchip_bytes_per_step / system.inter_chip_bandwidth
-            + system.inter_chip_latency
-        )
-    else:
-        interchip = 0.0
+    interchip = system.interchip_time(interchip_bytes_per_step)
     total = chip_result.total_time + interchip
     return SystemSimulationResult(
         chip_result=chip_result,
