@@ -110,7 +110,6 @@ from repro.arch import (
 )
 from repro.compiler import (
     POLICIES,
-    CompileResult,
     CompilerPolicy,
     ModelCompiler,
     PolicyOutput,
@@ -193,7 +192,6 @@ __all__ = [
     "scaled_system",
     "single_chip",
     "POLICIES",
-    "CompileResult",
     "CompilerPolicy",
     "ModelCompiler",
     "PolicyOutput",

@@ -1,12 +1,13 @@
 """Persistent compilation artifacts.
 
-A :class:`CompileArtifact` is the service-level record of one compilation:
-the metrics every report consumes (latency, utilizations, breakdown, compile
-time, the plan's simulation) plus enough identity (workload, system, policy)
-to key a cache or a result table.  Unlike
-:class:`~repro.compiler.pipeline.CompileResult` it is JSON-(de)serializable,
-so results persist across runs; the in-memory references to the full result,
-frontend, and system ride along but are dropped on serialization.
+A :class:`CompileArtifact` is the one record of one compilation: the metrics
+every report consumes (latency, utilizations, breakdown, compile time, the
+plan's simulation) plus enough identity (workload, system, policy) to key a
+cache or a result table.  :meth:`CompileArtifact.from_output` derives all of
+them from a policy's :class:`~repro.compiler.registry.PolicyOutput`.  The
+record is JSON-(de)serializable, so results persist across runs; the
+in-memory references to the policy output, frontend, and system ride along
+but are dropped on serialization.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.sim.multichip import simulate_system
 if TYPE_CHECKING:
     from repro.arch.chip import SystemConfig
     from repro.compiler.frontend import FrontendResult
-    from repro.compiler.pipeline import CompileResult
+    from repro.compiler.pipeline import ModelCompiler
+    from repro.compiler.registry import PolicyOutput
 
 #: Bumped whenever the serialized artifact layout changes incompatibly.
 ARTIFACT_SCHEMA_VERSION = 2
@@ -70,7 +72,8 @@ class CompileArtifact:
         simulation: Event-driven simulation of the plan (``None`` for
             plan-less artifacts such as the ``ideal`` roofline).
         schema_version: Serialization schema version.
-        result: In-memory :class:`CompileResult` (not serialized).
+        result: In-memory :class:`~repro.compiler.registry.PolicyOutput`
+            (plan, timeline, roofline, search stats; not serialized).
         frontend: In-memory :class:`FrontendResult` (not serialized).
         system: In-memory :class:`SystemConfig` (not serialized).
     """
@@ -94,7 +97,7 @@ class CompileArtifact:
     search_stats: dict[str, int] | None = None
     simulation: SimulatedMetrics | None = None
     schema_version: int = ARTIFACT_SCHEMA_VERSION
-    result: "CompileResult | None" = field(default=None, repr=False, compare=False)
+    result: "PolicyOutput | None" = field(default=None, repr=False, compare=False)
     frontend: "FrontendResult | None" = field(default=None, repr=False, compare=False)
     system: "SystemConfig | None" = field(default=None, repr=False, compare=False)
 
@@ -103,31 +106,45 @@ class CompileArtifact:
 
     # ----------------------------------------------------------- construction
     @classmethod
-    def from_result(
+    def from_output(
         cls,
-        result: "CompileResult",
-        *,
-        frontend: "FrontendResult",
-        system: "SystemConfig",
-        compile_seconds: float | None = None,
+        output: "PolicyOutput",
+        compiler: "ModelCompiler",
+        policy: str,
+        compile_seconds: float,
     ) -> "CompileArtifact":
-        """Package a :class:`CompileResult` as an artifact.
+        """Derive every metric of one policy's output; the only place that does.
 
-        A plan-bearing result is simulated here, once, and the simulation
-        persists with the rest of the artifact.
+        The estimate is the output's analytic timeline, or its roofline for
+        plan-less policies; the latency adds the system's inter-chip
+        all-reduce time to it.  A plan is simulated here, once, and the
+        simulation persists with the rest of the artifact.
 
         Args:
-            result: The pipeline's compile result.
-            frontend: Frontend result the plan was compiled from.
-            system: System configuration the plan was compiled for.
-            compile_seconds: Override for the compile time (e.g. to include
-                shared frontend/profile builds); defaults to the result's own.
+            output: What the policy returned from :meth:`ModelCompiler.compile`.
+            compiler: The compiler the policy planned in (workload, system,
+                frontend).
+            policy: Registered name of the policy.
+            compile_seconds: Wall-clock compile time, including any shared
+                frontend/profile builds it triggered.
         """
-        workload = result.workload
+        workload, system, frontend = (
+            compiler.workload, compiler.system, compiler.frontend
+        )
+        interchip = system.interchip_time(frontend.interchip_bytes_per_step)
+        if output.timeline is not None:
+            estimate = output.timeline
+            noc_utilization = estimate.noc_utilization
+            noc_preload_fraction = estimate.noc_preload_fraction
+        else:
+            estimate = output.ideal
+            noc_utilization = noc_preload_fraction = 0.0
+        latency = estimate.total_time + interchip
+        plan = output.plan
         simulation = None
-        if result.plan is not None:
+        if plan is not None:
             sim = simulate_system(
-                result.plan,
+                plan,
                 system,
                 frontend.per_chip_graph.total_flops,
                 frontend.full_graph_flops,
@@ -148,22 +165,22 @@ class CompileArtifact:
             seq_len=workload.seq_len,
             phase=workload.phase,
             num_layers=workload.num_layers,
-            system_name=result.system_name,
-            policy=result.policy,
-            latency=result.latency,
-            interchip_time=result.interchip_time,
-            breakdown=dict(result.breakdown),
-            hbm_utilization=result.hbm_utilization,
-            noc_utilization=result.noc_utilization,
-            noc_preload_fraction=result.noc_preload_fraction,
-            achieved_tflops=result.achieved_tflops,
-            compile_seconds=(
-                result.compile_seconds if compile_seconds is None else compile_seconds
+            system_name=system.name,
+            policy=policy,
+            latency=latency,
+            interchip_time=interchip,
+            breakdown=estimate.breakdown(),
+            hbm_utilization=estimate.hbm_utilization,
+            noc_utilization=noc_utilization,
+            noc_preload_fraction=noc_preload_fraction,
+            achieved_tflops=(
+                frontend.full_graph_flops / latency / 1e12 if latency > 0 else 0.0
             ),
-            plan_summary=dict(result.plan.summary()) if result.plan is not None else None,
-            search_stats=asdict(result.search_stats) if result.search_stats else None,
+            compile_seconds=compile_seconds,
+            plan_summary=dict(plan.summary()) if plan is not None else None,
+            search_stats=asdict(output.search_stats) if output.search_stats else None,
             simulation=simulation,
-            result=result,
+            result=output,
             frontend=frontend,
             system=system,
         )

@@ -122,8 +122,8 @@ def _compile_in_subprocess(
     the parent's option defaults (so result keys — and store digests — match
     the parent's exactly) and, when the parent has a store, its own handle on
     the same store directory, persisting the artifact where the parent and
-    any sibling worker can see it.  The full result object cannot cross the
-    process boundary, so the serialized artifact dict ships back instead,
+    any sibling worker can see it.  The in-memory policy output cannot cross
+    the process boundary, so the serialized artifact dict ships back instead,
     alongside the child's stats for the parent's accounting.
     """
     request, elk_options, static_options, cost_model_factory, store_root = payload
@@ -168,6 +168,10 @@ class CompileRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", _as_workload(self.workload))
+        if not isinstance(self.system, SystemConfig):
+            raise ConfigurationError(f"system {self.system!r} is not a SystemConfig")
+        if not isinstance(self.policy, str):
+            raise ConfigurationError(f"policy {self.policy!r} is not a policy name")
         object.__setattr__(self, "policy", self.policy.lower())
 
     @property
@@ -489,17 +493,14 @@ class Session:
         ):
             started = time.perf_counter()
             compiler = self.compiler(request)
-            result = compiler.compile(request.policy)
+            output = compiler.compile(request.policy)
             elapsed = time.perf_counter() - started
-            if tracer is not None and result.plan is not None:
+            if tracer is not None and output.plan is not None:
                 # Pure lowering pass, profiled for the per-stage picture;
                 # the program itself is not part of the artifact.
-                generate_device_program(result.plan, tracer)
-        artifact = CompileArtifact.from_result(
-            result,
-            frontend=compiler.frontend,
-            system=request.system,
-            compile_seconds=elapsed,
+                generate_device_program(output.plan, tracer)
+        artifact = CompileArtifact.from_output(
+            output, compiler, request.policy, compile_seconds=elapsed
         )
         with self._lock:
             winner = self._results.setdefault(key, artifact)

@@ -8,7 +8,7 @@ from repro.compiler.frontend import (
     shard_dit_config,
     shard_transformer_config,
 )
-from repro.compiler.pipeline import POLICIES, CompileResult, ModelCompiler
+from repro.compiler.pipeline import POLICIES, ModelCompiler
 from repro.compiler.registry import (
     CompilerPolicy,
     PolicyOutput,
@@ -28,7 +28,6 @@ __all__ = [
     "shard_dit_config",
     "shard_transformer_config",
     "POLICIES",
-    "CompileResult",
     "ModelCompiler",
     "CompilerPolicy",
     "PolicyOutput",

@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class PolicyOutput:
-    """What a policy hands back to the pipeline for packaging.
+    """What a policy returns; ``CompileArtifact.from_output`` derives its metrics.
 
     Exactly one of ``timeline`` (plan-producing policies) or ``ideal``
     (roofline-style policies) must be set.

@@ -63,5 +63,5 @@ def tiny_compiler(small_system):
 
 @pytest.fixture(scope="session")
 def tiny_elk_result(tiny_compiler):
-    """The Elk-Full compile result of the tiny workload (compiled once)."""
+    """The Elk-Full policy output of the tiny workload (compiled once)."""
     return tiny_compiler.compile("elk-full")

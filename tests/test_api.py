@@ -85,13 +85,13 @@ def test_toy_policy_pluggable_without_touching_pipeline(small_system):
     try:
         assert "toy-basic" in available_policies()
         compiler = Session().compiler(CompileRequest(TINY, small_system))
-        result = compiler.compile("toy-basic")
-        assert result.policy == "toy-basic"
-        assert result.latency > 0
+        output = compiler.compile("toy-basic")
+        assert output.plan is not None
+        assert output.timeline.total_time > 0
 
         artifact = Session().compile(TINY, small_system, "toy-basic")
         assert artifact.policy == "toy-basic"
-        assert artifact.latency == pytest.approx(result.latency)
+        assert artifact.latency == pytest.approx(output.timeline.total_time)
     finally:
         unregister_policy("toy-basic")
     assert not is_registered("toy-basic")
@@ -175,6 +175,10 @@ def test_requests_promote_model_names(small_system):
         CompileRequest(123, small_system)
     with pytest.raises(ConfigurationError, match="CompileRequest"):
         Session().compile(TINY)  # no system given
+    with pytest.raises(ConfigurationError, match="SystemConfig"):
+        CompileRequest("tiny-llm", "ipu-pod4")  # a preset name, not a system
+    with pytest.raises(ConfigurationError, match="policy"):
+        CompileRequest("tiny-llm", small_system, policy=None)
 
 
 def test_compile_many_matches_sequential_results(small_system):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import ipu_pod4, scaled_system
-from repro.api import CompileRequest, Session
+from repro.api import CompileArtifact, CompileRequest, Session
 from repro.compiler import (
     POLICIES,
     WorkloadSpec,
@@ -40,9 +40,14 @@ def test_frontend_reduces_per_chip_hbm_volume(pod4_system):
 
 
 def test_compile_all_policies(tiny_compiler):
-    results = {policy: tiny_compiler.compile(policy) for policy in POLICIES}
-    assert set(results) == set(POLICIES)
-    latencies = {policy: result.latency for policy, result in results.items()}
+    artifacts = {
+        policy: CompileArtifact.from_output(
+            tiny_compiler.compile(policy), tiny_compiler, policy, 0.0
+        )
+        for policy in POLICIES
+    }
+    assert set(artifacts) == set(POLICIES)
+    latencies = {policy: artifact.latency for policy, artifact in artifacts.items()}
     assert all(latency > 0 for latency in latencies.values())
     # The Ideal roofline is the fastest design.
     assert latencies["ideal"] <= min(
@@ -52,10 +57,11 @@ def test_compile_all_policies(tiny_compiler):
     assert latencies["elk-full"] <= latencies["elk-dyn"] * 1.001
 
 
-def test_compile_result_fields(tiny_elk_result):
-    assert tiny_elk_result.policy == "elk-full"
-    assert tiny_elk_result.latency > 0
-    assert 0 <= tiny_elk_result.hbm_utilization <= 1
+def test_compile_result_fields(tiny_elk_result, tiny_compiler):
+    artifact = CompileArtifact.from_output(tiny_elk_result, tiny_compiler, "elk-full", 0.0)
+    assert artifact.policy == "elk-full"
+    assert artifact.latency > 0
+    assert 0 <= artifact.hbm_utilization <= 1
     assert tiny_elk_result.plan is not None
     assert tiny_elk_result.search_stats is not None
 
@@ -66,10 +72,13 @@ def test_unknown_policy_rejected(tiny_compiler):
 
 
 def test_interchip_time_only_for_multichip(tiny_compiler):
-    assert tiny_compiler.interchip_time == 0.0
+    small = tiny_compiler.system
+    assert small.interchip_time(tiny_compiler.frontend.interchip_bytes_per_step) == 0.0
+    assert small.interchip_time(1 << 20) == 0.0  # one chip: nothing crosses links
     workload = WorkloadSpec("tiny-llm", batch_size=2, seq_len=128, num_layers=1)
     pod = Session().compiler(CompileRequest(workload, ipu_pod4()))
-    assert pod.interchip_time > 0.0
+    assert pod.system.interchip_time(0) == 0.0
+    assert pod.system.interchip_time(pod.frontend.interchip_bytes_per_step) > 0.0
 
 
 def test_workload_spec_resolution():

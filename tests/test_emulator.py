@@ -19,7 +19,7 @@ def emulated(tiny_elk_result, tiny_compiler, small_system):
 def test_emulated_latency_close_to_planned(emulated, tiny_elk_result):
     # The emulator re-times the plan with noisy device measurements and DRAM
     # latencies; it must stay in the same ballpark as the compiler's estimate.
-    planned = tiny_elk_result.latency
+    planned = tiny_elk_result.timeline.total_time
     assert emulated.total_time == pytest.approx(planned, rel=0.6)
     assert emulated.total_time > 0
     assert emulated.achieved_tflops > 0

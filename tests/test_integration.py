@@ -9,7 +9,6 @@ from repro.api import CompileRequest, Session
 from repro.compiler import POLICIES, WorkloadSpec
 from repro.emu import EmulationFramework
 from repro.eval import ExperimentConfig, evaluate_artifact, make_request, make_session
-from repro.sim import simulate_system
 from repro.units import TB
 
 
@@ -17,22 +16,17 @@ from repro.units import TB
 def llama_pod4_results():
     """All designs compiled for 2 layers of Llama2-13B on the POD4 system."""
     workload = WorkloadSpec("llama2-13b", batch_size=32, seq_len=2048, num_layers=2)
-    compiler = Session().compiler(CompileRequest(workload, ipu_pod4()))
-    results = {policy: compiler.compile(policy) for policy in POLICIES}
-    simulated = {}
-    for policy, result in results.items():
-        if result.plan is None:
-            simulated[policy] = result.latency
-            continue
-        sim = simulate_system(
-            result.plan,
-            compiler.system,
-            compiler.frontend.per_chip_graph.total_flops,
-            compiler.frontend.full_graph_flops,
-            compiler.frontend.interchip_bytes_per_step,
-        )
-        simulated[policy] = sim.total_time
-    return compiler, results, simulated
+    session = Session()
+    compiler = session.compiler(CompileRequest(workload, ipu_pod4()))
+    artifacts = {
+        policy: session.compile(CompileRequest(workload, compiler.system, policy))
+        for policy in POLICIES
+    }
+    simulated = {
+        policy: artifact.latency if artifact.simulation is None else artifact.simulation.total_time
+        for policy, artifact in artifacts.items()
+    }
+    return compiler, artifacts, simulated
 
 
 def test_design_ordering_matches_paper(llama_pod4_results):
@@ -49,17 +43,10 @@ def test_design_ordering_matches_paper(llama_pod4_results):
 
 def test_hbm_utilization_ordering(llama_pod4_results):
     """HBM utilization improves from Basic to Static to Elk (Fig. 18b)."""
-    compiler, results, _ = llama_pod4_results
+    _, results, _ = llama_pod4_results
     utils = {}
     for policy in ("basic", "static", "elk-full"):
-        sim = simulate_system(
-            results[policy].plan,
-            compiler.system,
-            compiler.frontend.per_chip_graph.total_flops,
-            compiler.frontend.full_graph_flops,
-            compiler.frontend.interchip_bytes_per_step,
-        )
-        utils[policy] = sim.chip_result.hbm_utilization
+        utils[policy] = results[policy].simulation.hbm_utilization
     assert utils["elk-full"] >= utils["static"] - 0.05
     assert utils["elk-full"] > utils["basic"]
 
@@ -67,7 +54,7 @@ def test_hbm_utilization_ordering(llama_pod4_results):
 def test_codegen_round_trip_for_all_policies(llama_pod4_results):
     _, results, _ = llama_pod4_results
     for policy in ("basic", "static", "elk-dyn", "elk-full"):
-        plan = results[policy].plan
+        plan = results[policy].result.plan
         program = generate_device_program(plan)
         runtime = DeviceRuntime(plan).run(program)
         assert runtime.total_time > 0
@@ -77,7 +64,7 @@ def test_emulator_agrees_with_plan_estimates(llama_pod4_results):
     compiler, results, _ = llama_pod4_results
     framework = EmulationFramework(compiler.system, noise=0.08)
     emulated = framework.emulate_system(
-        results["elk-full"].plan,
+        results["elk-full"].result.plan,
         compiler.frontend.per_chip_graph,
         compiler.frontend.full_graph_flops,
         compiler.frontend.interchip_bytes_per_step,
