@@ -237,6 +237,7 @@ def test_compiled_plans_keep_their_invariants(config, batch, seq, system):
 
 
 @pytest.mark.xfail(
+    raises=AssertionError,
     strict=True,
     reason="Static falls back to an op's smallest execute plan when none fits "
     "its fixed execution space, but still preloads ahead into the full "
