@@ -22,8 +22,7 @@ def _rows():
         seq_len=BENCH_CONFIG.seq_len,
         num_layers=BENCH_CONFIG.num_layers,
     )
-    system = ipu_pod4()
-    compiler = SESSION.compiler(CompileRequest(workload, system))
+    compiler = SESSION.compiler(CompileRequest(workload, ipu_pod4()))
     rows = []
 
     # Variant: inductive scheduling with preload-ahead disabled entirely.
@@ -51,7 +50,8 @@ def _rows():
 
     # The registered policies: each artifact already carries its simulation.
     for policy in ("basic", "static", "elk-dyn", "elk-full"):
-        simulation = SESSION.compile(CompileRequest(workload, system, policy)).simulation
+        request = CompileRequest(workload, compiler.system, policy)
+        simulation = SESSION.compile(request).simulation
         rows.append(
             {
                 "variant": policy,
@@ -59,7 +59,7 @@ def _rows():
                 "hbm_utilization": simulation.hbm_utilization,
             }
         )
-    ideal = SESSION.compile(CompileRequest(workload, system, "ideal"))
+    ideal = SESSION.compile(CompileRequest(workload, compiler.system, "ideal"))
     rows.append(
         {
             "variant": "ideal",
