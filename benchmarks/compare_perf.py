@@ -16,8 +16,14 @@ previous and the newest entry:
   ``BENCHMARK.json`` fixes, for reading only: a shared host is too noisy
   for one pair of runs to decide a regression.
 
-Exits 1 if a deterministic number differs (or is missing from one entry),
-2 if the journal holds fewer than two entries, and 0 otherwise.
+A second table, for reading only, compares the newest entry with the last
+re-anchor entry (the newest older entry carrying an ``"anchor"`` field), so
+a slow creep that each step keeps within its bound still shows.  Its
+deterministic numbers may differ on purpose and are not gated.
+
+Exits 1 if a deterministic number of the two newest entries differs (or is
+missing from one of them), 2 if the journal holds fewer than two entries,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -60,9 +66,10 @@ def _fmt(value: float | None) -> str:
     return f"{value:.6g}"
 
 
-def compare(journal: dict, benchmark: dict) -> tuple[list[tuple[str, ...]], int]:
+def compare(
+    previous: dict, newest: dict, benchmark: dict
+) -> tuple[list[tuple[str, ...]], int]:
     """Rows of the comparison table and the number of exact-match failures."""
-    previous, newest = journal["entries"][-2], journal["entries"][-1]
     bounds = {
         metric["name"]: metric
         for metric in benchmark["end_to_end"]
@@ -96,6 +103,13 @@ def compare(journal: dict, benchmark: dict) -> tuple[list[tuple[str, ...]], int]
     return rows, mismatches
 
 
+def _print_table(rows: list[tuple[str, ...]], first: str) -> None:
+    header = ("workload", "metric", first, "newest", "change", "bound", "check")
+    widths = [max(len(row[i]) for row in (header, *rows)) for i in range(len(header))]
+    for row in (header, *rows):
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("journal", help="path of the perfbench journal")
@@ -108,13 +122,17 @@ def main(argv: list[str] | None = None) -> int:
     if len(entries) < 2:
         print(f"{args.journal}: need two entries to compare, found {len(entries)}")
         return 2
-    rows, mismatches = compare(journal, benchmark)
-    previous, newest = entries[-2]["commit"][:12], entries[-1]["commit"][:12]
-    print(f"previous {previous}  ->  newest {newest}")
-    header = ("workload", "metric", "previous", "newest", "change", "bound", "check")
-    widths = [max(len(row[i]) for row in (header, *rows)) for i in range(len(header))]
-    for row in (header, *rows):
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    previous, newest = entries[-2], entries[-1]
+    rows, mismatches = compare(previous, newest, benchmark)
+    print(f"previous {previous['commit'][:12]}  ->  newest {newest['commit'][:12]}")
+    _print_table(rows, "previous")
+    anchor = next((e for e in reversed(entries[:-2]) if "anchor" in e), None)
+    if anchor is not None:
+        print(
+            f"\nanchor {anchor['commit'][:12]} ({anchor['anchor']})  ->  "
+            f"newest {newest['commit'][:12]}, for reading only"
+        )
+        _print_table(compare(anchor, newest, benchmark)[0], "anchor")
     if mismatches:
         print(f"{mismatches} deterministic number(s) differ")
         return 1

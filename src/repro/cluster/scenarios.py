@@ -57,14 +57,15 @@ from repro.cluster.tenancy import TenantSpec
 from repro.serve.batching import StepLatencyModel
 from repro.serve.metrics import SLOSpec
 from repro.serve.scenarios import (
-    _CHAT_SHAPE,
-    _DIT_SHAPE,
+    BurstyChat,
+    InteractiveChat,
+    MixedTraffic,
     ServingScenario,
     get_scenario,
     make_serving_session,
     register_scenario,
 )
-from repro.serve.workload import RequestShape, bursty_trace, diurnal_trace, poisson_trace
+from repro.serve.workload import RequestShape, poisson_trace
 from repro.api.service import Session
 
 if TYPE_CHECKING:
@@ -75,22 +76,10 @@ if TYPE_CHECKING:
 # Built-in fleet scenarios.
 # --------------------------------------------------------------------------- #
 @register_scenario("cluster-chat-fleet")
-class ClusterChatFleet(ServingScenario):
+class ClusterChatFleet(MixedTraffic):
     description = "mixed LLM+DiT diurnal traffic on a 4-engine least-loaded fleet"
-    slo = SLOSpec(ttft=5e-3, e2e=20e-3)
     nominal_rate = 480.0  # 4x the single-engine mixed-traffic load
     fleet = FleetConfig(num_engines=4)
-
-    def trace(self, num_requests=64, seed=0, rate_scale=1.0):
-        return diurnal_trace(
-            self.nominal_rate * rate_scale,
-            num_requests,
-            period=2.0,
-            seed=seed,
-            shapes=(_CHAT_SHAPE, _DIT_SHAPE),
-            weights=(3.0, 1.0),
-            name=f"{self.name}@x{rate_scale:g}",
-        )
 
 
 @register_scenario("cluster-multi-tenant")
@@ -131,9 +120,8 @@ class ClusterMultiTenant(ServingScenario):
 
 
 @register_scenario("cluster-autoscale")
-class ClusterAutoscale(ServingScenario):
+class ClusterAutoscale(BurstyChat):
     description = "bursty chat against a 1..4-engine autoscaled fleet"
-    slo = SLOSpec(ttft=3e-3, tpot=5e-4)
     nominal_rate = 500.0
     fleet = FleetConfig(
         num_engines=1,
@@ -147,22 +135,10 @@ class ClusterAutoscale(ServingScenario):
         ),
     )
 
-    def trace(self, num_requests=64, seed=0, rate_scale=1.0):
-        return bursty_trace(
-            self.nominal_rate * rate_scale,
-            num_requests,
-            burst_duration=0.2,
-            idle_duration=0.6,
-            seed=seed,
-            shapes=_CHAT_SHAPE,
-            name=f"{self.name}@x{rate_scale:g}",
-        )
-
 
 @register_scenario("cluster-disaggregated")
-class ClusterDisaggregated(ServingScenario):
+class ClusterDisaggregated(InteractiveChat):
     description = "chat on dedicated prefill/decode pools with a hand-off queue"
-    slo = SLOSpec(ttft=3e-3, tpot=5e-4)
     nominal_rate = 300.0
     fleet = FleetConfig(
         disaggregation=DisaggregationConfig(
@@ -170,18 +146,9 @@ class ClusterDisaggregated(ServingScenario):
         )
     )
 
-    def trace(self, num_requests=64, seed=0, rate_scale=1.0):
-        return poisson_trace(
-            self.nominal_rate * rate_scale,
-            num_requests,
-            seed=seed,
-            shapes=_CHAT_SHAPE,
-            name=f"{self.name}@x{rate_scale:g}",
-        )
-
 
 @register_scenario("cluster-chaos-crashes")
-class ClusterChaosCrashes(ServingScenario):
+class ClusterChaosCrashes(InteractiveChat):
     description = (
         "crash-heavy chat fleet: three engine crashes, a straggler window, "
         "and transient compile faults, recovering under retry/backoff while "
@@ -219,15 +186,6 @@ class ClusterChaosCrashes(ServingScenario):
             max_attempts=3, base_backoff=0.005, max_backoff=0.05, jitter=0.1
         ),
     )
-
-    def trace(self, num_requests=64, seed=0, rate_scale=1.0):
-        return poisson_trace(
-            self.nominal_rate * rate_scale,
-            num_requests,
-            seed=seed,
-            shapes=_CHAT_SHAPE,
-            name=f"{self.name}@x{rate_scale:g}",
-        )
 
 
 @register_scenario("cluster-chaos-degraded")

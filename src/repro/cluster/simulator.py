@@ -85,6 +85,7 @@ from repro.serve.batching import (
     ROLE_COLOCATED,
     ROLE_DECODE,
     ROLE_PREFILL,
+    Batch,
     EngineCore,
     RequestState,
     StepLatencyModel,
@@ -406,6 +407,15 @@ class _FleetRun:
     ``drain_waiting`` calls in :meth:`_requeue` and :meth:`_on_engine_ready`.
     :meth:`_autoscale` leaves out the queues of :attr:`warming` engines
     (added before their ``ready_time``) while they warm.
+
+    When a step completes *steady* (:class:`EngineCore`: same members,
+    nothing waiting, nobody finishing), :meth:`_on_step_done` runs the next
+    step in place while it would be the next event to pop.  That is
+    bit-identical to a heap round trip: each such step makes one counted
+    latency lookup and adds the same iteration span (:meth:`_start`, shared
+    with :meth:`_kick`), takes its heap sequence number *before*
+    :meth:`_autoscale` runs with the engine busy, and is pushed whenever it
+    ends no earlier than the heap's first event, so ties go to the heap.
     """
 
     def __init__(
@@ -506,12 +516,23 @@ class _FleetRun:
         self._autoscale(now)
 
     def _on_step_done(self, now: float, payload: tuple) -> None:
-        self.end_time = now
         engine, batch = payload
         if engine.crashed:
             # Stale completion: the crash destroyed this iteration's work
             # and already re-dispatched (or failed) its requests.
+            self.end_time = now
             return
+        heap = self.heap
+        while engine.advance(batch):  # steady steps run in place
+            self.end_time = now
+            end = self._start(engine, batch, now)
+            seq = next(self.sequence)
+            self._autoscale(now)
+            if heap and end >= heap[0][0]:
+                heapq.heappush(heap, (end, seq, self._on_step_done, payload))
+                return
+            now = end
+        self.end_time = now
         engine.busy = False
         for state in engine.complete_step(batch, now):
             if state.finished:
@@ -635,6 +656,13 @@ class _FleetRun:
                 engine.removed_time = now
                 self._note_scale(now, SCALE_REMOVE, engine, "drained empty")
             return
+        end = self._start(engine, batch, now)
+        # The hot path: push inline rather than through _push.
+        entry = (end, next(self.sequence), self._on_step_done, (engine, batch))
+        heapq.heappush(self.heap, entry)
+
+    def _start(self, engine: EngineCore, batch: Batch, now: float) -> float:
+        """Start ``batch``'s iteration on ``engine`` at ``now``; return its end."""
         latency = engine.batch_latency(batch, self.latency_model)
         if latency <= 0:
             raise ConfigurationError(
@@ -658,11 +686,7 @@ class _FleetRun:
             self.tracer.add_span(
                 "iteration", now, now + latency, "engine", engine.track, attrs
             )
-        # The hot path: push inline rather than through _push.
-        heapq.heappush(
-            self.heap,
-            (now + latency, next(self.sequence), self._on_step_done, (engine, batch)),
-        )
+        return now + latency
 
     def _dispatch(self, state: RequestState, now: float) -> EngineCore:
         """Route one request to an engine's wait queue (no kick)."""

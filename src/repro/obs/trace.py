@@ -20,10 +20,11 @@ Tracing is strictly opt-in.  Every instrumented call site takes
 wall-clocked block, :func:`maybe_span`) — the no-op fast path is one
 attribute load and branch, not yet timed on its own (see ROADMAP item 6(b)).
 
-A long run holds one record per span, so each is a tuple of atomic fields
-with its ``attrs`` dict stored *beside* it: CPython untracks a tuple only if
-it holds no container, and never tracks a dict of atomic values, so finished
-records cost the garbage collector nothing.
+A long run holds one record per span, so each is stored flat: its twelve
+:class:`Span` fields (``attrs`` last, as the emitter's dict) occupy twelve
+consecutive slots of one list.  A record thus allocates no object of its own
+for the garbage collector to count or track; the field tuples are built only
+at export, by :meth:`Tracer.records`.
 """
 
 from __future__ import annotations
@@ -77,12 +78,16 @@ class Span:
     attrs: tuple[tuple[str, Any], ...] = ()
 
 
+#: List slots per stored record: one per :class:`Span` field.
+_WIDTH = len(dataclasses.fields(Span))
+
+
 class Tracer:
     """Collects spans from all layers onto one deterministic timeline.
 
     Thread-safe without a lock per event: every emitter takes its sequence
-    numbers from one :func:`itertools.count` and adds its record to one
-    list as a ``(fields, attrs)`` pair with one ``list.extend``, and
+    numbers from one :func:`itertools.count` and adds its record's twelve
+    fields to one flat list with one ``list.extend``, and
     ``begin``/``end`` claim and release open phases with one
     ``dict.setdefault``/``dict.pop`` — each a single atomic operation under
     the GIL, so concurrent emitters never lose a span, share a sequence
@@ -101,8 +106,7 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock if clock is not None else time.perf_counter
         self._seq = itertools.count(1)
-        # Alternating slots: a tuple of the Span fields before ``attrs``
-        # (atomic values only, so the collector untracks it), then ``attrs``.
+        # _WIDTH slots per record: the Span fields, ``attrs`` last.
         self._records: list = []
         # key -> (name, category, track, seq_start, sim_start, attrs)
         self._open: dict[Hashable, tuple] = {}
@@ -144,9 +148,8 @@ class Tracer:
             seq_end = next(self._seq)
             stack.pop()
             self._records.extend((
-                (name, category, track, "span", seq_start, seq_end, depth,
-                 None, None, wall_start, wall_end),
-                {**attrs, **extra},
+                name, category, track, "span", seq_start, seq_end, depth,
+                None, None, wall_start, wall_end, {**attrs, **extra},
             ))
 
     def add_span(
@@ -165,9 +168,8 @@ class Tracer:
         """
         seq = self._seq
         self._records.extend((
-            (name, category, track, "span", next(seq), next(seq), 0,
-             sim_start, sim_end, None, None),
-            {} if attrs is None else attrs,
+            name, category, track, "span", next(seq), next(seq), 0,
+            sim_start, sim_end, None, None, {} if attrs is None else attrs,
         ))
 
     def instant(
@@ -186,9 +188,8 @@ class Tracer:
         seq = next(self._seq)
         wall = self._clock() if sim_time is None else None
         self._records.extend((
-            (name, category, track, "instant", seq, seq, 0,
-             sim_time, sim_time, wall, wall),
-            attrs,
+            name, category, track, "instant", seq, seq, 0,
+            sim_time, sim_time, wall, wall, attrs,
         ))
 
     def begin(
@@ -225,6 +226,11 @@ class Tracer:
             return True
         return False
 
+    def skip(self, count: int) -> None:
+        """Take the numbers of ``count`` :meth:`skip_open` calls on open keys."""
+        for _ in range(count):
+            next(self._seq)
+
     def end(self, key: Hashable, sim_time: float, **attrs: Any) -> None:
         """Close the phase opened under ``key``; no-op if none is open."""
         phase = self._open.pop(key, None)
@@ -233,9 +239,8 @@ class Tracer:
         name, category, track, seq_start, sim_start, opened = phase
         merged = {**opened, **attrs} if attrs else opened
         self._records.extend((
-            (name, category, track, "span", seq_start, next(self._seq), 0,
-             sim_start, sim_time, None, None),
-            merged,
+            name, category, track, "span", seq_start, next(self._seq), 0,
+            sim_start, sim_time, None, None, merged,
         ))
 
     def records(self) -> tuple[list[tuple], list[dict[str, Any]]]:
@@ -243,12 +248,15 @@ class Tracer:
 
         The first holds each span's :class:`Span` fields before ``attrs``;
         the second its ``attrs``, the emitter's (possibly shared) dict: read
-        it, do not mutate it.  Rejoining them would make every record
-        GC-tracked again during an export.  ``seq_start`` is unique per
-        record, so it alone gives the ``(seq_start, seq_end)`` order.
+        it, do not mutate it.  Keeping the dicts out of the field tuples
+        lets the collector untrack the tuples during an export.
+        ``seq_start`` is unique per record, so it alone gives the
+        ``(seq_start, seq_end)`` order.
         """
-        fields, attrs = self._records[0::2], self._records[1::2]
-        order = sorted(range(len(fields)), key=[f[4] for f in fields].__getitem__)
+        flat = self._records
+        fields = list(zip(*(flat[i::_WIDTH] for i in range(_WIDTH - 1))))
+        attrs = flat[_WIDTH - 1::_WIDTH]
+        order = sorted(range(len(fields)), key=flat[4::_WIDTH].__getitem__)
         return [fields[i] for i in order], [attrs[i] for i in order]
 
     def spans(self) -> tuple[Span, ...]:
@@ -259,7 +267,7 @@ class Tracer:
         )
 
     def __len__(self) -> int:
-        return len(self._records) // 2
+        return len(self._records) // _WIDTH
 
 
 def maybe_span(

@@ -547,8 +547,19 @@ class EngineCore:
             ``busy_time`` scales with it.
 
     The three load counters are updated by every operation that moves a
-    request (:meth:`enqueue`, admission, :meth:`complete_step` and the two
-    drains), so a load read costs the same at any queue depth.
+    request (:meth:`enqueue`, admission, :meth:`complete_step`,
+    :meth:`advance` and the two drains), so a load read costs the same at
+    any queue depth.
+
+    A finished step goes through :meth:`complete_step` and then
+    :meth:`form_batch`, or through :meth:`advance` when it leaves its batch
+    *steady*: a colocated or decode engine with nothing waiting, whose only
+    running requests are the batch's, all decoding (an LLM group without
+    prefills), none reaching ``output_units`` in this step.  Then nobody is
+    released or admitted and the same members run again, so :meth:`advance`
+    moves each member's ``steps_done``, the iteration count and ``longest``
+    by one in place, and takes the tracer sequence numbers of form_batch's
+    no-op decode begins.
     """
 
     def __init__(
@@ -743,6 +754,28 @@ class EngineCore:
                         engine=self.engine_id,
                     )
         return Batch(chosen, members, prefills, decoding, longest)
+
+    def advance(self, batch: Batch) -> bool:
+        """:meth:`complete_step` and :meth:`form_batch` in one, for a steady
+        ``batch`` (see the class docstring); False, changing nothing, if not."""
+        requests = batch.requests
+        size = len(requests)
+        if self.waiting or self.running != size or batch.decoding != size:
+            return False
+        if self.role == ROLE_PREFILL:
+            return False
+        for state in requests:
+            if state.steps_done + 1 >= state.spec.output_units:
+                return False
+        for state in requests:
+            state.steps_done += 1
+        self.in_flight_tokens -= size
+        self._iteration += 1
+        self._last_served[batch.group] = self._iteration
+        batch.longest += 1
+        if self.tracer is not None:
+            self.tracer.skip(size)
+        return True
 
     def _admit(self, now: float) -> None:
         """FCFS admission from each group's wait queue into its running set."""

@@ -79,3 +79,24 @@ def test_one_entry_is_not_a_comparison(compare_perf, tmp_path):
 def test_only_the_two_newest_entries_count(compare_perf, tmp_path):
     entries = [_entry("old", iterations=1), _entry("a"), _entry("b")]
     assert _run(compare_perf, tmp_path, entries) == 0
+
+
+def test_newest_entry_is_also_read_against_the_last_anchor(
+    compare_perf, tmp_path, capsys
+):
+    old_anchor = dict(_entry("old"), anchor="first")
+    anchor = dict(_entry("anchored", host_us=10.0, iterations=7), anchor="second")
+    entries = [old_anchor, anchor, _entry("a"), _entry("b", host_us=15.0)]
+    # The anchor's iteration count differs from the newest's: that is read,
+    # not gated.
+    assert _run(compare_perf, tmp_path, entries) == 0
+    out = capsys.readouterr().out
+    head, tail = out.split("anchor anchored (second)  ->  newest b, for reading only")
+    assert "+25.0%" in head and "+50.0%" in tail
+    assert "MISMATCH" not in head and "MISMATCH" in tail
+
+
+def test_no_anchor_table_without_an_older_anchor(compare_perf, tmp_path, capsys):
+    entries = [_entry("a"), dict(_entry("b"), anchor="newest")]
+    assert _run(compare_perf, tmp_path, entries) == 0
+    assert "for reading only" not in capsys.readouterr().out

@@ -34,8 +34,12 @@ from repro.cluster.faults import (
     AvailabilityMetrics,
 )
 from repro.errors import ConfigurationError
+from repro.obs import Tracer
 from repro.serve import (
+    ArrivalTrace,
     BatchBuckets,
+    EngineCore,
+    RequestSpec,
     RequestShape,
     StepLatencyModel,
     get_scenario,
@@ -415,6 +419,70 @@ def test_slowdown_stretches_the_run(chaos_session, small_system):
     assert slowed.makespan > baseline.makespan
     assert slowed.metrics().e2e_p95 > baseline.metrics().e2e_p95
     assert slowed.accounting_balanced
+
+
+class _QuarterSecondSteps(StepLatencyModel):
+    """Every bucketed step takes 0.25 s, which sums and compares exactly."""
+
+    def _step_latency(self, model, phase, batch_bucket, context_bucket):
+        return 0.25
+
+
+def test_steady_steps_stop_at_an_event_that_ties_their_end(chaos_session, small_system):
+    """Steady decode steps run in place only while they end before the next
+    event; an arrival or a crash at exactly a step's end goes first, as the
+    heap orders it (pushed earlier, so it pops earlier)."""
+    trace = ArrivalTrace("ties", (
+        RequestSpec(0, 0.0, "tiny-llm", prefill_tokens=64, decode_tokens=6),  # A
+        RequestSpec(1, 0.0, "tiny-llm", prefill_tokens=64, decode_tokens=2),  # X
+        RequestSpec(2, 0.75, "tiny-llm", prefill_tokens=64, decode_tokens=4),  # B
+    ))
+    fleet = FleetConfig(
+        num_engines=2,
+        router="round-robin",
+        faults=FaultSchedule("tie", (_crash(1.75, target=0),)),
+        retry_policy=RetryPolicy(base_backoff=0.25, jitter=0.0),
+    )
+
+    def run(tracer=None):
+        model = _QuarterSecondSteps(chaos_session, small_system, "basic")
+        return ClusterSimulator(model, fleet, tracer=tracer).run(trace)
+
+    advance = EngineCore.advance
+    steady = []
+
+    def counting_advance(engine, batch):
+        ran = advance(engine, batch)
+        if ran:
+            steady.append(engine.engine_id)
+        return ran
+
+    with mock.patch.object(EngineCore, "advance", counting_advance):
+        result = run()
+    # Engine 0 serves A alone, runs [0.5, 0.75] in place, and stops there: B
+    # arrives at 0.75 and joins A's next step.  A and B then decode in place
+    # over [1.5, 1.75]; the crash at 1.75 destroys them before that step is
+    # applied.  Their retries return at 2.0 to engine 1, which finishes X
+    # at 0.5 and then runs [3.0, 3.25] and [3.25, 3.5] in place.
+    assert steady == [0, 0, 1, 1]
+    times = {
+        record.spec.request_id: (
+            record.started_time, record.first_token_time, record.completion_time
+        )
+        for record in result.records
+    }
+    assert times == {0: (2.0, 2.25, 3.75), 1: (0.0, 0.25, 0.5), 2: (2.25, 2.75, 3.5)}
+    ttft = {r.spec.request_id: r.ttft for r in result.records}
+    tpot = {r.spec.request_id: r.tpot for r in result.records}
+    assert ttft == {0: 2.25, 1: 0.25, 2: 2.0}
+    assert tpot == {0: 0.3, 1: 0.25, 2: 0.25}
+    assert [(e.num_iterations, e.busy_time) for e in result.engines] == [
+        (6, 1.75), (8, 2.25)
+    ]
+    assert result.availability.num_retries == 2
+    tracer = Tracer()
+    assert run(tracer) == result
+    assert sum(1 for span in tracer.spans() if span.name == "iteration") == 14
 
 
 def test_store_corruption_fault_is_counted(small_system, tmp_path):

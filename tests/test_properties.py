@@ -354,6 +354,14 @@ _FLEETS = st.one_of(
         ),
     ),
 )
+# A drain interleaving: the autoscaler drains an engine while its steady
+# step runs in place, so that engine must read busy until the step ends.
+@example(
+    num_requests=2, rate=400.0, trace_seed=218, mixed=False, fault_seed=None,
+    fleet=FleetConfig(
+        num_engines=3, router="round-robin", autoscaler=_autoscaler(0.0)
+    ),
+)
 def test_serving_loop_invariants(
     serving_session, num_requests, rate, trace_seed, mixed, fault_seed, fleet
 ):
@@ -386,6 +394,7 @@ def test_serving_loop_invariants(
     finished = []  # (request id, units delivered, units asked) per release
     engines = []  # every engine, in creation order
     init, complete_step = EngineCore.__init__, EngineCore.complete_step
+    advance = EngineCore.advance
     batch_latency = EngineCore.batch_latency
     autoscale, decide = _FleetRun._autoscale, Autoscaler.decide
     deciding = []  # the fleet run whose autoscaler is deciding
@@ -394,6 +403,11 @@ def test_serving_loop_invariants(
         init(engine, *args, **kwargs)
         engines.append(engine)
 
+    def recount_all():
+        for each in engines:
+            counters = (each.waiting, each.running, each.in_flight_tokens)
+            assert counters == _recount(each)
+
     def recording_complete_step(engine, batch, now):
         released = complete_step(engine, batch, now)
         finished.extend(
@@ -401,10 +415,14 @@ def test_serving_loop_invariants(
             for state in released
             if state.finished
         )
-        for each in engines:
-            counters = (each.waiting, each.running, each.in_flight_tokens)
-            assert counters == _recount(each)
+        recount_all()
         return released
+
+    def recounting_advance(engine, batch):
+        # A step run in place moves the counters as complete_step would.
+        steady = advance(engine, batch)
+        recount_all()
+        return steady
 
     def recounting_batch_latency(engine, batch, latency_model):
         # form_batch's one pass must count what a second walk would.
@@ -433,6 +451,8 @@ def test_serving_loop_invariants(
         EngineCore, "__init__", recording_init
     ), mock.patch.object(
         EngineCore, "complete_step", recording_complete_step
+    ), mock.patch.object(
+        EngineCore, "advance", recounting_advance
     ), mock.patch.object(
         EngineCore, "batch_latency", recounting_batch_latency
     ), mock.patch.object(
