@@ -516,23 +516,21 @@ class _FleetRun:
         self._autoscale(now)
 
     def _on_step_done(self, now: float, payload: tuple) -> None:
+        self.end_time = now
         engine, batch = payload
         if engine.crashed:
             # Stale completion: the crash destroyed this iteration's work
             # and already re-dispatched (or failed) its requests.
-            self.end_time = now
             return
         heap = self.heap
         while engine.advance(batch):  # steady steps run in place
-            self.end_time = now
             end = self._start(engine, batch, now)
             seq = next(self.sequence)
             self._autoscale(now)
             if heap and end >= heap[0][0]:
                 heapq.heappush(heap, (end, seq, self._on_step_done, payload))
                 return
-            now = end
-        self.end_time = now
+            self.end_time = now = end
         engine.busy = False
         for state in engine.complete_step(batch, now):
             if state.finished:
