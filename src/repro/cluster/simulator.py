@@ -671,6 +671,7 @@ class _FleetRun:
         engine.iterations += 1
         engine.busy_time += latency
         engine.busy = True
+        end = now + latency  # one float: this span's end, the next one's start
         if self.tracer is not None:
             # One attrs dict per (group, size, prefills), shared by every
             # iteration span with those attributes (the exporters copy it).
@@ -681,10 +682,8 @@ class _FleetRun:
                 attrs = self.iteration_attrs[shape] = dict(
                     model=model, kind=kind, tenant=tenant, batch_size=size, prefills=prefills
                 )
-            self.tracer.add_span(
-                "iteration", now, now + latency, "engine", engine.track, attrs
-            )
-        return now + latency
+            self.tracer.add_span("iteration", now, end, "engine", engine.track, attrs)
+        return end
 
     def _dispatch(self, state: RequestState, now: float) -> EngineCore:
         """Route one request to an engine's wait queue (no kick)."""

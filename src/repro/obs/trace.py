@@ -106,6 +106,8 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock if clock is not None else time.perf_counter
         self._seq = itertools.count(1)
+        #: Takes one sequence number, as a no-op :meth:`begin` does.
+        self.take = self._seq.__next__
         # _WIDTH slots per record: the Span fields, ``attrs`` last.
         self._records: list = []
         # key -> (name, category, track, seq_start, sim_start, attrs)
@@ -225,11 +227,6 @@ class Tracer:
             next(self._seq)
             return True
         return False
-
-    def skip(self, count: int) -> None:
-        """Take the numbers of ``count`` :meth:`skip_open` calls on open keys."""
-        for _ in range(count):
-            next(self._seq)
 
     def end(self, key: Hashable, sim_time: float, **attrs: Any) -> None:
         """Close the phase opened under ``key``; no-op if none is open."""

@@ -773,8 +773,10 @@ class EngineCore:
         self._iteration += 1
         self._last_served[batch.group] = self._iteration
         batch.longest += 1
-        if self.tracer is not None:
-            self.tracer.skip(size)
+        tracer = self.tracer
+        if tracer is not None:
+            for _ in requests:
+                tracer.take()  # form_batch's no-op decode begin
         return True
 
     def _admit(self, now: float) -> None:
