@@ -426,6 +426,8 @@ class _FleetRun:
         self.slo = slo
         self.tracer = sim.tracer
         self.iteration_attrs: dict[tuple, dict] = {}
+        self.span_batch: Batch | None = None  # the batch span_attrs is for
+        self.span_attrs: dict = {}
         self.latency_model = model = sim.latency_model
         # Settings the handlers read per event, bound once.
         self.router = sim.router
@@ -672,17 +674,21 @@ class _FleetRun:
         engine.busy_time += latency
         engine.busy = True
         end = now + latency  # one float: this span's end, the next one's start
-        if self.tracer is not None:
-            # One attrs dict per (group, size, prefills), shared by every
-            # iteration span with those attributes (the exporters copy it).
-            shape = (batch.group, len(batch.requests), len(batch.prefills))
-            attrs = self.iteration_attrs.get(shape)
-            if attrs is None:
-                (tenant, model, kind), size, prefills = shape
-                attrs = self.iteration_attrs[shape] = dict(
-                    model=model, kind=kind, tenant=tenant, batch_size=size, prefills=prefills
-                )
-            self.tracer.add_span("iteration", now, end, "engine", engine.track, attrs)
+        tracer = self.tracer
+        if tracer is not None:
+            if batch is not self.span_batch:
+                # One attrs dict per (group, size, prefills), shared by every
+                # iteration span with those attributes (the exporters copy
+                # it); a batch run again in place keeps its shape.
+                shape = (batch.group, len(batch.requests), len(batch.prefills))
+                attrs = self.iteration_attrs.get(shape)
+                if attrs is None:
+                    (tenant, model, kind), size, prefills = shape
+                    attrs = self.iteration_attrs[shape] = dict(
+                        model=model, kind=kind, tenant=tenant, batch_size=size, prefills=prefills
+                    )
+                self.span_batch, self.span_attrs = batch, attrs
+            tracer.add_span("iteration", now, end, "engine", engine.track, self.span_attrs)
         return end
 
     def _dispatch(self, state: RequestState, now: float) -> EngineCore:
