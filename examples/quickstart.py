@@ -18,6 +18,8 @@ Run with::
 
 from __future__ import annotations
 
+import json
+
 from repro import CompileArtifact, CompileRequest, POLICIES, Session, WorkloadSpec, ipu_pod4
 from repro.codegen import generate_device_program
 from repro.eval import format_table
@@ -70,7 +72,7 @@ def main() -> None:
         print("  " + instruction.render())
 
     # Artifacts serialize to JSON, so sweep results persist across runs.
-    restored = CompileArtifact.from_json(elk_artifact.to_json())
+    restored = CompileArtifact.from_dict(json.loads(json.dumps(elk_artifact.to_dict())))
     print(f"\nArtifact JSON round-trip: {restored.policy} "
           f"latency {restored.latency * 1e3:.3f} ms "
           f"(matches: {restored == elk_artifact})")

@@ -27,7 +27,7 @@ of requests across workers::
     )
     print({a.policy: a.latency for a in sweep})
 
-Artifacts serialize to JSON (``artifact.to_json()``, ``session.save(path)``)
+Artifacts serialize to JSON (``artifact.to_dict()``, ``session.save(path)``)
 so sweep results persist across runs.  New compiler policies plug in through
 the registry without touching the pipeline::
 

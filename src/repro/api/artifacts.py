@@ -12,12 +12,11 @@ but are dropped on serialization.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
+from repro.jsonfile import check_schema, read_json, write_json
 from repro.sim.multichip import simulate_system
 
 if TYPE_CHECKING:
@@ -205,12 +204,7 @@ class CompileArtifact:
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "CompileArtifact":
         """Rebuild an artifact from :meth:`to_dict` output."""
-        version = data.get("schema_version", ARTIFACT_SCHEMA_VERSION)
-        if version != ARTIFACT_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"cannot load artifact schema v{version}; "
-                f"this build reads v{ARTIFACT_SCHEMA_VERSION}"
-            )
+        check_schema(data, ARTIFACT_SCHEMA_VERSION, "artifact")
         known = {f.name for f in fields(cls)} - set(cls._RUNTIME_FIELDS)
         unknown = set(data) - known
         if unknown:
@@ -227,39 +221,26 @@ class CompileArtifact:
                 f"incomplete artifact record: {error}"
             ) from None
 
-    def to_json(self, **dumps_kwargs) -> str:
-        """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CompileArtifact":
-        """Deserialize from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
 
 def save_artifacts(artifacts: Sequence[CompileArtifact], path: str) -> str:
     """Persist a batch of artifacts (one sweep) as a JSON file.
 
     Returns the path written, creating parent directories as needed.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     payload = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "artifacts": [artifact.to_dict() for artifact in artifacts],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        # Unsorted, like the store: loaded breakdowns keep the compile's order.
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
+    # Unsorted, like the store: loaded breakdowns keep the compile's order.
+    return write_json(path, payload, indent=2)
 
 
 def load_artifacts(path: str) -> list[CompileArtifact]:
-    """Load a batch of artifacts saved by :func:`save_artifacts`."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or "artifacts" not in payload:
+    """Load a batch of artifacts saved by :func:`save_artifacts`.
+
+    A missing, malformed or corrupt file raises :class:`ConfigurationError`.
+    """
+    payload = read_json(path, "artifact batch")
+    if not isinstance(payload, dict) or not isinstance(payload.get("artifacts"), list):
         raise ConfigurationError(f"{path} is not an artifact batch file")
-    entries: Iterable[dict[str, object]] = payload["artifacts"]
-    return [CompileArtifact.from_dict(entry) for entry in entries]
+    return [CompileArtifact.from_dict(entry) for entry in payload["artifacts"]]

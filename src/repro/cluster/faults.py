@@ -33,14 +33,13 @@ configuration: two runs with the same inputs produce identical metrics.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import zlib
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from repro.errors import ConfigurationError
+from repro.jsonfile import check_schema, read_json, write_json
 
 #: Bumped whenever the serialized fault-schedule layout changes incompatibly.
 FAULT_SCHEMA_VERSION = 1
@@ -144,12 +143,7 @@ class FaultSchedule:
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "FaultSchedule":
         """Rebuild a schedule from :meth:`to_dict` output."""
-        version = data.get("schema_version", FAULT_SCHEMA_VERSION)
-        if version != FAULT_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"cannot load fault schedule schema v{version}; "
-                f"this build reads v{FAULT_SCHEMA_VERSION}"
-            )
+        check_schema(data, FAULT_SCHEMA_VERSION, "fault schedule")
         try:
             events = tuple(FaultEvent(**entry) for entry in data.get("events", []))
             return cls(name=str(data.get("name", "replay")), events=events)
@@ -159,12 +153,7 @@ class FaultSchedule:
 
 def save_fault_schedule(schedule: FaultSchedule, path: str) -> str:
     """Persist a schedule as a JSON replay file; return the path written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(schedule.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return write_json(path, schedule.to_dict(), indent=2, sort_keys=True)
 
 
 def replay_fault_schedule(path: str) -> FaultSchedule:
@@ -173,21 +162,7 @@ def replay_fault_schedule(path: str) -> FaultSchedule:
     Missing files, malformed JSON, and structurally wrong documents all raise
     :class:`ConfigurationError`, mirroring :func:`~repro.serve.workload.replay_trace`.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigurationError(
-            f"fault schedule {path!r} does not exist"
-        ) from None
-    except OSError as error:
-        raise ConfigurationError(
-            f"cannot read fault schedule {path!r}: {error}"
-        ) from None
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(
-            f"fault schedule {path!r} is not valid JSON: {error}"
-        ) from None
+    data = read_json(path, "fault schedule")
     if not isinstance(data, dict) or "events" not in data:
         raise ConfigurationError(f"{path} is not a fault-schedule file")
     return FaultSchedule.from_dict(data)

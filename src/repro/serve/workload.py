@@ -16,14 +16,13 @@ caller, so identical arguments always produce identical traces.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import random
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from repro.errors import ConfigurationError
+from repro.jsonfile import check_schema, read_json, write_json
 
 #: Bumped whenever the serialized trace layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
@@ -187,12 +186,7 @@ class ArrivalTrace:
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "ArrivalTrace":
         """Rebuild a trace from :meth:`to_dict` output."""
-        version = data.get("schema_version", TRACE_SCHEMA_VERSION)
-        if version != TRACE_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"cannot load trace schema v{version}; "
-                f"this build reads v{TRACE_SCHEMA_VERSION}"
-            )
+        check_schema(data, TRACE_SCHEMA_VERSION, "trace")
         try:
             requests = tuple(
                 RequestSpec(**entry) for entry in data.get("requests", [])
@@ -204,12 +198,7 @@ class ArrivalTrace:
 
 def save_trace(trace: ArrivalTrace, path: str) -> str:
     """Persist a trace as a JSON replay file; return the path written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return write_json(path, trace.to_dict(), indent=2, sort_keys=True)
 
 
 def replay_trace(path: str) -> ArrivalTrace:
@@ -220,17 +209,7 @@ def replay_trace(path: str) -> ArrivalTrace:
     exception type for "this trace cannot be served", mirroring how the
     artifact store treats corrupt cache entries.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigurationError(f"trace file {path!r} does not exist") from None
-    except OSError as error:
-        raise ConfigurationError(f"cannot read trace file {path!r}: {error}") from None
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(
-            f"trace file {path!r} is not valid JSON: {error}"
-        ) from None
+    data = read_json(path, "trace file")
     if not isinstance(data, dict) or "requests" not in data:
         raise ConfigurationError(f"{path} is not an arrival-trace file")
     return ArrivalTrace.from_dict(data)

@@ -23,7 +23,6 @@ function instead of copy-pasting the fallback logic.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from typing import Mapping
@@ -31,6 +30,7 @@ from typing import Mapping
 from repro.api.service import frozen_key
 from repro.api.store import CACHE_DIR_ENV, ArtifactStore
 from repro.errors import ConfigurationError
+from repro.jsonfile import read_json, write_json
 
 #: Version of the journal entry layout.  Bumped whenever the stamped fields
 #: change meaning, so trajectory tooling can tell entries apart:
@@ -116,15 +116,13 @@ def append_journal(
             f"journal record must not set the stamped fields {claimed}"
         )
     path = journal_path(results_dir, name)
-    os.makedirs(results_dir, exist_ok=True)
     payload: dict = {"benchmark": name, "runs": []}
     if os.path.exists(path):
         try:
-            with open(path, encoding="utf-8") as handle:
-                existing = json.load(handle)
+            existing = read_json(path, "journal")
             if isinstance(existing, dict) and isinstance(existing.get("runs"), list):
                 payload = existing
-        except (OSError, json.JSONDecodeError):
+        except ConfigurationError:
             pass  # corrupt journal: restart it rather than fail the benchmark
     payload["runs"].append(
         {
@@ -135,9 +133,7 @@ def append_journal(
             **record,
         }
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload, indent=2, sort_keys=True)
     if not quiet:
         print(f"[bench journal: run {len(payload['runs']) - 1} appended to {path}]")
     return path
@@ -145,13 +141,7 @@ def append_journal(
 
 def read_journal(path: str) -> dict:
     """Load one journal file, raising :class:`ConfigurationError` on junk."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as error:
-        raise ConfigurationError(f"cannot read journal {path!r}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(f"journal {path!r} is not valid JSON: {error}") from error
+    payload = read_json(path, "journal")
     problems = validate_journal(payload)
     if problems:
         raise ConfigurationError(

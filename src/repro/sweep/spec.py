@@ -3,8 +3,8 @@
 A :class:`SweepSpec` describes one experiment grid the way the benchmarks
 used to hand-roll it: every combination of the named axis values, replayed
 under every seed, on top of a shared fixed configuration.  Specs are plain
-JSON values end to end — they round-trip through :meth:`SweepSpec.to_json`
-/ :meth:`SweepSpec.from_json` losslessly — so a sweep can live in a file,
+JSON values end to end — they round-trip through :meth:`SweepSpec.save` /
+:meth:`SweepSpec.load` losslessly — so a sweep can live in a file,
 ship through the CLI (``python -m repro.sweep run spec.json``), and be
 hashed into the journal's config digest.
 
@@ -17,13 +17,12 @@ entries (Fig. 23's core counts, where HBM bandwidth scales with cores).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 from repro.api.service import frozen_key
 from repro.errors import ConfigurationError
+from repro.jsonfile import read_json, write_json
 
 #: Keys a spec may carry in its JSON form (anything else is a typo we want
 #: to fail loudly on, not silently ignore).
@@ -287,34 +286,11 @@ class SweepSpec:
         kwargs = {key: data[key] for key in _SPEC_FIELDS if key in data}
         return cls(**kwargs)  # type: ignore[arg-type]
 
-    def to_json(self, indent: int | None = 2) -> str:
-        """This spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        """Parse a spec from a JSON document."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"sweep spec is not valid JSON: {error}") from error
-        return cls.from_dict(data)
-
     def save(self, path: str) -> str:
         """Write this spec to ``path`` as JSON; returns the path."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
-        return path
+        return write_json(path, self.to_dict(), indent=2)
 
     @classmethod
     def load(cls, path: str) -> "SweepSpec":
         """Read a spec from a JSON file."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as error:
-            raise ConfigurationError(f"cannot read sweep spec {path!r}: {error}") from error
-        return cls.from_json(text)
+        return cls.from_dict(read_json(path, "sweep spec"))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -25,6 +26,7 @@ from repro.compiler import (
     unregister_policy,
 )
 from repro.errors import ConfigurationError
+from repro.obs import Tracer
 from repro.partition.enumerate import EnumerationLimits
 from repro.scheduler import ElkOptions, ElkScheduler
 
@@ -219,7 +221,7 @@ def test_session_clear_resets_caches(small_system):
 # --------------------------------------------------------------------------- #
 def test_artifact_json_round_trip(small_system):
     artifact = Session().compile(TINY, small_system, "elk-full")
-    restored = CompileArtifact.from_json(artifact.to_json())
+    restored = CompileArtifact.from_dict(json.loads(json.dumps(artifact.to_dict())))
     assert restored == artifact
     assert restored.result is None and restored.frontend is None
     assert restored.search_stats == artifact.search_stats
@@ -253,6 +255,38 @@ def test_session_save_and_load_artifacts(small_system, tmp_path):
     assert [list(evaluate_artifact(a).items()) for a in loaded] == [
         list(evaluate_artifact(a).items()) for a in session.artifacts()
     ]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"artifacts": [5]}'],
+    ids=["missing", "not-json", "non-mapping-record"],
+)
+def test_load_artifacts_raises_configuration_error(tmp_path, content):
+    path = tmp_path / "artifacts.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigurationError):
+        load_artifacts(str(path))
+
+
+def test_traced_and_untraced_compiles_agree(small_system):
+    """The traced-only ``codegen`` pass leaves every artifact unchanged."""
+    tracer = Tracer()
+
+    def artifacts(session):
+        return [
+            {
+                key: value
+                for key, value in session.compile(TINY, small_system, policy).to_dict().items()
+                if key != "compile_seconds"
+            }
+            for policy in POLICIES
+        ]
+
+    assert artifacts(Session(tracer=tracer)) == artifacts(Session())
+    # Every policy but the plan-less ideal roofline was lowered.
+    assert sum(span.name == "codegen" for span in tracer.spans()) == len(POLICIES) - 1
 
 
 # --------------------------------------------------------------------------- #

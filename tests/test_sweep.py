@@ -106,7 +106,7 @@ def test_spec_round_trip_and_digest_stable_under_key_order(
         name="prop", adapter="probe",
         axes=axes, seeds=tuple(seeds), fixed=fixed, include=tuple(include),
     )
-    assert SweepSpec.from_json(spec.to_json()) == spec
+    assert SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     # frozen_key canonicalization: permuting the insertion order of the fixed
     # config must not change the digest (the journal identity of the run).
