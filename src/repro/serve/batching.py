@@ -248,20 +248,15 @@ class StepLatencyModel:
             leftover, self._armed_failures = self._armed_failures, 0
             return leftover
 
-    def prewarm(
-        self,
-        groups: Iterable[tuple[str, str]],
-        *,
-        max_workers: int | None = None,
-        backend: str | None = None,
-    ) -> int:
+    def prewarm(self, groups: Iterable[tuple[str, str]]) -> int:
         """Compile every bucketed shape of ``groups`` up front; return the count.
 
         ``groups`` are (model, kind) pairs (kind ``"llm"`` or
         ``"diffusion"``).  Every decode and diffusion bucket, and every
         prefill bucket within ``prefill_attention_budget`` (the shapes a
         multi-request pass can use; one over-budget prompt stays lazy), is
-        fanned out through :meth:`Session.compile_many` in one batch —
+        fanned out through :meth:`Session.compile_many` in one batch, with
+        the session's worker count and backend —
         deduplicated against everything the shared session (and its
         on-disk store, if any) already holds — then the per-step latencies
         are resolved into this model's cache.  A fleet that prewarms before
@@ -288,7 +283,7 @@ class StepLatencyModel:
             CompileRequest(self._workload(*shape), self.system, self.policy)
             for shape in shapes
         ]
-        self.session.compile_many(requests, max_workers=max_workers, backend=backend)
+        self.session.compile_many(requests)
         for shape in shapes:
             self._step_latency(*shape)
         return len(shapes)
