@@ -477,6 +477,12 @@ class Session:
         the in-memory result cache, then the on-disk store (if any), then a
         real compile — whose artifact is persisted to the store for future
         sessions and processes.
+
+        With a tracer attached, a real compile also lowers its plan through
+        :func:`generate_device_program` and discards the program: the
+        ``codegen`` span is the per-stage picture of lowering cost, and trace
+        bytes and span counts are pinned with it.  The pass reads the plan
+        only, so traced and untraced compiles return equal artifacts.
         """
         request = _as_request("compile", request, system, policy, options)
         key = self._result_key(request)
@@ -496,8 +502,6 @@ class Session:
             output = compiler.compile(request.policy)
             elapsed = time.perf_counter() - started
             if tracer is not None and output.plan is not None:
-                # Pure lowering pass, profiled for the per-stage picture;
-                # the program itself is not part of the artifact.
                 generate_device_program(output.plan, tracer)
         artifact = CompileArtifact.from_output(
             output, compiler, request.policy, compile_seconds=elapsed
