@@ -479,10 +479,11 @@ class Session:
         sessions and processes.
 
         With a tracer attached, a real compile also lowers its plan through
-        :func:`generate_device_program` and discards the program: the
-        ``codegen`` span is the per-stage picture of lowering cost, and trace
-        bytes and span counts are pinned with it.  The pass reads the plan
-        only, so traced and untraced compiles return equal artifacts.
+        :func:`generate_device_program` and discards the program, so the
+        trace shows what lowering costs; the same-seed trace bytes and the
+        perf journal's span count include that ``codegen`` span.  The pass
+        only reads the plan, so traced and untraced compiles return equal
+        artifacts.
         """
         request = _as_request("compile", request, system, policy, options)
         key = self._result_key(request)

@@ -50,7 +50,7 @@ def check_schema(data: object, version: int, what: str) -> None:
     """
     if not isinstance(data, Mapping):
         raise ConfigurationError(
-            f"a {what} record must be a mapping, got {type(data).__name__}"
+            f"{what} record must be a mapping, got {type(data).__name__}"
         )
     found = data.get("schema_version", version)
     if found != version:
