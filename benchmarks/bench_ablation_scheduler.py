@@ -11,7 +11,7 @@ from _common import BENCH_CONFIG, SESSION, report
 from repro.api import CompileRequest
 from repro.arch import ipu_pod4
 from repro.compiler import WorkloadSpec
-from repro.scheduler import InductiveScheduler, SchedulerOptions
+from repro.scheduler import InductiveScheduler, MemoryAllocator, SchedulerOptions
 from repro.sim import simulate_system
 
 
@@ -28,9 +28,11 @@ def _rows():
     # Variant: inductive scheduling with preload-ahead disabled entirely.
     no_ahead_plan = InductiveScheduler(
         compiler.profiles,
-        compiler.cost_model,
-        compiler.chip.per_core_usable_sram,
-        compiler.chip.core.link_bandwidth,
+        MemoryAllocator(
+            compiler.cost_model,
+            compiler.chip.per_core_usable_sram,
+            compiler.chip.core.link_bandwidth,
+        ),
         SchedulerOptions(max_preload_ahead=0, policy_name="no-preload-ahead"),
     ).schedule()
     sim = simulate_system(

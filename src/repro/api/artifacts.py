@@ -238,9 +238,11 @@ def save_artifacts(artifacts: Sequence[CompileArtifact], path: str) -> str:
 def load_artifacts(path: str) -> list[CompileArtifact]:
     """Load a batch of artifacts saved by :func:`save_artifacts`.
 
-    A missing, malformed or corrupt file raises :class:`ConfigurationError`.
+    A missing, malformed or corrupt file, or one stamped with a foreign
+    ``schema_version``, raises :class:`ConfigurationError`.
     """
     payload = read_json(path, "artifact batch")
-    if not isinstance(payload, dict) or not isinstance(payload.get("artifacts"), list):
+    check_schema(payload, ARTIFACT_SCHEMA_VERSION, "artifact batch")
+    if not isinstance(payload.get("artifacts"), list):
         raise ConfigurationError(f"{path} is not an artifact batch file")
     return [CompileArtifact.from_dict(entry) for entry in payload["artifacts"]]

@@ -57,6 +57,7 @@ from repro.cost.model import AnalyticCostModel, CostModel
 from repro.errors import CompileFailedError, ConfigurationError
 from repro.obs.trace import maybe_span
 from repro.partition.enumerate import EnumerationLimits
+from repro.scheduler.allocation import MemoryAllocator
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.profiles import OperatorProfile, build_operator_profiles
 
@@ -231,10 +232,10 @@ class Session:
     sharing the per-(workload, system) frontend and profile caches.
 
     Caches grow for the session's lifetime: every compile result (with its
-    plan and timeline), frontend result, and profile list stays pinned so
-    later requests can hit them.  For very large sweeps, call :meth:`clear`
-    between unrelated phases — after :meth:`save`\\ ing any artifacts worth
-    keeping — to return the memory.
+    plan and timeline), frontend result, and profile list (with its
+    allocator memo) stays pinned so later requests can hit them.  For very
+    large sweeps, call :meth:`clear` between unrelated phases — after
+    :meth:`save`\\ ing any artifacts worth keeping — to return the memory.
 
     With a ``store``, the session also consults a content-addressed on-disk
     cache between its in-memory dict and a real compile: results land on
@@ -299,7 +300,7 @@ class Session:
         self.stats = SessionStats()
         self._lock = threading.Lock()
         self._frontends: dict[Hashable, FrontendResult] = {}
-        self._profiles: dict[Hashable, list[OperatorProfile]] = {}
+        self._profiles: dict[Hashable, tuple[list[OperatorProfile], MemoryAllocator]] = {}
         self._cost_models: dict[Hashable, CostModel] = {}
         self._results: dict[Hashable, CompileArtifact] = {}
 
@@ -368,6 +369,15 @@ class Session:
         enumeration: EnumerationLimits | None = None,
     ) -> list[OperatorProfile]:
         """The (cached) per-operator planning profiles of a workload."""
+        return self._planning(workload, system, enumeration)[0]
+
+    def _planning(
+        self,
+        workload: WorkloadSpec | str,
+        system: SystemConfig,
+        enumeration: EnumerationLimits | None,
+    ) -> tuple[list[OperatorProfile], MemoryAllocator]:
+        """The (cached) profiles and the allocator whose memo lives with them."""
         workload = _as_workload(workload)
         limits = enumeration or self.elk_options.enumeration
         key = self._profile_key(workload, system, limits)
@@ -377,19 +387,21 @@ class Session:
                 self.stats.profile_hits += 1
                 return cached
         frontend = self.frontend(workload, system)
+        chip = system.chip
         with maybe_span(
             self.tracer,
             "partition-enumeration",
             category="compile",
             model=workload.model_name,
         ) as attrs:
-            built = build_operator_profiles(
-                frontend.per_chip_graph,
-                system.chip,
-                self.cost_model(system.chip),
-                limits,
+            profiles = build_operator_profiles(
+                frontend.per_chip_graph, chip, self.cost_model(chip), limits
             )
-            attrs["num_profiles"] = len(built)
+            attrs["num_profiles"] = len(profiles)
+        allocator = MemoryAllocator(
+            self.cost_model(chip), chip.per_core_usable_sram, chip.core.link_bandwidth
+        )
+        built = (profiles, allocator)
         with self._lock:
             winner = self._profiles.setdefault(key, built)
             if winner is built:
@@ -400,12 +412,14 @@ class Session:
     def compiler(self, request: CompileRequest) -> ModelCompiler:
         """A :class:`ModelCompiler` holding this session's cached inputs.
 
-        The frontend result, the operator profiles and the cost model come
+        The frontend result, the operator profiles (with the allocator whose
+        memo every policy compiled from them shares) and the cost model come
         from :meth:`frontend`, :meth:`profiles` and :meth:`cost_model`; the
         session is the only place that builds them.
         """
         elk = self._effective_elk(request)
         workload = request.workload_spec
+        profiles, allocator = self._planning(workload, request.system, elk.enumeration)
         return ModelCompiler(
             workload,
             request.system,
@@ -413,7 +427,8 @@ class Session:
             elk_options=elk,
             static_options=self._effective_static(request),
             frontend=self.frontend(workload, request.system),
-            profiles=self.profiles(workload, request.system, elk.enumeration),
+            profiles=profiles,
+            allocator=allocator,
             tracer=self.tracer,
         )
 

@@ -31,6 +31,7 @@ from repro.compiler.frontend import FrontendResult, WorkloadSpec
 from repro.compiler.registry import PolicyOutput, available_policies, get_policy
 from repro.cost.model import CostModel
 from repro.obs.trace import maybe_span
+from repro.scheduler.allocation import MemoryAllocator
 from repro.scheduler.elk import ElkOptions
 from repro.scheduler.profiles import OperatorProfile
 from repro.scheduler.timeline import TimelineEvaluator
@@ -53,6 +54,8 @@ class ModelCompiler:
         system: Target multi-chip system.
         frontend: Frontend result (per-chip graph + sharding metadata).
         profiles: Per-operator planning profiles of the per-chip graph.
+        allocator: The chip's memory allocator for ``profiles`` (the Elk
+            policies share its memo).
         cost_model: Cost model of the system's chip.
         elk_options: Knobs for the Elk policies.
         static_options: Knobs for the Static baseline.
@@ -67,6 +70,7 @@ class ModelCompiler:
         *,
         frontend: FrontendResult,
         profiles: Sequence[OperatorProfile],
+        allocator: MemoryAllocator,
         cost_model: CostModel,
         elk_options: ElkOptions,
         static_options: StaticOptions,
@@ -77,6 +81,7 @@ class ModelCompiler:
         self.chip = system.chip
         self.frontend = frontend
         self.profiles = profiles
+        self.allocator = allocator
         self.cost_model = cost_model
         self.elk_options = elk_options
         self.static_options = static_options

@@ -73,9 +73,9 @@ class _ElkPolicy(CompilerPolicy):
         scheduler = ElkScheduler(
             compiler.frontend.per_chip_graph,
             compiler.chip,
-            compiler.cost_model,
             options,
             profiles=compiler.profiles,
+            allocator=compiler.allocator,
         )
         outcome = scheduler.run()
         return PolicyOutput(

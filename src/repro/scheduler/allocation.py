@@ -7,20 +7,32 @@ fastest (largest) plan and greedily steps the most "cost-effective" operator —
 the one whose next-smaller Pareto plan frees the most memory per unit of added
 time — down its frontier until the total footprint fits (Fig. 11).
 
-A :class:`MemoryAllocator` memoizes its answers for its own lifetime.  The key
-is the current profile plus the *ordered* preloaded (profile, execute option)
-pairs, by identity: ties in the greedy walk go to the earlier candidate, so
-the order is part of the question.  The allocator holds every object it has
-keyed on, so no other object can take one's identity, and its answers share
-their :class:`PreloadAssignment` objects.  The inductive scheduler owns one
-allocator per scheduling run, where the same question recurs across preload
-numbers and candidate preload orders, so the memo dies with the run.
+One :class:`MemoryAllocator` serves one profiles list, and its memo lives as
+long as they do: the :class:`~repro.api.Session` builds it next to the
+profiles, caches it under the same key and drops both together (a process
+backend's child session has its own), so every policy and every candidate
+preload order compiled from those profiles shares its answers.  The key is
+structural: the current operator stands for the
+:class:`~repro.cost.model.ExecutionCost` object of its fastest execute option
+and each preloaded operator, in order, for that of its chosen one (ties in the
+greedy walk go to the earlier candidate, so the order is part of the
+question).  The cost model builds one cost object per enumerated plan, and
+structurally identical operators of different layers share them
+(:func:`~repro.scheduler.profiles.build_operator_profiles`), so one layer's
+questions are answered from another's.  The profiles keep the objects alive,
+so their ids stay theirs while the memo lives.
+
+An entry holds numbers only: the window time, the overhead penalty, the
+execute-frontier index, the preload frontier positions, the footprint and the
+execution, distribution and contention times (``None`` if nothing fits).
+:meth:`MemoryAllocator.build` turns it into an :class:`AllocationResult` for
+the question's own operators.  Answers are deterministic, so threads racing on
+a miss publish with ``setdefault`` and the first writer wins harmlessly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 from repro.cost.model import CostModel
@@ -77,32 +89,6 @@ class AllocationResult:
     preload_overhead_penalty: float = 0.0
 
 
-@dataclass
-class _Candidate:
-    """Internal: one operator's walk position along its Pareto frontier."""
-
-    key: int  # operator index; the current operator uses its own index
-    frontier: Sequence  # sequence of ExecuteOption or PreloadOption
-    position: int = 0
-
-    @property
-    def option(self):
-        return self.frontier[self.position]
-
-    @property
-    def memory(self) -> int:
-        return self.option.memory_bytes
-
-    def next_step(self) -> tuple[int, float] | None:
-        """(memory saved, time added) by moving one step down the frontier."""
-        if self.position + 1 >= len(self.frontier):
-            return None
-        nxt = self.frontier[self.position + 1]
-        saved = self.memory - nxt.memory_bytes
-        added = nxt.time_seconds - self.option.time_seconds
-        return saved, added
-
-
 class MemoryAllocator:
     """The §4.3 greedy allocator.
 
@@ -123,9 +109,7 @@ class MemoryAllocator:
         self.cost_model = cost_model
         self.sram_budget = sram_budget_bytes
         self.link_bandwidth = link_bandwidth
-        self._serials: dict[int, tuple[int, object]] = {}
-        self._memo: dict[tuple[int, ...], AllocationResult | None] = {}
-        self._assignments: dict[tuple[int, int, int], PreloadAssignment] = {}
+        self.memo: dict[tuple[int, ...], tuple | None] = {}
 
     # ---------------------------------------------------------------- interface
     def allocate(
@@ -144,33 +128,25 @@ class MemoryAllocator:
         Returns:
             The allocation, or ``None`` if even the smallest plans of every
             operator exceed the SRAM budget (the preload number is infeasible).
-            A repeated question returns the first answer's object.
         """
-        key = tuple(map(self._serial, (current, *chain.from_iterable(preloaded))))
-        if key not in self._memo:
-            self._memo[key] = self._allocate(current, preloaded)
-        return self._memo[key]
+        key = (id(current.fastest.cost), *[id(option.cost) for _, option in preloaded])
+        if key not in self.memo:
+            self.memo.setdefault(key, self.answer(current, preloaded))
+        answer = self.memo[key]
+        return None if answer is None else self.build(answer, current, preloaded)
 
-    # ----------------------------------------------------------------- internal
-    def _serial(self, obj: object) -> int:
-        """This allocator's number for ``obj``, which it holds so the number stays its own."""
-        entry = self._serials.get(id(obj))
-        if entry is None:
-            entry = self._serials[id(obj)] = (len(self._serials), obj)
-        return entry[0]
-
-    def _allocate(
+    def answer(
         self,
         current: OperatorProfile,
         preloaded: Sequence[tuple[OperatorProfile, ExecuteOption]],
-    ) -> AllocationResult | None:
-        current_candidate = _Candidate(key=current.index, frontier=current.execute_frontier)
-        preload_candidates = [
-            _Candidate(profile.index, profile.preload_frontier(option.plan, self.cost_model))
+    ) -> tuple | None:
+        """Walk the greedy allocation of a question; return its memo entry unstored."""
+        frontiers = [current.execute_frontier] + [
+            profile.preload_frontier(option.plan, self.cost_model)
             for profile, option in preloaded
         ]
-        candidates = [current_candidate] + preload_candidates
-        total_memory = sum(c.memory for c in candidates)
+        positions = [0] * len(frontiers)
+        total_memory = sum(frontier[0].memory_bytes for frontier in frontiers)
 
         # Greedy walk: step the operator with the best space-saved / time-added
         # ratio until the footprint fits or no operator can shrink further.
@@ -178,11 +154,13 @@ class MemoryAllocator:
             best_index = -1
             best_ratio = -1.0
             best_saved = 0
-            for idx, candidate in enumerate(candidates):
-                step = candidate.next_step()
-                if step is None:
+            for idx, frontier in enumerate(frontiers):
+                position = positions[idx]
+                if position + 1 >= len(frontier):
                     continue
-                saved, added = step
+                option, smaller = frontier[position], frontier[position + 1]
+                saved = option.memory_bytes - smaller.memory_bytes
+                added = smaller.time_seconds - option.time_seconds
                 if saved <= 0:
                     ratio = float("inf") if added <= 0 else 0.0
                 else:
@@ -193,40 +171,18 @@ class MemoryAllocator:
                     best_saved = saved
             if best_index < 0:
                 return None
-            candidates[best_index].position += 1
+            positions[best_index] += 1
             total_memory -= best_saved
 
-        return self._build_result(current_candidate, preloaded, preload_candidates, total_memory)
-
-    def _build_result(
-        self,
-        current_candidate: _Candidate,
-        preloaded: Sequence[tuple[OperatorProfile, ExecuteOption]],
-        preload_candidates: Sequence[_Candidate],
-        total_memory: int,
-    ) -> AllocationResult:
-        execute_option: ExecuteOption = current_candidate.option
-        assignments: dict[int, PreloadAssignment] = {}
+        execute_option: ExecuteOption = current.execute_frontier[positions[0]]
         distribution_total = 0.0
-        overhead_penalty = 0.0
         # Squeezing the current operator below its fastest plan is also a cost
         # paid because of the chosen preload number.
-        overhead_penalty += (
-            current_candidate.option.time_seconds
-            - current_candidate.frontier[0].time_seconds
-        )
-        for (profile, chosen), candidate in zip(preloaded, preload_candidates):
-            option: PreloadOption = candidate.option
-            # (profile, execute option, position) fixes an assignment, and
-            # ``_serial`` holds both objects, so their ids stay theirs.
-            shared = (id(profile), id(chosen), candidate.position)
-            if shared not in self._assignments:
-                self._assignments[shared] = PreloadAssignment(
-                    profile, chosen, option, candidate.position
-                )
-            assignments[candidate.key] = self._assignments[shared]
+        overhead_penalty = execute_option.time_seconds - current.fastest.time_seconds
+        for frontier, position in zip(frontiers[1:], positions[1:]):
+            option: PreloadOption = frontier[position]
             distribution_total += option.distribution_time
-            overhead_penalty += option.overhead_time - candidate.frontier[0].overhead_time
+            overhead_penalty += option.overhead_time - frontier[0].overhead_time
 
         execution_time = execute_option.cost.total_time
         # First-order interconnect contention: the execution window's per-core
@@ -238,15 +194,44 @@ class MemoryAllocator:
         own_bytes = execute_option.cost.exchange_bytes
         link_time = own_bytes / self.link_bandwidth if self.link_bandwidth > 0 else 0.0
         contention = max(0.0, link_time - execution_time)
-        window_time = execution_time + contention
+        return (
+            execution_time + contention,
+            overhead_penalty,
+            positions[0],
+            tuple(positions[1:]),
+            total_memory,
+            execution_time,
+            distribution_total,
+            contention,
+        )
+
+    def build(
+        self,
+        answer: tuple,
+        current: OperatorProfile,
+        preloaded: Sequence[tuple[OperatorProfile, ExecuteOption]],
+    ) -> AllocationResult:
+        """The :class:`AllocationResult` of a memo entry for these operators."""
+        (window, penalty, index, positions, memory, execution, distribution, contention) = (
+            answer
+        )
+        assignments = {
+            profile.index: PreloadAssignment(
+                profile,
+                chosen,
+                profile.preload_frontier(chosen.plan, self.cost_model)[position],
+                position,
+            )
+            for (profile, chosen), position in zip(preloaded, positions)
+        }
         return AllocationResult(
-            execute_option=execute_option,
-            execute_frontier_index=current_candidate.position,
+            execute_option=current.execute_frontier[index],
+            execute_frontier_index=index,
             preload_assignments=assignments,
-            total_memory_bytes=total_memory,
-            execution_time=execution_time,
-            distribution_time_total=distribution_total,
+            total_memory_bytes=memory,
+            execution_time=execution,
+            distribution_time_total=distribution,
             contention_time=contention,
-            window_time=window_time,
-            preload_overhead_penalty=overhead_penalty,
+            window_time=window,
+            preload_overhead_penalty=penalty,
         )

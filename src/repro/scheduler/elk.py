@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.arch.chip import ChipConfig
-from repro.cost.model import CostModel
 from repro.errors import SchedulingError
 from repro.ir.graph import OperatorGraph
 from repro.partition.enumerate import EnumerationLimits
+from repro.scheduler.allocation import MemoryAllocator
 from repro.scheduler.inductive import InductiveScheduler, SchedulerOptions
 from repro.scheduler.plan import ExecutionPlan
 from repro.scheduler.preload_order import (
@@ -69,25 +69,26 @@ class ElkScheduler:
     Args:
         graph: The (per-chip) model graph.
         chip: Target chip configuration.
-        cost_model: Cost model of the chip.
         options: Scheduler knobs.
         profiles: Per-operator profiles of ``graph`` (the compile pipeline
             shares one list across policies).
+        allocator: The chip's :class:`MemoryAllocator` for ``profiles`` (the
+            compile pipeline shares it, and its memo, with the profiles).
     """
 
     def __init__(
         self,
         graph: OperatorGraph,
         chip: ChipConfig,
-        cost_model: CostModel,
         options: ElkOptions,
         profiles: Sequence[OperatorProfile],
+        allocator: MemoryAllocator,
     ) -> None:
         self.graph = graph
         self.chip = chip
-        self.cost_model = cost_model
         self.options = options
         self.profiles = profiles
+        self.allocator = allocator
 
     # ------------------------------------------------------------------ stages
     def order_generator(self) -> PreloadOrderGenerator:
@@ -102,9 +103,7 @@ class ElkScheduler:
     def _scheduler(self, policy_name: str) -> InductiveScheduler:
         return InductiveScheduler(
             self.profiles,
-            self.cost_model,
-            self.chip.per_core_usable_sram,
-            self.chip.core.link_bandwidth,
+            self.allocator,
             SchedulerOptions(
                 max_preload_ahead=self.options.max_preload_ahead,
                 policy_name=policy_name,

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cost.model import CostModel
 from repro.errors import SchedulingError
-from repro.scheduler.allocation import AllocationResult, MemoryAllocator, PreloadAssignment
+from repro.scheduler.allocation import MemoryAllocator, PreloadAssignment
 from repro.scheduler.plan import ExecutionPlan, OperatorSchedule, make_schedule
 from repro.scheduler.profiles import ExecuteOption, OperatorProfile, PreloadOption
 
@@ -46,7 +45,6 @@ class _Decision:
 
     preload_number: int = 0
     execute_option: ExecuteOption | None = None
-    allocation: AllocationResult | None = None
     exec_start: float = 0.0
     exec_end: float = 0.0
     preload_start: float = 0.0
@@ -58,27 +56,22 @@ class InductiveScheduler:
 
     Args:
         profiles: Per-operator planning profiles, in execution order.
-        cost_model: Cost model shared with the allocator.
-        sram_budget_bytes: Per-core SRAM available to execution + preload spaces.
-        link_bandwidth: Per-core interconnect port bandwidth.
+        allocator: The §4.3 allocator of ``profiles`` (its memo is keyed by
+            their cost objects; see :mod:`repro.scheduler.allocation`).
         options: Scheduler knobs.
     """
 
     def __init__(
         self,
         profiles: Sequence[OperatorProfile],
-        cost_model: CostModel,
-        sram_budget_bytes: int,
-        link_bandwidth: float,
+        allocator: MemoryAllocator,
         options: SchedulerOptions | None = None,
     ) -> None:
         if not profiles:
             raise SchedulingError("cannot schedule an empty model")
         self.profiles = list(profiles)
-        self.cost_model = cost_model
-        self.sram_budget = sram_budget_bytes
+        self.allocator = allocator
         self.options = options or SchedulerOptions()
-        self.allocator = MemoryAllocator(cost_model, sram_budget_bytes, link_bandwidth)
 
     # ------------------------------------------------------------------ helpers
     def _position_frontiers(self, order: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -104,8 +97,7 @@ class InductiveScheduler:
         self, profile: OperatorProfile, execute_option: ExecuteOption
     ) -> PreloadOption:
         """MaxPreload option used when no allocation constrained this operator."""
-        frontier = profile.preload_frontier(execute_option.plan, self.cost_model)
-        return frontier[0]
+        return profile.preload_frontier(execute_option.plan, self.allocator.cost_model)[0]
 
     # ---------------------------------------------------------------- scheduling
     def schedule(self, preload_order: Sequence[int] | None = None) -> ExecutionPlan:
@@ -133,61 +125,71 @@ class InductiveScheduler:
         max_ahead = (
             n if self.options.max_preload_ahead is None else self.options.max_preload_ahead
         )
+        profiles, allocator, memo = self.profiles, self.allocator, self.allocator.memo
+        # Each scheduled operator's part of the allocator's key: the id of its
+        # chosen execution cost (see repro.scheduler.allocation).
+        cost_ids = [0] * n
 
         for i in range(n - 1, -1, -1):
-            profile = self.profiles[i]
-            executed = set(range(i + 1))
-            resident_base = [j for j in order[: q[i]] if j not in executed]
+            profile = profiles[i]
+            first = q[i]
+            resident_base = [j for j in order[:first] if j > i]
+            key = (id(profile.fastest.cost), *map(cost_ids.__getitem__, resident_base))
+            limit = min(max_ahead, n - first)
+            # Each operator that may be on chip, and its chosen plan; the
+            # allocator's question for preload number p is its first base + p.
+            preloads = resident_base + order[first: first + limit]
+            question = [(profiles[j], decisions[j].execute_option) for j in preloads]
 
-            best: tuple[float, int, AllocationResult] | None = None
-            for p in range(0, min(max_ahead, n - q[i]) + 1):
-                overlapped = order[q[i]: q[i] + p]
-                resident = resident_base + overlapped
-                preloaded = [
-                    (self.profiles[j], decisions[j].execute_option) for j in resident
-                ]
-                if any(option is None for _, option in preloaded):
-                    raise SchedulingError(
-                        "internal error: resident operator scheduled out of order"
-                    )
-                allocation = self.allocator.allocate(profile, preloaded)
-                if allocation is None:
+            best: tuple[float, int, tuple, float] | None = None
+            for p in range(0, limit + 1):
+                if p:
+                    key += (cost_ids[order[first + p - 1]],)
+                answer = memo.get(key)
+                if answer is None and key not in memo:
+                    asked = question[: len(resident_base) + p]
+                    answer = memo.setdefault(key, allocator.answer(profile, asked))
+                if answer is None:
                     if p == 0:
                         raise SchedulingError(
                             f"operator {profile.op.name!r} cannot fit per-core SRAM "
-                            f"({self.sram_budget} bytes) even without overlapped preloads"
+                            f"({allocator.sram_budget} bytes) even without overlapped "
+                            "preloads"
                         )
                     break  # adding more preloads only increases the footprint
+                window_time, overhead_penalty = answer[:2]
 
                 # Latest feasible end of operator i's execution (Theorem 4.2).
                 end_candidates = [0.0 if i + 1 >= n else decisions[i + 1].exec_start]
-                boundary = q[i] + p
+                boundary = first + p
                 if boundary < n:
                     end_candidates.append(decisions[order[boundary]].preload_start)
                 exec_end = min(end_candidates)
-                exec_start = exec_end - allocation.window_time
+                exec_start = exec_end - window_time
                 # The score penalizes preload numbers that only fit by pushing
                 # the overlapped operators (or this one) onto slower plans;
                 # that overhead is paid later on the timeline even though it
                 # does not delay this operator's own start.
-                score = exec_start - allocation.preload_overhead_penalty
+                score = exec_start - overhead_penalty
                 # Ties favour the larger preload number: the backward model's
                 # preload times are as-late-as-possible estimates, so when two
                 # preload numbers look equal the larger one keeps the HBM
                 # busier in the forward replay at no estimated cost.
                 if best is None or score >= best[0] - 1e-12:
-                    best = (score, p, allocation, exec_start)
+                    best = (score, p, answer, exec_start)
 
             if best is None:
                 raise SchedulingError(
                     f"operator {profile.op.name!r}: no preload number examined "
                     f"(max_preload_ahead={self.options.max_preload_ahead})"
                 )
-            _, p, allocation, exec_start = best
+            _, p, answer, exec_start = best
+            asked = question[: len(resident_base) + p]
+            allocation = allocator.build(answer, profile, asked)
+            cost_ids[i] = id(allocation.execute_option.cost)
             decision = decisions[i]
             decision.preload_number = p
             decision.execute_option = allocation.execute_option
-            decision.allocation = allocation
             decision.exec_start = exec_start
             decision.exec_end = exec_start + allocation.window_time
             for op_index, assignment in allocation.preload_assignments.items():
@@ -246,5 +248,5 @@ class InductiveScheduler:
             policy=self.options.policy_name,
             schedules=schedules,
             preload_order=tuple(order),
-            sram_budget_bytes=self.sram_budget,
+            sram_budget_bytes=self.allocator.sram_budget,
         )

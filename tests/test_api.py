@@ -110,9 +110,9 @@ def test_elk_scheduler_accepts_precomputed_profiles(small_system):
     scheduler = ElkScheduler(
         compiler.frontend.per_chip_graph,
         compiler.chip,
-        compiler.cost_model,
         compiler.elk_options,
         profiles=shared,
+        allocator=compiler.allocator,
     )
     assert scheduler.profiles is shared
     assert scheduler.run().plan is not None
@@ -259,8 +259,8 @@ def test_session_save_and_load_artifacts(small_system, tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", '{"artifacts": [5]}'],
-    ids=["missing", "not-json", "non-mapping-record"],
+    [None, "{not json", '{"artifacts": [5]}', '{"schema_version": 999, "artifacts": []}'],
+    ids=["missing", "not-json", "non-mapping-record", "foreign-batch-version"],
 )
 def test_load_artifacts_raises_configuration_error(tmp_path, content):
     path = tmp_path / "artifacts.json"

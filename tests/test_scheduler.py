@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.scheduler import (
+    MemoryAllocator,
     InductiveScheduler,
     OrderSearchConfig,
     PreloadOrderGenerator,
@@ -18,9 +19,9 @@ from repro.scheduler import (
 def scheduler(tiny_profiles, small_chip, small_cost_model):
     return InductiveScheduler(
         tiny_profiles,
-        small_cost_model,
-        small_chip.per_core_usable_sram,
-        small_chip.core.link_bandwidth,
+        MemoryAllocator(
+            small_cost_model, small_chip.per_core_usable_sram, small_chip.core.link_bandwidth
+        ),
         SchedulerOptions(max_preload_ahead=8),
     )
 
@@ -62,16 +63,16 @@ def test_overlap_beats_no_overlap(tiny_profiles, small_chip, small_cost_model, t
     evaluator = TimelineEvaluator(small_chip, total_flops=tiny_graph.total_flops)
     with_overlap = InductiveScheduler(
         tiny_profiles,
-        small_cost_model,
-        small_chip.per_core_usable_sram,
-        small_chip.core.link_bandwidth,
+        MemoryAllocator(
+            small_cost_model, small_chip.per_core_usable_sram, small_chip.core.link_bandwidth
+        ),
         SchedulerOptions(max_preload_ahead=8),
     ).schedule()
     without_overlap = InductiveScheduler(
         tiny_profiles,
-        small_cost_model,
-        small_chip.per_core_usable_sram,
-        small_chip.core.link_bandwidth,
+        MemoryAllocator(
+            small_cost_model, small_chip.per_core_usable_sram, small_chip.core.link_bandwidth
+        ),
         SchedulerOptions(max_preload_ahead=0),
     ).schedule()
     time_with = evaluator.evaluate(with_overlap).total_time
@@ -200,9 +201,9 @@ def test_negative_preload_cap_is_a_scheduling_error(
 ):
     scheduler = InductiveScheduler(
         tiny_profiles,
-        small_cost_model,
-        small_chip.per_core_usable_sram,
-        small_chip.core.link_bandwidth,
+        MemoryAllocator(
+            small_cost_model, small_chip.per_core_usable_sram, small_chip.core.link_bandwidth
+        ),
         SchedulerOptions(max_preload_ahead=-1),
     )
     with pytest.raises(SchedulingError, match="no preload number"):

@@ -2,16 +2,21 @@
 
 import pytest
 
-from repro.scheduler import InductiveScheduler, SchedulerOptions, TimelineEvaluator
+from repro.scheduler import (
+    InductiveScheduler,
+    MemoryAllocator,
+    SchedulerOptions,
+    TimelineEvaluator,
+)
 
 
 @pytest.fixture(scope="module")
 def evaluated(tiny_profiles, small_chip, small_cost_model, tiny_graph):
     scheduler = InductiveScheduler(
         tiny_profiles,
-        small_cost_model,
-        small_chip.per_core_usable_sram,
-        small_chip.core.link_bandwidth,
+        MemoryAllocator(
+            small_cost_model, small_chip.per_core_usable_sram, small_chip.core.link_bandwidth
+        ),
         SchedulerOptions(max_preload_ahead=8),
     )
     plan = scheduler.schedule()
