@@ -130,9 +130,9 @@ class MemoryAllocator:
             operator exceed the SRAM budget (the preload number is infeasible).
         """
         key = (id(current.fastest.cost), *[id(option.cost) for _, option in preloaded])
-        if key not in self.memo:
-            self.memo.setdefault(key, self.answer(current, preloaded))
-        answer = self.memo[key]
+        answer = self.memo.get(key)
+        if answer is None and key not in self.memo:
+            answer = self.memo.setdefault(key, self.answer(current, preloaded))
         return None if answer is None else self.build(answer, current, preloaded)
 
     def answer(

@@ -8,6 +8,7 @@ policy planning from the same profiles, is answered from the memo.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -96,6 +97,10 @@ def test_elk_dyn_after_elk_full_computes_no_new_answer(small_system, computed):
     assert known > 0
     session.compile(CompileRequest(TWO_LAYERS, small_system, "elk-dyn"))
     assert len(computed) == known
+    # The memo lives and dies with the session's profiles.
+    session.clear()
+    session.compile(CompileRequest(TWO_LAYERS, small_system, "elk-dyn"))
+    assert len(computed) > known
 
 
 def test_thread_fan_out_matches_one_by_one_compiles(small_system):
@@ -114,7 +119,13 @@ def test_thread_fan_out_matches_one_by_one_compiles(small_system):
         del data["compile_seconds"]
         return data
 
-    fanned = Session().compile_many(requests, max_workers=4, backend="thread")
+    # More workers than cores and frequent switches, so threads race on misses.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fanned = Session().compile_many(requests, max_workers=4, backend="thread")
+    finally:
+        sys.setswitchinterval(interval)
     session = Session()
     alone = [session.compile(request) for request in requests]
     assert [signature(a) for a in fanned] == [signature(a) for a in alone]
