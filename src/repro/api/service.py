@@ -4,10 +4,11 @@ Sweep-shaped workloads dominate this repo: every figure compiles the same
 few (workload, system) pairs under many policies, and every policy consumes
 the same frontend result and per-operator profiles.  A :class:`Session` turns
 that sharing into an explicit service: it memoizes frontend results, operator
-profiles, cost models, and whole compile results keyed by
-(workload, system, policy, options), and :meth:`Session.compile_many` fans a
-batch of :class:`CompileRequest`\\ s across a thread pool (shared caches) or
-a process pool (true parallelism for the GIL-bound compile path).
+profiles (with their allocator's answers), cost models, and whole compile
+results keyed by (workload, system, policy, options), and
+:meth:`Session.compile_many` fans a batch of :class:`CompileRequest`\\ s
+across a thread pool (shared caches) or a process pool (true parallelism for
+the GIL-bound compile path).
 
 Cache keys are *structural* (:func:`frozen_key`): equal configurations freeze
 to identical nested tuples of primitives, which also makes them stable

@@ -136,8 +136,8 @@ class InductiveScheduler:
             resident_base = [j for j in order[:first] if j > i]
             key = (id(profile.fastest.cost), *map(cost_ids.__getitem__, resident_base))
             limit = min(max_ahead, n - first)
-            # Each operator that may be on chip, and its chosen plan; the
-            # allocator's question for preload number p is its first base + p.
+            # Every operator that may be on chip with its chosen plan: the
+            # question for preload number p is the first len(resident_base) + p.
             preloads = resident_base + order[first: first + limit]
             question = [(profiles[j], decisions[j].execute_option) for j in preloads]
 
