@@ -24,10 +24,12 @@ so their ids stay theirs while the memo lives.
 
 An entry holds numbers only: the window time, the overhead penalty, the
 execute-frontier index, the preload frontier positions, the footprint and the
-execution, distribution and contention times (``None`` if nothing fits).
-:meth:`MemoryAllocator.build` turns it into an :class:`AllocationResult` for
-the question's own operators.  Answers are deterministic, so threads racing on
-a miss publish with ``setdefault`` and the first writer wins harmlessly.
+execution, distribution and contention times, or nothing (an empty tuple) if
+nothing fits.  :meth:`MemoryAllocator.build` turns it into an
+:class:`AllocationResult` for the question's own operators.  Readers take one
+``memo.get`` (``None`` only for a question not yet answered), and answers are
+deterministic, so threads racing on a miss publish with ``setdefault`` and the
+first writer wins harmlessly.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class MemoryAllocator:
         self.cost_model = cost_model
         self.sram_budget = sram_budget_bytes
         self.link_bandwidth = link_bandwidth
-        self.memo: dict[tuple[int, ...], tuple | None] = {}
+        self.memo: dict[tuple[int, ...], tuple] = {}
 
     # ---------------------------------------------------------------- interface
     def allocate(
@@ -131,15 +133,15 @@ class MemoryAllocator:
         """
         key = (id(current.fastest.cost), *[id(option.cost) for _, option in preloaded])
         answer = self.memo.get(key)
-        if answer is None and key not in self.memo:
+        if answer is None:
             answer = self.memo.setdefault(key, self.answer(current, preloaded))
-        return None if answer is None else self.build(answer, current, preloaded)
+        return self.build(answer, current, preloaded) if answer else None
 
     def answer(
         self,
         current: OperatorProfile,
         preloaded: Sequence[tuple[OperatorProfile, ExecuteOption]],
-    ) -> tuple | None:
+    ) -> tuple:
         """Walk the greedy allocation of a question; return its memo entry unstored."""
         frontiers = [current.execute_frontier] + [
             profile.preload_frontier(option.plan, self.cost_model)
@@ -170,7 +172,7 @@ class MemoryAllocator:
                     best_index = idx
                     best_saved = saved
             if best_index < 0:
-                return None
+                return ()
             positions[best_index] += 1
             total_memory -= best_saved
 

@@ -146,10 +146,10 @@ class InductiveScheduler:
                 if p:
                     key += (cost_ids[order[first + p - 1]],)
                 answer = memo.get(key)
-                if answer is None and key not in memo:
+                if answer is None:
                     asked = question[: len(resident_base) + p]
                     answer = memo.setdefault(key, allocator.answer(profile, asked))
-                if answer is None:
+                if not answer:
                     if p == 0:
                         raise SchedulingError(
                             f"operator {profile.op.name!r} cannot fit per-core SRAM "

@@ -103,6 +103,25 @@ def test_elk_dyn_after_elk_full_computes_no_new_answer(small_system, computed):
     assert len(computed) > known
 
 
+def test_an_answer_published_by_another_thread_after_a_miss_is_used(small_system):
+    """A reader that misses a question and then finds it published (another
+    thread won the race) uses the published answer, not an infeasible one."""
+    session = Session()
+    request = CompileRequest(TWO_LAYERS, small_system, "elk-dyn")
+    expected = session.compile(request).result.plan
+    compiler = session.compiler(request)
+    answers = dict(compiler.allocator.memo)
+
+    class RacingMemo(dict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            self.setdefault(key, answers[key])  # the other thread publishes
+            return found
+
+    compiler.allocator.memo = RacingMemo()
+    assert _rows(compiler.compile("elk-dyn").plan) == _rows(expected)
+
+
 def test_thread_fan_out_matches_one_by_one_compiles(small_system):
     requests = [
         CompileRequest(
