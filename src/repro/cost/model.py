@@ -57,18 +57,18 @@ class ExecutionCost:
 
 
 class CostModel(Protocol):
-    """Interface the scheduler uses to estimate plan costs."""
+    """Interface the scheduler uses to estimate plan costs; no time it returns is negative."""
 
     def execution_cost(self, op: Operator, plan: ExecutePlan) -> ExecutionCost:
         """Per-core execution cost of ``op`` under ``plan``."""
         ...
 
     def distribution_time(self, plan: PreloadPlan) -> float:
-        """Data-distribution time from preload-state to execute-state."""
+        """Data-distribution time from preload-state to execute-state; never negative."""
         ...
 
     def preload_noc_time(self, plan: PreloadPlan) -> float:
-        """Interconnect time to deliver a preload to the cores."""
+        """Interconnect time to deliver a preload to the cores; never negative."""
         ...
 
     def hbm_load_time(self, hbm_bytes: int) -> float:

@@ -250,6 +250,7 @@ def enumerate_execute_plans(
     else:
         reduction_candidates = [1]
 
+    hbm_bytes = op.hbm_load_bytes
     plans: list[ExecutePlan] = []
     for factors in _factor_vectors(extents, num_cores, limits):
         spatial_tiles = prod(factors)
@@ -295,7 +296,7 @@ def enumerate_execute_plans(
                     output_tile_bytes=out_tile * tiles_per_core,
                     partial_reduce_bytes=partial_reduce,
                     flops_per_core=flops * tiles_per_core,
-                    hbm_bytes_total=op.hbm_load_bytes,
+                    hbm_bytes_total=hbm_bytes,
                     reduction_split=reduction_split,
                 )
                 if plan.exec_space_bytes <= sram_budget:

@@ -8,6 +8,8 @@ walks the frontier from the fastest (largest) plan towards smaller plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -39,39 +41,46 @@ def pareto_frontier(points: Iterable[ParetoPoint[T]]) -> list[ParetoPoint[T]]:
     smallest-memory (slowest) plan, which is the order the §4.3 greedy
     allocator walks.
     """
-    ordered = sorted(points, key=lambda p: (p.memory_bytes, p.time_seconds))
-    frontier_reversed: list[ParetoPoint[T]] = []
-    best_time = float("inf")
-    for point in ordered:
-        if point.time_seconds < best_time - 1e-15:
-            frontier_reversed.append(point)
-            best_time = point.time_seconds
-    # ``ordered`` goes from small to large memory; walking it keeps, for each
-    # memory size, only points that are faster than every smaller plan.  The
-    # frontier is returned largest-memory-first.
-    return list(reversed(frontier_reversed))
+    by_fields = attrgetter("memory_bytes"), attrgetter("time_seconds")
+    return [point.plan for point in frontier_from_plans(list(points), *by_fields)]
 
 
 def frontier_from_plans(
     plans: Sequence[T],
     memory_of: Callable[[T], int],
     time_of: Callable[[T], float],
+    lower_bound_of: Callable[[T], float] | None = None,
 ) -> list[ParetoPoint[T]]:
     """Build and filter Pareto points from raw plans.
+
+    Of each memory size, the fastest plan (the first on a tie) joins if it beats
+    the frontier's best time over smaller plans by more than 1e-15.
 
     Args:
         plans: Candidate plans.
         memory_of: Function extracting the per-core memory footprint of a plan.
         time_of: Function extracting the time cost of a plan.
+        lower_bound_of: Optional cheap lower bound of ``time_of``.  A plan
+            whose bound fails that test cannot join, so ``time_of`` is called
+            only for plans that pass it; the frontier is unchanged.
 
     Returns:
         The Pareto frontier ordered from largest/fastest to smallest/slowest.
     """
-    points = [
-        ParetoPoint(memory_bytes=memory_of(plan), time_seconds=time_of(plan), plan=plan)
-        for plan in plans
-    ]
-    return pareto_frontier(points)
+    memories = [memory_of(plan) for plan in plans]
+    frontier: list[ParetoPoint[T]] = []
+    best = float("inf")
+    by_memory = sorted(range(len(plans)), key=memories.__getitem__)
+    for memory, group in groupby(by_memory, key=memories.__getitem__):
+        points = [
+            ParetoPoint(memory, time_of(plans[i]), plans[i]) for i in group
+            if lower_bound_of is None or lower_bound_of(plans[i]) < best - 1e-15
+        ]
+        fastest = min(points, key=attrgetter("time_seconds"), default=None)
+        if fastest is not None and fastest.time_seconds < best - 1e-15:
+            frontier.append(fastest)
+            best = fastest.time_seconds
+    return frontier[::-1]
 
 
 def next_smaller(

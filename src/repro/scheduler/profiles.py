@@ -1,11 +1,13 @@
 """Per-operator planning profiles.
 
 Before scheduling, Elk enumerates every operator's execute-state plans, costs
-them, and keeps only the Pareto-optimal memory/time frontier (§4.3).  The
-scheduler and allocator then never touch raw plans again — they walk these
-frontiers.  Preload-state frontiers are derived lazily per chosen execute plan
-and cached on the profile, since the same execute plan is examined many times
-across preload numbers and candidate preload orders.
+them, and keeps only the Pareto-optimal memory/time frontier (§4.3); a plan's
+setup overhead, a search over all its preload plans, is searched only if the
+plan can reach the frontier (see :func:`preload_overhead`).  The scheduler and
+allocator then never touch raw plans again — they walk these frontiers.
+Preload-state frontiers are derived lazily per chosen execute plan and cached
+on the profile, since the same execute plan is examined many times across
+preload numbers and candidate preload orders.
 
 Within one :func:`build_operator_profiles` call, operators with the same
 structure — type, input and output shapes, dtypes and kinds, and attributes;
@@ -36,12 +38,11 @@ class ExecuteOption:
     Attributes:
         plan: The execute-state plan.
         cost: Its execution-cost breakdown.
-        setup_overhead: The cheapest possible preload-side overhead of this
-            plan (distribution time plus interconnect delivery beyond the HBM
-            time).  Plans with heavily replicated working sets are fast to
-            execute but expensive to materialize; including that cost here is
-            what lets the frontier trade execution space against total
-            inter-core data movement (Table 1, execution-space row).
+        setup_overhead: The cheapest :func:`preload_overhead` of this plan's
+            preload plans, searched only for plans that can reach the frontier.
+            It lets the frontier trade execution space against total inter-core
+            data movement: replicated working sets execute fast but cost much to
+            materialize (Table 1, execution-space row).
     """
 
     plan: ExecutePlan
@@ -57,6 +58,19 @@ class ExecuteOption:
     def time_seconds(self) -> float:
         """Time cost traded against memory: execution plus setup overhead."""
         return self.cost.total_time + self.setup_overhead
+
+
+def preload_overhead(distribution_time: float, noc_time: float, hbm_time: float) -> float:
+    """Total time overhead of a preload-state plan.
+
+    The distribution phase delays the operator's execution start, and any
+    interconnect delivery slower than the HBM read stretches the preload
+    itself (broadcast amplification).  Both are paid somewhere on the
+    timeline, so the Pareto trade-off uses their sum.  No cost-model time is
+    negative, so neither is this: an execute plan's execution time alone is a
+    lower bound of its total, which :func:`build_operator_profiles` prunes by.
+    """
+    return distribution_time + max(0.0, noc_time - hbm_time)
 
 
 @dataclass(frozen=True)
@@ -84,14 +98,8 @@ class PreloadOption:
 
     @property
     def overhead_time(self) -> float:
-        """Total time overhead of this preload-state plan.
-
-        The distribution phase delays the operator's execution start, and any
-        interconnect delivery slower than the HBM read stretches the preload
-        itself (broadcast amplification).  Both are paid somewhere on the
-        timeline, so the Pareto trade-off uses their sum.
-        """
-        return self.distribution_time + max(0.0, self.noc_time - self.hbm_time)
+        """Total time overhead of this preload-state plan (:func:`preload_overhead`)."""
+        return preload_overhead(self.distribution_time, self.noc_time, self.hbm_time)
 
     @property
     def time_seconds(self) -> float:
@@ -143,7 +151,6 @@ class OperatorProfile:
         """
         key = id(execute_plan)
         if key not in self._preload_cache:
-            raw = enumerate_preload_plans(execute_plan)
             options = [
                 PreloadOption(
                     plan=p,
@@ -151,12 +158,10 @@ class OperatorProfile:
                     noc_time=cost_model.preload_noc_time(p),
                     hbm_time=self.hbm_time,
                 )
-                for p in raw
+                for p in enumerate_preload_plans(execute_plan)
             ]
             frontier = frontier_from_plans(
-                options,
-                memory_of=lambda o: o.memory_bytes,
-                time_of=lambda o: o.time_seconds,
+                options, lambda o: o.memory_bytes, lambda o: o.time_seconds
             )
             self._preload_cache[key] = [point.plan for point in frontier]
         return self._preload_cache[key]
@@ -213,23 +218,25 @@ def build_operator_profiles(
             names = {a.name: b.name for a, b in zip(first.inputs, op.inputs)}
             frontier = [_renamed(option, op, names) for option in shared]
         else:
-            options = []
-            for plan in enumerate_execute_plans(op, chip, limits):
-                cost = cost_model.execution_cost(op, plan)
-                setup = min(
-                    (
-                        cost_model.distribution_time(p)
-                        + max(0.0, cost_model.preload_noc_time(p) - hbm_time)
+            options = [
+                ExecuteOption(plan=plan, cost=cost_model.execution_cost(op, plan))
+                for plan in enumerate_execute_plans(op, chip, limits)
+            ]
+            setups: dict[int, float] = {}
+
+            def time_of(option: ExecuteOption) -> float:
+                setups[id(option)] = setup = min(
+                    preload_overhead(
+                        cost_model.distribution_time(p), cost_model.preload_noc_time(p), hbm_time
                     )
-                    for p in enumerate_preload_plans(plan)
+                    for p in enumerate_preload_plans(option.plan)
                 )
-                options.append(ExecuteOption(plan=plan, cost=cost, setup_overhead=setup))
+                return option.cost.total_time + setup
+
             frontier_points = frontier_from_plans(
-                options,
-                memory_of=lambda o: o.memory_bytes,
-                time_of=lambda o: o.time_seconds,
+                options, lambda o: o.memory_bytes, time_of, lower_bound_of=lambda o: o.cost.total_time
             )
-            frontier = [point.plan for point in frontier_points]
+            frontier = [replace(p.plan, setup_overhead=setups[id(p.plan)]) for p in frontier_points]
             if not frontier:
                 raise SchedulingError(f"operator {op.name!r} has an empty plan frontier")
             enumerated[key] = (op, frontier)
