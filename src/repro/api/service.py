@@ -234,9 +234,12 @@ class Session:
 
     Caches grow for the session's lifetime: every compile result (with its
     plan and timeline), frontend result, and profile list (with its
-    allocator memo) stays pinned so later requests can hit them.  For very
-    large sweeps, call :meth:`clear` between unrelated phases — after
-    :meth:`save`\\ ing any artifacts worth keeping — to return the memory.
+    allocator memo) stays pinned so later requests can hit them.  Serving
+    sessions keep a memo nothing asks again (about 2,584 entries, 1.09 MB
+    after serve-chat's 10 bucket compiles): releasing it needs a lifecycle
+    signal the session does not have, and adding one would be a new knob.
+    For very large sweeps, call :meth:`clear` between unrelated phases —
+    after :meth:`save`\\ ing any artifacts worth keeping — to return the memory.
 
     With a ``store``, the session also consults a content-addressed on-disk
     cache between its in-memory dict and a real compile: results land on
