@@ -20,6 +20,7 @@ enumerated itself.  Nothing outlives the call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.arch.chip import ChipConfig
 from repro.cost.model import CostModel, ExecutionCost
@@ -61,14 +62,13 @@ class ExecuteOption:
 
 
 def preload_overhead(distribution_time: float, noc_time: float, hbm_time: float) -> float:
-    """Total time overhead of a preload-state plan.
+    """Total time overhead of a preload-state plan; never negative.
 
     The distribution phase delays the operator's execution start, and any
     interconnect delivery slower than the HBM read stretches the preload
-    itself (broadcast amplification).  Both are paid somewhere on the
-    timeline, so the Pareto trade-off uses their sum.  No cost-model time is
-    negative, so neither is this: an execute plan's execution time alone is a
-    lower bound of its total, which :func:`build_operator_profiles` prunes by.
+    itself (broadcast amplification).  Both are paid on the timeline, so the
+    Pareto trade-off uses their sum.  As no cost-model time is negative, an
+    execute plan's execution time bounds its total from below.
     """
     return distribution_time + max(0.0, noc_time - hbm_time)
 
@@ -96,7 +96,7 @@ class PreloadOption:
         """Per-core preload-space footprint."""
         return self.plan.preload_space_bytes
 
-    @property
+    @cached_property
     def overhead_time(self) -> float:
         """Total time overhead of this preload-state plan (:func:`preload_overhead`)."""
         return preload_overhead(self.distribution_time, self.noc_time, self.hbm_time)
