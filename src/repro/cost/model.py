@@ -85,38 +85,25 @@ class AnalyticCostModel:
 
     Args:
         chip: Target chip configuration.
-        kernel_overhead_cycles: Fixed per-tile kernel launch overhead.
+        kernel_overhead_cycles: Fixed per-tile kernel launch overhead.  It is
+            converted to seconds once, at construction: the model never
+            reassigns it, and a later reassignment would not take effect.
     """
 
     def __init__(self, chip: ChipConfig, kernel_overhead_cycles: float = 1500.0) -> None:
         self.chip = chip
         self.core = chip.core
         self.kernel_overhead_cycles = kernel_overhead_cycles
+        self._kernel_launch_seconds = chip.core.cycles_to_seconds(kernel_overhead_cycles)
         self._hops = chip.interconnect.average_hops(chip.num_cores)
 
     # ------------------------------------------------------------------ helpers
     def _matmul_efficiency(self, tile_shape: tuple[int, ...], reduction: int) -> float:
         if len(tile_shape) < 2:
             return 0.5
+        # Each dimension's efficiency is extent / (extent + native tile extent).
         m, n = tile_shape[-2], tile_shape[-1]
-        dim_eff = lambda extent, native: extent / (extent + native)  # noqa: E731
-        return dim_eff(m, 4.0) * dim_eff(n, 16.0) * dim_eff(reduction, 64.0)
-
-    def _tile_execution_time(self, op: Operator, plan: ExecutePlan) -> tuple[float, float]:
-        """(compute_time, sram_time) for the core's tiles."""
-        is_matmul = op.is_matmul_like
-        peak = self.core.flops_for(is_matmul)
-        if is_matmul:
-            per_core_reduction = max(1, op.reduction_dim // plan.reduction_split)
-            efficiency = self._matmul_efficiency(plan.tile_shape, per_core_reduction)
-        else:
-            efficiency = 0.85
-        compute = plan.flops_per_core / (peak * max(efficiency, 1e-3))
-        compute += plan.tiles_per_core * self.core.cycles_to_seconds(
-            self.kernel_overhead_cycles
-        )
-        sram = plan.sram_traffic_bytes / self.core.sram_bandwidth
-        return compute, sram
+        return m / (m + 4.0) * (n / (n + 16.0)) * (reduction / (reduction + 64.0))
 
     def _exchange_time(self, plan: ExecutePlan) -> float:
         volume = plan.exchange_bytes_per_core
@@ -139,7 +126,16 @@ class AnalyticCostModel:
         volume is charged to the SRAM streaming term and the final time is the
         maximum of the compute, SRAM, and link-transfer phases.
         """
-        compute, sram = self._tile_execution_time(op, plan)
+        is_matmul = op.is_matmul_like
+        peak = self.core.flops_for(is_matmul)
+        if is_matmul:
+            per_core_reduction = max(1, op.reduction_dim // plan.reduction_split)
+            efficiency = self._matmul_efficiency(plan.tile_shape, per_core_reduction)
+        else:
+            efficiency = 0.85
+        compute = plan.flops_per_core / (peak * max(efficiency, 1e-3))
+        compute += plan.tiles_per_core * self._kernel_launch_seconds
+        sram = plan.sram_traffic_bytes / self.core.sram_bandwidth
         exchange = self._exchange_time(plan)
         contended_sram = sram + plan.exchange_bytes_per_core / self.core.sram_bandwidth
         total = max(compute, contended_sram, exchange)

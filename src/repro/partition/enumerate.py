@@ -7,17 +7,23 @@ replication level (how much of the shared strip stays resident per core).
 The enumeration is hardware-aware: it rejects plans that use more cores than
 available, overflow per-core SRAM, or partition more dimensions than a mesh
 network can map (§5, dimension-aligned mapping).
+
+Everything a plan holds except its replication levels is fixed by its split
+factors and reduction split, so it is derived once per such group; the group's
+plans share its frozen operand shards, and a plan is built only once its
+execution space is known to fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 from typing import Sequence
 
 from repro.arch.chip import ChipConfig
 from repro.errors import PartitionError
 from repro.ir.operators import Operator
+from repro.ir.tensor import TensorSpec
 from repro.partition.plan import ExecutePlan, OperandShard
 from repro.units import ceil_div
 
@@ -124,94 +130,17 @@ def _replication_levels(group_size: int, max_levels: int = 4) -> list[float]:
     return levels
 
 
-def _matmul_shards(
-    op: Operator,
-    factors: tuple[int, ...],
-    reduction_split: int,
-    rep_a: float,
-    rep_b: float,
-) -> tuple[list[OperandShard], int, int, int]:
-    """Shards, output-tile bytes, partial-reduce bytes, and per-core FLOPs.
-
-    ``factors`` split the output iteration space; ``reduction_split`` splits
-    the contracted dimension, so each core holds only a ``1/reduction_split``
-    slice of both operand strips and produces a partial output tile that is
-    reduced across the ``reduction_split`` cores sharing the same output tile.
-    """
-    lhs, rhs = op.inputs[0], op.inputs[1]
-    itemsize = op.output.dtype.itemsize
-    k = ceil_div(op.reduction_dim, reduction_split)
-    if op.op_type == "matmul":
-        p_m, p_n = factors
-        m, n = op.iteration_space
-        batch, p_b = 1, 1
-    else:
-        p_b, p_m, p_n = factors
-        batch, m, n = op.iteration_space
-    tile_batch = ceil_div(batch, p_b)
-    tile_m = ceil_div(m, p_m)
-    tile_n = ceil_div(n, p_n)
-
-    lhs_strip = tile_batch * tile_m * k * itemsize
-    rhs_strip = tile_batch * k * tile_n * itemsize
-    out_tile = tile_batch * tile_m * tile_n * itemsize
-    partial_reduce = out_tile if reduction_split > 1 else 0
-    flops_per_core = 2 * tile_batch * tile_m * tile_n * k
-
-    def clamp(fraction: float, group: int) -> float:
-        return min(1.0, max(fraction, 1.0 / group))
-
+def _shard_levels(
+    operand: TensorSpec, strip_bytes: int, group_size: int, levels: list[float]
+) -> list[tuple[OperandShard, int]]:
+    """One shard of ``operand`` per replication level, with its resident bytes."""
     shards = [
         OperandShard(
-            tensor_name=lhs.name,
-            kind=lhs.kind,
-            strip_bytes=lhs_strip,
-            group_size=p_n,
-            resident_fraction=clamp(rep_a, p_n),
-            from_hbm=lhs.loads_from_hbm,
-        ),
-        OperandShard(
-            tensor_name=rhs.name,
-            kind=rhs.kind,
-            strip_bytes=rhs_strip,
-            group_size=p_m,
-            resident_fraction=clamp(rep_b, p_m),
-            from_hbm=rhs.loads_from_hbm,
-        ),
-    ]
-    return shards, out_tile, partial_reduce, flops_per_core
-
-
-def _vector_shards(
-    op: Operator, factors: tuple[int, ...]
-) -> tuple[list[OperandShard], int, int]:
-    """Operand shards, output-tile bytes, and per-core FLOPs for vector operators."""
-    num_tiles = prod(factors)
-    itemsize = op.output.dtype.itemsize
-    out_elements = ceil_div(op.output.num_elements, num_tiles)
-    out_tile = out_elements * itemsize
-    flops_per_core = ceil_div(op.flops, num_tiles)
-    shards: list[OperandShard] = []
-    for operand in op.inputs:
-        if operand.num_elements >= op.output.num_elements // 2:
-            # Same-shaped operand: partitioned alongside the output, no sharing.
-            strip = ceil_div(operand.size_bytes, num_tiles)
-            group = 1
-        else:
-            # Small shared operand (e.g. a norm scale vector): every core needs it.
-            strip = operand.size_bytes
-            group = num_tiles
-        shards.append(
-            OperandShard(
-                tensor_name=operand.name,
-                kind=operand.kind,
-                strip_bytes=strip,
-                group_size=group,
-                resident_fraction=1.0,
-                from_hbm=operand.loads_from_hbm,
-            )
+            operand.name, operand.kind, strip_bytes, group_size, level, operand.loads_from_hbm
         )
-    return shards, out_tile, flops_per_core
+        for level in levels
+    ]
+    return [(shard, shard.resident_bytes) for shard in shards]
 
 
 def enumerate_execute_plans(
@@ -221,13 +150,23 @@ def enumerate_execute_plans(
 ) -> list[ExecutePlan]:
     """Enumerate hardware-compatible execute-state plans for one operator.
 
+    Each quantity is derived at the loop level where it can change: the
+    operator's fields once, the tile shape and sharing groups once per factor
+    vector, and the strips, output tile, partial-reduce bytes and FLOPs once
+    per ``(factors, reduction_split)`` group.  A group builds each lhs and rhs
+    shard once per replication level; the shards are frozen, so the group's
+    plans share them.  A replication combination's execution space is summed
+    from its shards' resident bytes, and its :class:`ExecutePlan` is built only
+    if it fits the per-core SRAM.
+
     Args:
         op: The operator to partition.
         chip: Target chip (core count, SRAM budget, topology).
         limits: Optional enumeration bounds.
 
     Returns:
-        A non-empty list of :class:`ExecutePlan`, filtered to plans whose
+        A non-empty list of at most ``limits.max_plans`` :class:`ExecutePlan`
+        (the first ``max_plans`` in enumeration order), filtered to plans whose
         execution space fits the per-core SRAM.
 
     Raises:
@@ -235,77 +174,105 @@ def enumerate_execute_plans(
     """
     limits = limits or EnumerationLimits()
     if chip.interconnect.is_mesh:
-        limits = EnumerationLimits(
-            max_plans=limits.max_plans,
-            max_factor_candidates=limits.max_factor_candidates,
-            min_core_utilization=limits.min_core_utilization,
-            max_partition_dims=min(limits.max_partition_dims, 2),
-        )
+        limits = replace(limits, max_partition_dims=min(limits.max_partition_dims, 2))
     extents = op.iteration_space
     num_cores = chip.num_cores
     sram_budget = chip.per_core_usable_sram
+    max_plans = limits.max_plans
 
-    if op.is_matmul_like:
-        reduction_candidates = _reduction_splits(op.reduction_dim, num_cores)
+    matmul_like = op.is_matmul_like
+    itemsize = op.output.dtype.itemsize
+    if matmul_like:
+        lhs, rhs = op.inputs[0], op.inputs[1]
+        reduction_dim = op.reduction_dim
+        reduction_candidates = _reduction_splits(reduction_dim, num_cores)
     else:
+        out_elements = op.output.num_elements
+        op_flops = op.flops
+        # A same-shaped operand is partitioned alongside the output; a small
+        # shared one (e.g. a norm scale vector) is needed whole by every core.
+        vector_operands = [
+            (operand, operand.size_bytes, operand.num_elements < out_elements // 2)
+            for operand in op.inputs
+        ]
         reduction_candidates = [1]
 
     hbm_bytes = op.hbm_load_bytes
     plans: list[ExecutePlan] = []
     for factors in _factor_vectors(extents, num_cores, limits):
         spatial_tiles = prod(factors)
+        spatial_dims = sum(1 for f in factors if f > 1)
+        tile_shape = tuple(ceil_div(extent, factor) for extent, factor in zip(extents, factors))
+        if matmul_like:
+            # Over the (batch..., m, n) output space, the lhs strip of a tile
+            # spans its rows and is shared by the p_n cores of a row; the rhs
+            # strip spans its columns and is shared by the p_m cores of a column.
+            p_m, p_n = factors[-2], factors[-1]
+            *batch, tile_m, tile_n = tile_shape
+            tile_elements = prod(tile_shape)
+            lhs_elements, rhs_elements = prod(batch) * tile_m, prod(batch) * tile_n
+            levels_a, levels_b = _replication_levels(p_n), _replication_levels(p_m)
+        else:
+            shards = tuple(
+                OperandShard(
+                    tensor_name=operand.name,
+                    kind=operand.kind,
+                    strip_bytes=size if shared else ceil_div(size, spatial_tiles),
+                    group_size=spatial_tiles if shared else 1,
+                    resident_fraction=1.0,
+                    from_hbm=operand.loads_from_hbm,
+                )
+                for operand, size, shared in vector_operands
+            )
+            combos = [(shards, sum(s.resident_bytes for s in shards))]
+            out_tile = ceil_div(out_elements, spatial_tiles) * itemsize
+            flops = ceil_div(op_flops, spatial_tiles)
+            partial_reduce = 0
         for reduction_split in reduction_candidates:
             num_tiles = spatial_tiles * reduction_split
             if num_tiles > num_cores:
                 continue
-            split_dims = sum(1 for f in factors if f > 1) + (1 if reduction_split > 1 else 0)
-            if split_dims > limits.max_partition_dims:
+            if spatial_dims + (1 if reduction_split > 1 else 0) > limits.max_partition_dims:
                 continue
             cores_used = min(num_tiles, num_cores)
             tiles_per_core = ceil_div(num_tiles, num_cores)
+            if matmul_like:
+                # Each core holds a 1/reduction_split slice of both strips and
+                # produces a partial output tile reduced across those cores.
+                k = ceil_div(reduction_dim, reduction_split)
+                out_tile = tile_elements * itemsize
+                partial_reduce = out_tile if reduction_split > 1 else 0
+                flops = 2 * tile_elements * k
+                lhs_shards = _shard_levels(lhs, lhs_elements * k * itemsize, p_n, levels_a)
+                rhs_shards = _shard_levels(rhs, rhs_elements * k * itemsize, p_m, levels_b)
+                combos = [((a, b), ra + rb) for a, ra in lhs_shards for b, rb in rhs_shards]
 
-            if op.is_matmul_like:
-                if op.op_type == "matmul":
-                    p_groups = (factors[1], factors[0])
-                else:
-                    p_groups = (factors[2], factors[1])
-                rep_candidates_a = _replication_levels(p_groups[0])
-                rep_candidates_b = _replication_levels(p_groups[1])
-                combos = [(a, b) for a in rep_candidates_a for b in rep_candidates_b]
-            else:
-                combos = [(1.0, 1.0)]
-
-            for rep_a, rep_b in combos:
-                if op.is_matmul_like:
-                    shards, out_tile, partial_reduce, flops = _matmul_shards(
-                        op, factors, reduction_split, rep_a, rep_b
+            output_tile_bytes = out_tile * tiles_per_core
+            fixed_bytes = output_tile_bytes + partial_reduce
+            for operands, resident in combos:
+                # The plan's ``exec_space_bytes``, checked before it is built.
+                if resident + fixed_bytes <= sram_budget:
+                    plans.append(
+                        ExecutePlan(
+                            op_name=op.name,
+                            factors=factors,
+                            num_tiles=num_tiles,
+                            cores_used=cores_used,
+                            tiles_per_core=tiles_per_core,
+                            tile_shape=tile_shape,
+                            operands=operands,
+                            output_tile_bytes=output_tile_bytes,
+                            partial_reduce_bytes=partial_reduce,
+                            flops_per_core=flops * tiles_per_core,
+                            hbm_bytes_total=hbm_bytes,
+                            reduction_split=reduction_split,
+                        )
                     )
-                else:
-                    shards, out_tile, flops = _vector_shards(op, factors)
-                    partial_reduce = 0
-                plan = ExecutePlan(
-                    op_name=op.name,
-                    factors=factors,
-                    num_tiles=num_tiles,
-                    cores_used=cores_used,
-                    tiles_per_core=tiles_per_core,
-                    tile_shape=tuple(
-                        ceil_div(extent, factor) for extent, factor in zip(extents, factors)
-                    ),
-                    operands=tuple(shards),
-                    output_tile_bytes=out_tile * tiles_per_core,
-                    partial_reduce_bytes=partial_reduce,
-                    flops_per_core=flops * tiles_per_core,
-                    hbm_bytes_total=hbm_bytes,
-                    reduction_split=reduction_split,
-                )
-                if plan.exec_space_bytes <= sram_budget:
-                    plans.append(plan)
-                if len(plans) >= limits.max_plans:
+                if len(plans) >= max_plans:
                     break
-            if len(plans) >= limits.max_plans:
+            if len(plans) >= max_plans:
                 break
-        if len(plans) >= limits.max_plans:
+        if len(plans) >= max_plans:
             break
 
     if not plans:

@@ -1,10 +1,23 @@
 """Tests for partition plans, enumeration, and preload-state derivation."""
 
-import pytest
+from dataclasses import replace
+from math import prod
 
-from repro.arch import ipu_mk2_chip, scaled_chip
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.arch import ALL_TO_ALL, MESH_2D, ipu_mk2_chip, scaled_chip
 from repro.errors import PartitionError
-from repro.ir import FP16, TensorSpec, make_matmul, make_softmax
+from repro.ir import (
+    FP16,
+    TensorSpec,
+    make_batch_matmul,
+    make_elementwise,
+    make_matmul,
+    make_norm,
+    make_softmax,
+)
 from repro.partition import (
     EnumerationLimits,
     ExecutePlan,
@@ -13,6 +26,8 @@ from repro.partition import (
     enumerate_execute_plans,
     enumerate_preload_plans,
 )
+from repro.partition.enumerate import _factor_vectors, _reduction_splits, _replication_levels
+from repro.units import ceil_div
 
 
 def _qkv_like_op():
@@ -80,6 +95,14 @@ def test_mesh_limits_partitioned_dimensions():
         split_dims = sum(1 for f in plan.factors if f > 1)
         split_dims += 1 if plan.reduction_split > 1 else 0
         assert split_dims <= 2
+    # The mesh clamps only the partitioned dimensions; every other limit holds.
+    assert len(plans) > 5
+    assert enumerate_execute_plans(op, mesh_chip, EnumerationLimits(max_plans=5)) == plans[:5]
+    # Only the unsplit output space may use fewer cores than the utilisation floor.
+    full_chip = {1, mesh_chip.num_cores}
+    assert {prod(p.factors) for p in plans} - full_chip
+    utilized = enumerate_execute_plans(op, mesh_chip, EnumerationLimits(min_core_utilization=1.0))
+    assert {prod(p.factors) for p in utilized} == full_chip
 
 
 def test_vector_op_enumeration(small_chip):
@@ -153,3 +176,187 @@ def test_full_ipu_chip_enumeration_plan_counts():
     plans = enumerate_execute_plans(op, chip)
     # The paper reports tens to hundreds of plans per operator (Table 2, P).
     assert 10 <= len(plans) <= 256
+
+
+# --------------------------------------------------------------------------- #
+# Reference: the per-candidate enumeration loop, written out.
+# --------------------------------------------------------------------------- #
+def _reference_matmul_shards(op, factors, reduction_split, rep_a, rep_b):
+    lhs, rhs = op.inputs[0], op.inputs[1]
+    itemsize = op.output.dtype.itemsize
+    k = ceil_div(op.reduction_dim, reduction_split)
+    if op.op_type == "matmul":
+        p_m, p_n = factors
+        m, n = op.iteration_space
+        batch, p_b = 1, 1
+    else:
+        p_b, p_m, p_n = factors
+        batch, m, n = op.iteration_space
+    tile_batch = ceil_div(batch, p_b)
+    tile_m = ceil_div(m, p_m)
+    tile_n = ceil_div(n, p_n)
+    lhs_strip = tile_batch * tile_m * k * itemsize
+    rhs_strip = tile_batch * k * tile_n * itemsize
+    out_tile = tile_batch * tile_m * tile_n * itemsize
+    partial_reduce = out_tile if reduction_split > 1 else 0
+    flops_per_core = 2 * tile_batch * tile_m * tile_n * k
+
+    def clamp(fraction, group):
+        return min(1.0, max(fraction, 1.0 / group))
+
+    shards = [
+        OperandShard(lhs.name, lhs.kind, lhs_strip, p_n, clamp(rep_a, p_n), lhs.loads_from_hbm),
+        OperandShard(rhs.name, rhs.kind, rhs_strip, p_m, clamp(rep_b, p_m), rhs.loads_from_hbm),
+    ]
+    return shards, out_tile, partial_reduce, flops_per_core
+
+
+def _reference_vector_shards(op, factors):
+    num_tiles = prod(factors)
+    itemsize = op.output.dtype.itemsize
+    out_tile = ceil_div(op.output.num_elements, num_tiles) * itemsize
+    flops_per_core = ceil_div(op.flops, num_tiles)
+    shards = []
+    for operand in op.inputs:
+        if operand.num_elements >= op.output.num_elements // 2:
+            strip, group = ceil_div(operand.size_bytes, num_tiles), 1
+        else:
+            strip, group = operand.size_bytes, num_tiles
+        shards.append(
+            OperandShard(operand.name, operand.kind, strip, group, 1.0, operand.loads_from_hbm)
+        )
+    return shards, out_tile, flops_per_core
+
+
+def _reference_plans(op, chip, limits):
+    """Build every candidate's plan, then keep it if it fits; stop at the cap."""
+    if chip.interconnect.is_mesh:
+        limits = EnumerationLimits(
+            limits.max_plans,
+            limits.max_factor_candidates,
+            limits.min_core_utilization,
+            min(limits.max_partition_dims, 2),
+        )
+    extents, num_cores = op.iteration_space, chip.num_cores
+    if op.is_matmul_like:
+        reduction_candidates = _reduction_splits(op.reduction_dim, num_cores)
+    else:
+        reduction_candidates = [1]
+    plans = []
+    for factors in _factor_vectors(extents, num_cores, limits):
+        for reduction_split in reduction_candidates:
+            num_tiles = prod(factors) * reduction_split
+            if num_tiles > num_cores:
+                continue
+            split_dims = sum(1 for f in factors if f > 1) + (1 if reduction_split > 1 else 0)
+            if split_dims > limits.max_partition_dims:
+                continue
+            tiles_per_core = ceil_div(num_tiles, num_cores)
+            if op.is_matmul_like:
+                if op.op_type == "matmul":
+                    p_groups = (factors[1], factors[0])
+                else:
+                    p_groups = (factors[2], factors[1])
+                combos = [
+                    (a, b)
+                    for a in _replication_levels(p_groups[0])
+                    for b in _replication_levels(p_groups[1])
+                ]
+            else:
+                combos = [(1.0, 1.0)]
+            for rep_a, rep_b in combos:
+                if op.is_matmul_like:
+                    shards, out_tile, partial_reduce, flops = _reference_matmul_shards(
+                        op, factors, reduction_split, rep_a, rep_b
+                    )
+                else:
+                    shards, out_tile, flops = _reference_vector_shards(op, factors)
+                    partial_reduce = 0
+                plan = ExecutePlan(
+                    op_name=op.name,
+                    factors=factors,
+                    num_tiles=num_tiles,
+                    cores_used=min(num_tiles, num_cores),
+                    tiles_per_core=tiles_per_core,
+                    tile_shape=tuple(ceil_div(e, f) for e, f in zip(extents, factors)),
+                    operands=tuple(shards),
+                    output_tile_bytes=out_tile * tiles_per_core,
+                    partial_reduce_bytes=partial_reduce,
+                    flops_per_core=flops * tiles_per_core,
+                    hbm_bytes_total=op.hbm_load_bytes,
+                    reduction_split=reduction_split,
+                )
+                if plan.exec_space_bytes <= chip.per_core_usable_sram:
+                    plans.append(plan)
+                if len(plans) >= limits.max_plans:
+                    break
+            if len(plans) >= limits.max_plans:
+                break
+        if len(plans) >= limits.max_plans:
+            break
+    if not plans:
+        raise PartitionError(f"{op.name}: no plan fits")
+    return plans
+
+
+def _operator(kind, rows, cols, depth, batch):
+    x = TensorSpec("x", (rows, depth), FP16, "activation")
+    if kind == "matmul":
+        return make_matmul("mm", x, TensorSpec("w", (depth, cols), FP16, "weight"))
+    if kind == "batch_matmul":
+        q = TensorSpec("q", (batch, rows, depth), FP16, "activation")
+        return make_batch_matmul("bmm", q, TensorSpec("kv", (batch, depth, cols), FP16, "kv_cache"))
+    if kind == "norm":  # the scale vector is a small operand every core shares
+        return make_norm("ln", x, TensorSpec("scale", (depth,), FP16, "weight"))
+    if kind == "add":
+        return make_elementwise("add", [x, TensorSpec("r", (rows, depth), FP16, "activation")])
+    return make_softmax("sm", TensorSpec("s", (batch, rows, depth), FP16))
+
+
+def _chip(num_cores, topology, sram_kib):
+    chip = scaled_chip(num_cores=num_cores, topology=topology)
+    return replace(chip, core=replace(chip.core, sram_bytes=sram_kib * 1024))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["matmul", "batch_matmul", "norm", "add", "softmax"]),
+    rows=st.integers(1, 256),
+    cols=st.integers(1, 4096),
+    depth=st.integers(1, 4096),
+    batch=st.integers(1, 64),
+    num_cores=st.integers(16, 1472),
+    topology=st.sampled_from([ALL_TO_ALL, MESH_2D]),
+    sram_kib=st.integers(9, 624),
+    limits=st.builds(
+        EnumerationLimits,
+        max_plans=st.integers(1, 300),
+        max_factor_candidates=st.integers(1, 12),
+        min_core_utilization=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        max_partition_dims=st.integers(1, 8),
+    ),
+)
+# On 64 cores with 184 KiB of SRAM (176 KiB usable), the group (factors
+# (4, 8), reduction split 2) has 12 replication combos that the SRAM filter
+# rejects and keeps as rrrrrKrrKrrK; the 14th plan is its first kept one, so
+# max_plans=14 stops the enumeration inside its combo loop with two fitting
+# combos to go.
+@example("matmul", 64, 1024, 4096, 1, 64, ALL_TO_ALL, 184, EnumerationLimits(max_plans=14))
+# Uncapped, the same operator's groups reject combos between kept ones
+# (rrrKrKrK for factors (2, 8), reduction split 4), and three of its plans
+# need exactly the usable SRAM.
+@example("matmul", 64, 1024, 4096, 1, 64, ALL_TO_ALL, 184, EnumerationLimits())
+def test_enumeration_equals_the_per_candidate_reference(
+    kind, rows, cols, depth, batch, num_cores, topology, sram_kib, limits
+):
+    """Deriving per group and filtering before construction changes no plan,
+    no plan order and no cap."""
+    op = _operator(kind, rows, cols, depth, batch)
+    chip = _chip(num_cores, topology, sram_kib)
+    try:
+        expected = _reference_plans(op, chip, limits)
+    except PartitionError:
+        with pytest.raises(PartitionError):
+            enumerate_execute_plans(op, chip, limits)
+        return
+    assert enumerate_execute_plans(op, chip, limits) == expected
