@@ -17,7 +17,7 @@ import numpy as np
 from repro.arch.chip import ChipConfig
 from repro.cost.device_profile import DeviceProfile, TileWorkload
 from repro.cost.linear_tree import LinearTreeRegressor
-from repro.cost.model import AnalyticCostModel, ExecutionCost
+from repro.cost.model import AnalyticCostModel, tile_workload
 from repro.errors import CostModelError
 from repro.ir.operators import Operator
 from repro.partition.plan import ExecutePlan, PreloadPlan
@@ -145,29 +145,11 @@ class FittedCostModel(AnalyticCostModel):
         )
 
     # --------------------------------------------------------------- cost model
-    def execution_cost(self, op: Operator, plan: ExecutePlan) -> ExecutionCost:
-        workload = TileWorkload(
-            op_type=op.op_type,
-            shape=plan.tile_shape if len(plan.tile_shape) >= 2 else (1,) + plan.tile_shape,
-            reduction=max(1, op.reduction_dim // plan.reduction_split),
-            dtype=op.output.dtype,
-        )
-        compute = self.predict_tile_time(workload) * plan.tiles_per_core
-        sram = plan.sram_traffic_bytes / self.core.sram_bandwidth
-        exchange = (
-            self.predict_transfer_time(plan.exchange_bytes_per_core) * self._hops
-            if plan.exchange_bytes_per_core
-            else 0.0
-        )
-        contended_sram = sram + plan.exchange_bytes_per_core / self.core.sram_bandwidth
-        total = max(compute, contended_sram, exchange)
-        return ExecutionCost(
-            compute_time=compute,
-            sram_time=sram,
-            exchange_time=exchange,
-            total_time=total,
-            exchange_bytes=plan.exchange_bytes_per_core,
-        )
+    def _compute_time(self, op: Operator, plan: ExecutePlan) -> float:
+        return self.predict_tile_time(tile_workload(op, plan)) * plan.tiles_per_core
+
+    def _exchange_time(self, plan: ExecutePlan) -> float:
+        return self.predict_transfer_time(plan.exchange_bytes_per_core) * self._hops
 
     def distribution_time(self, plan: PreloadPlan) -> float:
         return self.predict_transfer_time(plan.distribution_bytes_per_core) * self._hops

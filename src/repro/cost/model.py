@@ -63,6 +63,15 @@ class CostModel(Protocol):
         """Per-core execution cost of ``op`` under ``plan``."""
         ...
 
+    def execution_floor(self, op: Operator, plan: ExecutePlan) -> float:
+        """A cheap lower bound of ``execution_cost(op, plan).total_time``.
+
+        It is never above that total, and it reads only what a plan's split
+        factors and reduction split fix, so it is equal for every plan of one
+        such group (see :mod:`repro.partition.enumerate`).
+        """
+        ...
+
     def distribution_time(self, plan: PreloadPlan) -> float:
         """Data-distribution time from preload-state to execute-state; never negative."""
         ...
@@ -105,6 +114,17 @@ class AnalyticCostModel:
         m, n = tile_shape[-2], tile_shape[-1]
         return m / (m + 4.0) * (n / (n + 16.0)) * (reduction / (reduction + 64.0))
 
+    def _compute_time(self, op: Operator, plan: ExecutePlan) -> float:
+        is_matmul = op.is_matmul_like
+        peak = self.core.flops_for(is_matmul)
+        if is_matmul:
+            per_core_reduction = max(1, op.reduction_dim // plan.reduction_split)
+            efficiency = self._matmul_efficiency(plan.tile_shape, per_core_reduction)
+        else:
+            efficiency = 0.85
+        compute = plan.flops_per_core / (peak * max(efficiency, 1e-3))
+        return compute + plan.tiles_per_core * self._kernel_launch_seconds
+
     def _exchange_time(self, plan: ExecutePlan) -> float:
         volume = plan.exchange_bytes_per_core
         if volume <= 0:
@@ -124,28 +144,28 @@ class AnalyticCostModel:
         execution, [T10]), but the served remote reads still occupy the local
         SRAM port — the memory-access contention of §2.3 ③ — so the exchange
         volume is charged to the SRAM streaming term and the final time is the
-        maximum of the compute, SRAM, and link-transfer phases.
+        maximum of the compute, SRAM, and link-transfer phases.  Subclasses
+        change only :meth:`_compute_time` and :meth:`_exchange_time`.
         """
-        is_matmul = op.is_matmul_like
-        peak = self.core.flops_for(is_matmul)
-        if is_matmul:
-            per_core_reduction = max(1, op.reduction_dim // plan.reduction_split)
-            efficiency = self._matmul_efficiency(plan.tile_shape, per_core_reduction)
-        else:
-            efficiency = 0.85
-        compute = plan.flops_per_core / (peak * max(efficiency, 1e-3))
-        compute += plan.tiles_per_core * self._kernel_launch_seconds
+        compute = self._compute_time(op, plan)
         sram = plan.sram_traffic_bytes / self.core.sram_bandwidth
         exchange = self._exchange_time(plan)
         contended_sram = sram + plan.exchange_bytes_per_core / self.core.sram_bandwidth
-        total = max(compute, contended_sram, exchange)
         return ExecutionCost(
             compute_time=compute,
             sram_time=sram,
             exchange_time=exchange,
-            total_time=total,
+            total_time=max(compute, contended_sram, exchange),
             exchange_bytes=plan.exchange_bytes_per_core,
         )
+
+    def execution_floor(self, op: Operator, plan: ExecutePlan) -> float:
+        """The compute and uncontended SRAM terms of :meth:`execution_cost`.
+
+        Both enter its total unchanged or, for the SRAM term, plus a
+        non-negative exchange term, so the floor never exceeds the total.
+        """
+        return max(self._compute_time(op, plan), plan.sram_traffic_bytes / self.core.sram_bandwidth)
 
     def distribution_time(self, plan: PreloadPlan) -> float:
         """Data-distribution time from preload-state to execute-state."""
@@ -190,6 +210,16 @@ class AnalyticCostModel:
         return max(self.hbm_load_time(plan.hbm_bytes_total), self.preload_noc_time(plan))
 
 
+def tile_workload(op: Operator, plan: ExecutePlan) -> TileWorkload:
+    """The per-core tile of ``op`` under ``plan``, as the device profile times it."""
+    return TileWorkload(
+        op_type=op.op_type,
+        shape=plan.tile_shape if len(plan.tile_shape) >= 2 else (1,) + plan.tile_shape,
+        reduction=max(1, op.reduction_dim // plan.reduction_split),
+        dtype=op.output.dtype,
+    )
+
+
 class MeasuredCostModel(AnalyticCostModel):
     """Cost model backed by the synthetic device profile ("measurements").
 
@@ -203,32 +233,12 @@ class MeasuredCostModel(AnalyticCostModel):
         super().__init__(chip)
         self.profile = profile or DeviceProfile(chip.core)
 
-    def execution_cost(self, op: Operator, plan: ExecutePlan) -> ExecutionCost:
-        workload = TileWorkload(
-            op_type=op.op_type,
-            shape=plan.tile_shape if len(plan.tile_shape) >= 2 else (1,) + plan.tile_shape,
-            reduction=max(1, op.reduction_dim // plan.reduction_split),
-            dtype=op.output.dtype,
-        )
-        per_tile = self.profile.execution_time(workload)
-        compute = per_tile * plan.tiles_per_core
-        sram = plan.sram_traffic_bytes / self.core.sram_bandwidth
-        exchange = (
-            self.profile.transfer_time(
-                plan.exchange_bytes_per_core, hops=max(1, round(self._hops))
-            )
-            if plan.exchange_bytes_per_core
-            else 0.0
-        )
-        contended_sram = sram + plan.exchange_bytes_per_core / self.core.sram_bandwidth
-        total = max(compute, contended_sram, exchange)
-        return ExecutionCost(
-            compute_time=compute,
-            sram_time=sram,
-            exchange_time=exchange,
-            total_time=total,
-            exchange_bytes=plan.exchange_bytes_per_core,
-        )
+    def _compute_time(self, op: Operator, plan: ExecutePlan) -> float:
+        return self.profile.execution_time(tile_workload(op, plan)) * plan.tiles_per_core
+
+    def _exchange_time(self, plan: ExecutePlan) -> float:
+        volume = plan.exchange_bytes_per_core
+        return self.profile.transfer_time(volume, hops=max(1, round(self._hops))) if volume else 0.0
 
     def distribution_time(self, plan: PreloadPlan) -> float:
         return self.profile.transfer_time(

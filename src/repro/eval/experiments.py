@@ -164,6 +164,7 @@ def execution_space_profile(
                 plans,
                 memory_of=lambda p: p.exec_space_bytes,
                 time_of=lambda p: cost_model.execution_cost(op, p).total_time,
+                lower_bounds=(lambda p: cost_model.execution_floor(op, p),),
             )
             for point in frontier:
                 rows.append(

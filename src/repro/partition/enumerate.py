@@ -56,11 +56,9 @@ def _split_candidates(extent: int, num_cores: int, limit: int) -> list[int]:
         candidates.add(value)
         value *= 2
     # Exact divisors give perfectly balanced tiles; include a few.
-    for divisor in range(2, min(extent, num_cores) + 1):
-        if extent % divisor == 0:
-            candidates.add(divisor)
-        if len(candidates) >= 4 * limit:
-            break
+    divisors = (d for d in range(2, min(extent, num_cores) + 1) if extent % d == 0)
+    while len(candidates) < 4 * limit and (divisor := next(divisors, None)):
+        candidates.add(divisor)
     if extent <= num_cores:
         candidates.add(extent)
     ordered = sorted(candidates)

@@ -49,7 +49,7 @@ def frontier_from_plans(
     plans: Sequence[T],
     memory_of: Callable[[T], int],
     time_of: Callable[[T], float],
-    lower_bound_of: Callable[[T], float] | None = None,
+    lower_bounds: Sequence[Callable[[T], float]] = (),
 ) -> list[ParetoPoint[T]]:
     """Build and filter Pareto points from raw plans.
 
@@ -60,9 +60,10 @@ def frontier_from_plans(
         plans: Candidate plans.
         memory_of: Function extracting the per-core memory footprint of a plan.
         time_of: Function extracting the time cost of a plan.
-        lower_bound_of: Optional cheap lower bound of ``time_of``.  A plan
-            whose bound fails that test cannot join, so ``time_of`` is called
-            only for plans that pass it; the frontier is unchanged.
+        lower_bounds: Lower bounds of ``time_of``, cheapest first.  A plan
+            whose bound fails that test cannot join, so each bound is called
+            only for plans that pass the ones before it, and ``time_of`` only
+            for plans that pass them all; the frontier is unchanged.
 
     Returns:
         The Pareto frontier ordered from largest/fastest to smallest/slowest.
@@ -74,7 +75,7 @@ def frontier_from_plans(
     for memory, group in groupby(by_memory, key=memories.__getitem__):
         points = [
             ParetoPoint(memory, time_of(plans[i]), plans[i]) for i in group
-            if lower_bound_of is None or lower_bound_of(plans[i]) < best - 1e-15
+            if all(bound(plans[i]) < best - 1e-15 for bound in lower_bounds)
         ]
         fastest = min(points, key=attrgetter("time_seconds"), default=None)
         if fastest is not None and fastest.time_seconds < best - 1e-15:

@@ -114,12 +114,9 @@ class ElkScheduler:
     def run(self) -> ScheduleOutcome:
         """Run the full Elk pipeline and return the best plan."""
         generator = self.order_generator()
-        if self.options.enable_reordering:
-            orders = generator.candidate_orders()
-            policy = "elk-full"
-        else:
-            orders = [tuple(range(len(self.graph)))]
-            policy = "elk-dyn"
+        candidates = generator.candidate_orders() if self.options.enable_reordering else None
+        orders = candidates or [tuple(range(len(self.graph)))]
+        policy = "elk-full" if self.options.enable_reordering else "elk-dyn"
 
         evaluator = TimelineEvaluator(self.chip, total_flops=self.graph.total_flops)
         scheduler = self._scheduler(policy)
@@ -159,5 +156,5 @@ class ElkScheduler:
             plan=plan,
             timeline=timeline,
             candidate_results=candidate_results,
-            stats=generator.stats(),
+            stats=generator.stats(candidates),
         )

@@ -227,8 +227,8 @@ class PreloadOrderGenerator:
         return [identity] + orders[: max(0, self.config.max_candidates - 1)]
 
     # ------------------------------------------------------------------- stats
-    def stats(self) -> OrderSearchStats:
-        """Search-space statistics (Table 2 factors)."""
+    def stats(self, orders: Sequence[tuple[int, ...]] | None = None) -> OrderSearchStats:
+        """Search-space statistics (Table 2 factors); ``orders``: :meth:`candidate_orders`, if known."""
         span = self.representative_layer()
         heavy = self.heavy_in_layer(span) if span else []
         return OrderSearchStats(
@@ -237,5 +237,5 @@ class PreloadOrderGenerator:
             max_operators_on_chip=self.max_operators_on_chip(),
             heavy_per_layer=len(heavy),
             max_heavy_on_chip=self.max_heavy_on_chip(heavy) if heavy else 0,
-            num_candidate_orders=len(self.candidate_orders()),
+            num_candidate_orders=len(self.candidate_orders() if orders is None else orders),
         )

@@ -1,9 +1,12 @@
 """Per-operator planning profiles.
 
 Before scheduling, Elk enumerates every operator's execute-state plans, costs
-them, and keeps only the Pareto-optimal memory/time frontier (§4.3); a plan's
-setup overhead, a search over all its preload plans, is searched only if the
-plan can reach the frontier (see :func:`preload_overhead`).  The scheduler and
+them, and keeps only the Pareto-optimal memory/time frontier (§4.3).  Work is
+spent only on plans that can still reach it: a plan is costed only if its
+execution floor (one per split group) beats the frontier's best over smaller
+plans, its setup overhead, a search over all its preload plans, only if its
+execution time beats that best too (see :func:`preload_overhead`), and an
+:class:`ExecuteOption` is built only for a frontier point.  The scheduler and
 allocator then never touch raw plans again — they walk these frontiers.
 Preload-state frontiers are derived lazily per chosen execute plan and cached
 on the profile, since the same execute plan is examined many times across
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 
 from repro.arch.chip import ChipConfig
 from repro.cost.model import CostModel, ExecutionCost
@@ -218,25 +223,31 @@ def build_operator_profiles(
             names = {a.name: b.name for a, b in zip(first.inputs, op.inputs)}
             frontier = [_renamed(option, op, names) for option in shared]
         else:
-            options = [
-                ExecuteOption(plan=plan, cost=cost_model.execution_cost(op, plan))
-                for plan in enumerate_execute_plans(op, chip, limits)
-            ]
+            plans = enumerate_execute_plans(op, chip, limits)
+            group_of = attrgetter("factors", "reduction_split")
+            # A group's plans are enumerated in one run and share its floor.
+            floors = {g: cost_model.execution_floor(op, next(run)) for g, run in groupby(plans, group_of)}
+            costs: dict[int, ExecutionCost] = {}
             setups: dict[int, float] = {}
 
-            def time_of(option: ExecuteOption) -> float:
-                setups[id(option)] = setup = min(
+            def execution_time(plan: ExecutePlan) -> float:
+                costs[id(plan)] = cost = cost_model.execution_cost(op, plan)
+                return cost.total_time
+
+            def time_of(plan: ExecutePlan) -> float:
+                setups[id(plan)] = setup = min(
                     preload_overhead(
                         cost_model.distribution_time(p), cost_model.preload_noc_time(p), hbm_time
                     )
-                    for p in enumerate_preload_plans(option.plan)
+                    for p in enumerate_preload_plans(plan)
                 )
-                return option.cost.total_time + setup
+                return costs[id(plan)].total_time + setup
 
-            frontier_points = frontier_from_plans(
-                options, lambda o: o.memory_bytes, time_of, lower_bound_of=lambda o: o.cost.total_time
-            )
-            frontier = [replace(p.plan, setup_overhead=setups[id(p.plan)]) for p in frontier_points]
+            bounds = (lambda plan: floors[group_of(plan)], execution_time)
+            frontier = [
+                ExecuteOption(p.plan, costs[id(p.plan)], setups[id(p.plan)])
+                for p in frontier_from_plans(plans, attrgetter("exec_space_bytes"), time_of, bounds)
+            ]
             if not frontier:
                 raise SchedulingError(f"operator {op.name!r} has an empty plan frontier")
             enumerated[key] = (op, frontier)

@@ -1,17 +1,29 @@
 """Tests for the analytic, measured (device profile), and fitted cost models."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.arch import ipu_pod4
 from repro.cost import (
     AnalyticCostModel,
     DeviceProfile,
+    ExecutionCost,
     FittedCostModel,
     MeasuredCostModel,
     TileWorkload,
     roofline_estimate,
 )
-from repro.ir import FP16, TensorSpec, make_matmul, make_softmax
+from repro.errors import PartitionError
+from repro.ir import (
+    FP16,
+    TensorSpec,
+    make_batch_matmul,
+    make_elementwise,
+    make_matmul,
+    make_norm,
+    make_softmax,
+)
 from repro.ir.models import build_model
 from repro.partition import enumerate_execute_plans, enumerate_preload_plans
 
@@ -122,3 +134,104 @@ def test_roofline_identifies_bandwidth_bound_decode():
     )
     prefill_estimate = roofline_estimate(prefill, system)
     assert not prefill_estimate.hbm_bound
+
+
+COST_MODELS = {
+    "analytic": AnalyticCostModel,
+    "measured": MeasuredCostModel,
+    "fitted": lambda chip: FittedCostModel(chip, samples_per_op=100, seed=5),
+}
+
+
+@pytest.fixture(scope="module")
+def cost_models(small_chip):
+    return {name: make(small_chip) for name, make in COST_MODELS.items()}
+
+
+def _reference_cost(model, op, plan) -> ExecutionCost:
+    """The three models' ``execution_cost`` bodies, each written out in full."""
+    exchange_bytes = plan.exchange_bytes_per_core
+    sram = plan.sram_traffic_bytes / model.core.sram_bandwidth
+    workload = TileWorkload(
+        op_type=op.op_type,
+        shape=plan.tile_shape if len(plan.tile_shape) >= 2 else (1,) + plan.tile_shape,
+        reduction=max(1, op.reduction_dim // plan.reduction_split),
+        dtype=op.output.dtype,
+    )
+    if isinstance(model, MeasuredCostModel):
+        compute = model.profile.execution_time(workload) * plan.tiles_per_core
+        exchange = (
+            model.profile.transfer_time(exchange_bytes, hops=max(1, round(model._hops)))
+            if exchange_bytes
+            else 0.0
+        )
+    elif isinstance(model, FittedCostModel):
+        compute = model.predict_tile_time(workload) * plan.tiles_per_core
+        exchange = (
+            model.predict_transfer_time(exchange_bytes) * model._hops if exchange_bytes else 0.0
+        )
+    else:
+        peak = model.core.flops_for(op.is_matmul_like)
+        if op.is_matmul_like:
+            per_core_reduction = max(1, op.reduction_dim // plan.reduction_split)
+            efficiency = model._matmul_efficiency(plan.tile_shape, per_core_reduction)
+        else:
+            efficiency = 0.85
+        compute = plan.flops_per_core / (peak * max(efficiency, 1e-3))
+        compute += plan.tiles_per_core * model._kernel_launch_seconds
+        exchange = 0.0
+        if exchange_bytes > 0:
+            phases = sum(
+                max(1, round(1.0 / o.resident_fraction) - 1)
+                for o in plan.operands
+                if o.exchange_bytes > 0 and o.resident_fraction > 0
+            )
+            exchange = exchange_bytes * model._hops / model.core.link_bandwidth
+            exchange += phases * model.core.link_latency
+    contended_sram = sram + exchange_bytes / model.core.sram_bandwidth
+    total = max(compute, contended_sram, exchange)
+    return ExecutionCost(compute, sram, exchange, total, exchange_bytes)
+
+
+def _operator(kind, rows, cols, depth, batch):
+    x = TensorSpec("x", (rows, depth), FP16, "activation")
+    if kind == "matmul":
+        return make_matmul("mm", x, TensorSpec("w", (depth, cols), FP16, "weight"))
+    if kind == "batch_matmul":
+        q = TensorSpec("q", (batch, rows, depth), FP16, "activation")
+        return make_batch_matmul("bmm", q, TensorSpec("kv", (batch, depth, cols), FP16, "kv_cache"))
+    if kind == "norm":
+        return make_norm("ln", x, TensorSpec("scale", (depth,), FP16, "weight"))
+    if kind == "add":
+        return make_elementwise("add", [x, TensorSpec("r", (rows, depth), FP16, "activation")])
+    return make_softmax("sm", TensorSpec("s", (batch, rows, depth), FP16))
+
+
+@pytest.mark.parametrize("name", sorted(COST_MODELS))
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["matmul", "batch_matmul", "norm", "add", "softmax"]),
+    rows=st.integers(1, 256),
+    cols=st.integers(1, 4096),
+    depth=st.integers(1, 4096),
+    batch=st.integers(1, 16),
+)
+@example("matmul", 32, 2048, 2048, 1)
+def test_execution_floor_bounds_the_unchanged_cost_per_split_group(
+    cost_models, small_chip, name, kind, rows, cols, depth, batch
+):
+    """Every model's cost equals its written-out body, and its floor is at most
+    the total and equal across a ``(factors, reduction_split)`` group."""
+    model = cost_models[name]
+    op = _operator(kind, rows, cols, depth, batch)
+    try:
+        plans = enumerate_execute_plans(op, small_chip)
+    except PartitionError:
+        return
+    floors = {}
+    for plan in plans:
+        cost = model.execution_cost(op, plan)
+        assert repr(cost) == repr(_reference_cost(model, op, plan))
+        floor = model.execution_floor(op, plan)
+        assert floor <= cost.total_time
+        assert floors.setdefault((plan.factors, plan.reduction_split), floor) == floor

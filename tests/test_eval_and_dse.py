@@ -11,6 +11,7 @@ from repro.eval import (
     ExperimentConfig,
     cost_model_accuracy,
     evaluate_artifact,
+    execution_space_profile,
     format_table,
     geometric_mean,
     hbm_demand_trace,
@@ -20,6 +21,8 @@ from repro.eval import (
     memory_occupancy_trace,
     save_results,
 )
+from repro.eval import experiments
+from repro.partition.pareto import frontier_from_plans
 from repro.sweep import SweepSpec, run_sweep
 from repro.units import TB
 
@@ -53,6 +56,25 @@ def test_policy_rows_keep_ideal_fastest(small_system):
     rows = {r["policy"]: r for r in _policy_rows(workload, small_system)}
     assert rows["ideal"]["latency_ms"] <= rows["elk-full"]["latency_ms"] * 1.001
     assert rows["elk-full"]["latency_ms"] <= rows["basic"]["latency_ms"] * 1.05
+
+
+def test_execution_space_rows_equal_the_unbounded_frontier(monkeypatch):
+    """Fig. 5's execution floor skips costing but changes no row."""
+    def fig5_rows():
+        return execution_space_profile(
+            models=("tiny-llm",), config=FAST_CONFIG, session=make_session(FAST_CONFIG)
+        )
+
+    bounded = fig5_rows()
+    bounds_passed = []
+
+    def unbounded(plans, memory_of, time_of, lower_bounds=()):
+        bounds_passed.append(len(lower_bounds))
+        return frontier_from_plans(plans, memory_of, time_of)
+
+    monkeypatch.setattr(experiments, "frontier_from_plans", unbounded)
+    assert len(bounded) > 4 and fig5_rows() == bounded
+    assert bounds_passed == [1] * 4
 
 
 def test_traces_from_timeline(tiny_elk_result):

@@ -129,7 +129,7 @@ def test_bounded_frontier_equals_the_unbounded_one(draws):
 
     unbounded = frontier_from_plans(plans, lambda p: p[1], lambda p: p[2])
     bounded = frontier_from_plans(
-        plans, lambda p: p[1], time_of, lower_bound_of=lambda p: max(0.0, p[2] - p[3])
+        plans, lambda p: p[1], time_of, lower_bounds=(lambda p: max(0.0, p[2] - p[3]),)
     )
     points = [ParetoPoint(memory_bytes=p[1], time_seconds=p[2], plan=p) for p in plans]
     reference = _reference_frontier(points)

@@ -26,7 +26,12 @@ from repro.partition import (
     enumerate_execute_plans,
     enumerate_preload_plans,
 )
-from repro.partition.enumerate import _factor_vectors, _reduction_splits, _replication_levels
+from repro.partition.enumerate import (
+    _factor_vectors,
+    _reduction_splits,
+    _replication_levels,
+    _split_candidates,
+)
 from repro.units import ceil_div
 
 
@@ -360,3 +365,36 @@ def test_enumeration_equals_the_per_candidate_reference(
             enumerate_execute_plans(op, chip, limits)
         return
     assert enumerate_execute_plans(op, chip, limits) == expected
+
+
+def _reference_split_candidates(extent, num_cores, limit):
+    """The divisor scan that tests the cap after every step."""
+    candidates = {1}
+    value = 2
+    while value <= min(extent, num_cores):
+        candidates.add(value)
+        value *= 2
+    for divisor in range(2, min(extent, num_cores) + 1):
+        if extent % divisor == 0:
+            candidates.add(divisor)
+        if len(candidates) >= 4 * limit:
+            break
+    if extent <= num_cores:
+        candidates.add(extent)
+    ordered = sorted(candidates)
+    if len(ordered) > limit:
+        step = len(ordered) / limit
+        ordered = sorted({ordered[int(i * step)] for i in range(limit)} | {ordered[-1], 1})
+    return ordered
+
+
+@pytest.mark.parametrize("limit", range(1, 13))
+def test_split_candidates_equal_the_stepwise_scan(limit):
+    """Testing the cap only before the scan and after an added divisor keeps
+    every candidate, also when the powers of two already meet the cap."""
+    extents = [*range(1, 400), 720, 1024, 2048, 2880, 4096, 5120, 11008, 32000]
+    for num_cores in (1, 2, 3, 5, 16, 32, 64, 96, 1472):
+        for extent in extents:
+            assert _split_candidates(extent, num_cores, limit) == _reference_split_candidates(
+                extent, num_cores, limit
+            ), (extent, num_cores)

@@ -1,10 +1,11 @@
-"""The pruned setup search of ``build_operator_profiles`` is exact.
+"""The pruned costing and setup search of ``build_operator_profiles`` are exact.
 
-``build_operator_profiles`` searches an execute plan's setup overhead (the
-cheapest preload overhead over all its preload plans) only when the plan's
-execution time alone beats the frontier's best over strictly smaller plans.
-These tests rebuild every frontier with the search run for every plan and
-the Pareto rule written out, and pin which plans are searched.
+``build_operator_profiles`` costs an execute plan only when its execution
+floor beats the frontier's best over strictly smaller plans, and searches its
+setup overhead (the cheapest preload overhead over all its preload plans) only
+when its execution time alone beats that best too.  These tests rebuild every
+frontier with every plan costed and searched and the Pareto rule written out,
+and pin which plans are costed and which are searched.
 """
 
 from __future__ import annotations
@@ -67,6 +68,28 @@ def test_frontiers_match_an_exhaustive_search(tiny_graph, small_chip, cost_model
         assert profile.execute_frontier == expected, profile.op.name
 
 
+def plans_passing(graph, chip, cost_model, bound):
+    """Plans of each structurally distinct operator whose ``bound(op, option)``
+    beats the frontier's best over strictly smaller plans, and how many plans
+    were enumerated."""
+    passing, enumerated, seen = [], 0, set()
+    for op in graph:
+        if profiles_module._structure(op) in seen:
+            continue  # shares the first operator's enumeration
+        seen.add(profiles_module._structure(op))
+        options = exhaustive_options(op, chip, cost_model)
+        frontier = reference_frontier(options)
+        enumerated += len(options)
+        for option in options:
+            best = min(
+                (f.time_seconds for f in frontier if f.memory_bytes < option.memory_bytes),
+                default=float("inf"),
+            )
+            if bound(op, option) < best - 1e-15:
+                passing.append(option.plan)
+    return passing, enumerated
+
+
 def test_setup_is_searched_only_for_plans_that_pass_the_bound(
     tiny_graph, small_chip, cost_model, monkeypatch
 ):
@@ -79,20 +102,30 @@ def test_setup_is_searched_only_for_plans_that_pass_the_bound(
     monkeypatch.setattr(profiles_module, "enumerate_preload_plans", counting)
     build_operator_profiles(tiny_graph, small_chip, cost_model)
 
-    expected, enumerated, seen = [], 0, set()
-    for op in tiny_graph:
-        if profiles_module._structure(op) in seen:
-            continue  # shares the first operator's enumeration
-        seen.add(profiles_module._structure(op))
-        options = exhaustive_options(op, small_chip, cost_model)
-        frontier = reference_frontier(options)
-        enumerated += len(options)
-        for option in options:
-            best = min(
-                (f.time_seconds for f in frontier if f.memory_bytes < option.memory_bytes),
-                default=float("inf"),
-            )
-            if option.cost.total_time < best - 1e-15:
-                expected.append(option.plan)
+    expected, enumerated = plans_passing(
+        tiny_graph, small_chip, cost_model, lambda op, option: option.cost.total_time
+    )
     assert Counter(searched) == Counter(expected)
     assert len(searched) < enumerated / 2, "the bound no longer prunes the setup search"
+
+
+def test_plans_are_costed_only_when_their_floor_passes_the_bound(
+    tiny_graph, small_chip, cost_model, monkeypatch
+):
+    expected, enumerated = plans_passing(
+        tiny_graph,
+        small_chip,
+        cost_model,
+        lambda op, option: cost_model.execution_floor(op, option.plan),
+    )
+    costed = []
+    execution_cost = cost_model.execution_cost
+
+    def counting(op, plan):
+        costed.append(plan)
+        return execution_cost(op, plan)
+
+    monkeypatch.setattr(cost_model, "execution_cost", counting)
+    build_operator_profiles(tiny_graph, small_chip, cost_model)
+    assert Counter(costed) == Counter(expected)
+    assert len(costed) < enumerated / 2, "the floor no longer prunes the costing"

@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.scheduler import (
+    ElkOptions,
+    ElkScheduler,
     MemoryAllocator,
     InductiveScheduler,
     OrderSearchConfig,
@@ -115,6 +117,32 @@ def test_order_generator_stats(tiny_graph, tiny_profiles, small_chip):
     assert stats.max_plans_per_operator >= 1
     assert stats.max_operators_on_chip >= 1
     assert 0 <= stats.heavy_per_layer <= 6
+
+
+@pytest.mark.parametrize("reordering", [True, False])
+def test_elk_run_generates_orders_once(
+    tiny_graph, tiny_profiles, small_chip, small_cost_model, monkeypatch, reordering
+):
+    """Elk-Full's stats reuse the orders it ran; Elk-Dyn generates them for the stats."""
+    expected = PreloadOrderGenerator(
+        tiny_graph, tiny_profiles, small_chip.per_core_usable_sram
+    ).stats()
+    generated = []
+    candidate_orders = PreloadOrderGenerator.candidate_orders
+
+    def counting(generator):
+        generated.append(generator)
+        return candidate_orders(generator)
+
+    monkeypatch.setattr(PreloadOrderGenerator, "candidate_orders", counting)
+    allocator = MemoryAllocator(
+        small_cost_model, small_chip.per_core_usable_sram, small_chip.core.link_bandwidth
+    )
+    elk = ElkScheduler(
+        tiny_graph, small_chip, ElkOptions(enable_reordering=reordering), tiny_profiles, allocator
+    )
+    assert elk.run().stats == expected
+    assert len(generated) == 1
 
 
 def test_candidate_orders_are_permutations(tiny_graph, tiny_profiles, small_chip):
