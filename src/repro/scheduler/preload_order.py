@@ -228,7 +228,7 @@ class PreloadOrderGenerator:
 
     # ------------------------------------------------------------------- stats
     def stats(self, orders: Sequence[tuple[int, ...]] | None = None) -> OrderSearchStats:
-        """Search-space statistics (Table 2 factors); ``orders``: :meth:`candidate_orders`, if known."""
+        """Search-space statistics (Table 2 factors); ``orders``: :meth:`candidate_orders`, if at hand."""
         span = self.representative_layer()
         heavy = self.heavy_in_layer(span) if span else []
         return OrderSearchStats(

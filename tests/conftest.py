@@ -14,6 +14,15 @@ from repro.arch import ipu_pod4, scaled_chip, scaled_system
 from repro.api import CompileRequest, Session
 from repro.compiler import WorkloadSpec
 from repro.cost import AnalyticCostModel
+from repro.ir import (
+    FP16,
+    TensorSpec,
+    make_batch_matmul,
+    make_elementwise,
+    make_matmul,
+    make_norm,
+    make_softmax,
+)
 from repro.ir.models import build_model
 from repro.scheduler import build_operator_profiles
 
@@ -65,3 +74,25 @@ def tiny_compiler(small_system):
 def tiny_elk_result(tiny_compiler):
     """The Elk-Full policy output of the tiny workload (compiled once)."""
     return tiny_compiler.compile("elk-full")
+
+
+def _operator(kind, rows, cols, depth, batch):
+    x = TensorSpec("x", (rows, depth), FP16, "activation")
+    if kind == "matmul":
+        return make_matmul("mm", x, TensorSpec("w", (depth, cols), FP16, "weight"))
+    if kind == "batch_matmul":
+        q = TensorSpec("q", (batch, rows, depth), FP16, "activation")
+        return make_batch_matmul("bmm", q, TensorSpec("kv", (batch, depth, cols), FP16, "kv_cache"))
+    if kind == "norm":  # the scale vector is a small operand every core shares
+        return make_norm("ln", x, TensorSpec("scale", (depth,), FP16, "weight"))
+    if kind == "add":
+        return make_elementwise("add", [x, TensorSpec("r", (rows, depth), FP16, "activation")])
+    return make_softmax("sm", TensorSpec("s", (batch, rows, depth), FP16))
+
+
+@pytest.fixture(scope="session")
+def make_operator():
+    """Builds a small ``matmul``, ``batch_matmul``, ``norm``, ``add`` or
+    ``softmax`` operator from drawn sizes: ``make_operator(kind, rows, cols,
+    depth, batch)``."""
+    return _operator

@@ -15,15 +15,7 @@ from repro.cost import (
     roofline_estimate,
 )
 from repro.errors import PartitionError
-from repro.ir import (
-    FP16,
-    TensorSpec,
-    make_batch_matmul,
-    make_elementwise,
-    make_matmul,
-    make_norm,
-    make_softmax,
-)
+from repro.ir import FP16, TensorSpec, make_matmul, make_softmax
 from repro.ir.models import build_model
 from repro.partition import enumerate_execute_plans, enumerate_preload_plans
 
@@ -193,20 +185,6 @@ def _reference_cost(model, op, plan) -> ExecutionCost:
     return ExecutionCost(compute, sram, exchange, total, exchange_bytes)
 
 
-def _operator(kind, rows, cols, depth, batch):
-    x = TensorSpec("x", (rows, depth), FP16, "activation")
-    if kind == "matmul":
-        return make_matmul("mm", x, TensorSpec("w", (depth, cols), FP16, "weight"))
-    if kind == "batch_matmul":
-        q = TensorSpec("q", (batch, rows, depth), FP16, "activation")
-        return make_batch_matmul("bmm", q, TensorSpec("kv", (batch, depth, cols), FP16, "kv_cache"))
-    if kind == "norm":
-        return make_norm("ln", x, TensorSpec("scale", (depth,), FP16, "weight"))
-    if kind == "add":
-        return make_elementwise("add", [x, TensorSpec("r", (rows, depth), FP16, "activation")])
-    return make_softmax("sm", TensorSpec("s", (batch, rows, depth), FP16))
-
-
 @pytest.mark.parametrize("name", sorted(COST_MODELS))
 @settings(max_examples=40, deadline=None)
 @given(
@@ -218,12 +196,12 @@ def _operator(kind, rows, cols, depth, batch):
 )
 @example("matmul", 32, 2048, 2048, 1)
 def test_execution_floor_bounds_the_unchanged_cost_per_split_group(
-    cost_models, small_chip, name, kind, rows, cols, depth, batch
+    cost_models, small_chip, make_operator, name, kind, rows, cols, depth, batch
 ):
     """Every model's cost equals its written-out body, and its floor is at most
     the total and equal across a ``(factors, reduction_split)`` group."""
     model = cost_models[name]
-    op = _operator(kind, rows, cols, depth, batch)
+    op = make_operator(kind, rows, cols, depth, batch)
     try:
         plans = enumerate_execute_plans(op, small_chip)
     except PartitionError:

@@ -9,15 +9,7 @@ from hypothesis import strategies as st
 
 from repro.arch import ALL_TO_ALL, MESH_2D, ipu_mk2_chip, scaled_chip
 from repro.errors import PartitionError
-from repro.ir import (
-    FP16,
-    TensorSpec,
-    make_batch_matmul,
-    make_elementwise,
-    make_matmul,
-    make_norm,
-    make_softmax,
-)
+from repro.ir import FP16, TensorSpec, make_matmul, make_softmax
 from repro.partition import (
     EnumerationLimits,
     ExecutePlan,
@@ -304,20 +296,6 @@ def _reference_plans(op, chip, limits):
     return plans
 
 
-def _operator(kind, rows, cols, depth, batch):
-    x = TensorSpec("x", (rows, depth), FP16, "activation")
-    if kind == "matmul":
-        return make_matmul("mm", x, TensorSpec("w", (depth, cols), FP16, "weight"))
-    if kind == "batch_matmul":
-        q = TensorSpec("q", (batch, rows, depth), FP16, "activation")
-        return make_batch_matmul("bmm", q, TensorSpec("kv", (batch, depth, cols), FP16, "kv_cache"))
-    if kind == "norm":  # the scale vector is a small operand every core shares
-        return make_norm("ln", x, TensorSpec("scale", (depth,), FP16, "weight"))
-    if kind == "add":
-        return make_elementwise("add", [x, TensorSpec("r", (rows, depth), FP16, "activation")])
-    return make_softmax("sm", TensorSpec("s", (batch, rows, depth), FP16))
-
-
 def _chip(num_cores, topology, sram_kib):
     chip = scaled_chip(num_cores=num_cores, topology=topology)
     return replace(chip, core=replace(chip.core, sram_bytes=sram_kib * 1024))
@@ -352,11 +330,11 @@ def _chip(num_cores, topology, sram_kib):
 # need exactly the usable SRAM.
 @example("matmul", 64, 1024, 4096, 1, 64, ALL_TO_ALL, 184, EnumerationLimits())
 def test_enumeration_equals_the_per_candidate_reference(
-    kind, rows, cols, depth, batch, num_cores, topology, sram_kib, limits
+    make_operator, kind, rows, cols, depth, batch, num_cores, topology, sram_kib, limits
 ):
     """Deriving per group and filtering before construction changes no plan,
     no plan order and no cap."""
-    op = _operator(kind, rows, cols, depth, batch)
+    op = make_operator(kind, rows, cols, depth, batch)
     chip = _chip(num_cores, topology, sram_kib)
     try:
         expected = _reference_plans(op, chip, limits)
